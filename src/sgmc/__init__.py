@@ -1,7 +1,13 @@
 """Exact stationary distributions of finite Markov chains via the
 Karnofsky-Rhodes and McCammond expansions of the underlying semigroup."""
 
-from .algebra import Polynomial, RationalFunction, SeriesTruncation, limit_at_box_zero
+from .algebra import (
+    Factored,
+    Polynomial,
+    RationalFunction,
+    SeriesTruncation,
+    limit_at_box_zero,
+)
 from .errors import SgmcError
 from .expansions import (
     RootedGraph,
@@ -45,6 +51,7 @@ from .semigroup import FiniteSemigroup, IdealInfo
 __version__ = "0.1.0"
 
 __all__ = [
+    "Factored",
     "Polynomial",
     "RationalFunction",
     "SeriesTruncation",

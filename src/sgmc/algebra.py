@@ -3,9 +3,17 @@
 A monomial is a tuple of (variable, exponent) pairs, sorted by variable name,
 with no zero exponents stored.  A polynomial maps monomials to Fraction
 coefficients; zero coefficients are never stored, so equal polynomials have
-identical term dictionaries.  Rational functions are unreduced pairs
-numerator/denominator; equality is decided by cross-multiplication, never by
-computing a multivariate gcd.
+identical term dictionaries.
+
+Rational functions come in two forms.  :class:`Factored` is the working form:
+a polynomial times a product of shared factors raised to integer exponents.
+Products add exponents, sums pull out each factor's smallest exponent and
+expand only the leftover powers, so identical factors are never multiplied
+out.  :class:`RationalFunction` is the expanded numerator/denominator pair
+that results are reported in; equality is decided by cross-multiplication.
+Neither form ever computes a multivariate gcd: the only cancellation is of
+identical factors and, in :func:`limit_at_box_zero`, of powers of the box
+variable.
 
 Variables are plain strings (a generator label); they render as ``x_<label>``.
 Term order everywhere is graded lexicographic: lower total degree first, and
@@ -15,12 +23,14 @@ within a degree the lexicographically larger exponent vector first, so that
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 
 from .errors import (
     DivisionByZero,
     NonUnitDenominator,
     PoleAtLimit,
+    StarOfUnit,
     ZeroDenominator,
 )
 
@@ -36,6 +46,13 @@ _LANE_MASK = (1 << _LANE) - 1
 
 def _mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
+
+
+def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    exps = dict(m1)
+    for v, e in m2:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted(exps.items()))
 
 
 def _pack(terms, var_slot):
@@ -79,6 +96,8 @@ class Polynomial:
 
     @classmethod
     def const(cls, value) -> "Polynomial":
+        if type(value) is int:
+            return cls({_ONE_MONO: value} if value else {})
         c = Fraction(value)
         if c == 0:
             return cls({})
@@ -172,6 +191,12 @@ class Polynomial:
             })
         if len(b) == 1 and _ONE_MONO in b:
             return other._mul_impl(self, bound)
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1 and bound is None:
+            # one term times many: shift monomials, no packing needed
+            ((m1, c1),) = a.items()
+            return Polynomial({_mono_mul(m1, m2): c1 * c2 for m2, c2 in b.items()})
         variables = sorted(
             {v for m in a for v, _ in m} | {v for m in b for v, _ in m}
         )
@@ -368,12 +393,12 @@ class SeriesTruncation:
 class RationalFunction:
     """Unreduced quotient of two polynomials.
 
-    No gcd reduction ever happens; a/b + c/d is literally (ad+cb)/(bd).  The
-    only cancellation the pipeline needs (powers of the box variable against
-    the denominator) is done by :func:`limit_at_box_zero`.
+    No gcd reduction ever happens; a/b + c/d is literally (ad+cb)/(bd).  A
+    quotient made by :meth:`Factored.expand` remembers the factored form it
+    came from, so :meth:`Factored.of` gets the factors back for free.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_factored")
 
     def __init__(self, num: Polynomial, den: Polynomial = None):
         if den is None:
@@ -382,6 +407,7 @@ class RationalFunction:
             raise ZeroDenominator("denominator is identically zero")
         self.num = num
         self.den = den
+        self._factored = None
 
     @classmethod
     def const(cls, value) -> "RationalFunction":
@@ -528,16 +554,219 @@ class RationalFunction:
         return f"RationalFunction({self})"
 
 
-def limit_at_box_zero(
-    r: RationalFunction, box_var: str, elim_var: str, generator_vars
-) -> RationalFunction:
+class _Factor:
+    """A polynomial shared by every factored form that uses it.
+
+    Made only by :func:`_factor`, which interns one instance per polynomial,
+    so identity is equality and factor dictionaries hash by identity.
+    """
+
+    __slots__ = ("poly", "__weakref__")
+
+    def __init__(self, poly: Polynomial):
+        self.poly = poly
+
+
+# Weak, so a factor lives only as long as some factored form uses it.
+_INTERNED = weakref.WeakValueDictionary()
+
+
+def _factor(poly: Polynomial):
+    """Split a non-constant polynomial into (scale, interned factor).
+
+    The factor is poly / scale, scaled so that its first term in graded-lex
+    order (the constant term, when there is one) has coefficient 1.
+    """
+    scale = poly.terms.get(_ONE_MONO)
+    if scale is None:
+        variables = poly.variables()
+        scale = poly.terms[min(poly.terms, key=lambda m: mono_key(m, variables))]
+    if scale != 1:
+        poly = poly * Fraction(1, scale)
+    key = frozenset(poly.terms.items())
+    factor = _INTERNED.get(key)
+    if factor is None:
+        factor = _INTERNED[key] = _Factor(poly)
+    return scale, factor
+
+
+class Factored:
+    """A rational function as poly * prod(factor^e), with integer e != 0.
+
+    Factors are interned polynomials scaled to a leading coefficient of 1;
+    any constant is carried by poly, and zero is poly = 0 with no factors.
+    Equality of factors is identity of polynomials, never a gcd, so equal
+    values can have different forms; :meth:`equals` compares values.
+    """
+
+    __slots__ = ("poly", "factors")
+
+    def __init__(self, poly: Polynomial, factors: dict = None):
+        self.poly = poly
+        self.factors = {} if factors is None else factors
+
+    @classmethod
+    def const(cls, value) -> "Factored":
+        return cls(Polynomial.const(value))
+
+    @classmethod
+    def variable(cls, name: str) -> "Factored":
+        return cls(Polynomial.variable(name))
+
+    @classmethod
+    def zero(cls) -> "Factored":
+        return cls(Polynomial.zero())
+
+    @classmethod
+    def power(cls, poly: Polynomial, e: int) -> "Factored":
+        """poly^e, with poly kept as one factor."""
+        if poly.is_zero():
+            if e < 0:
+                raise DivisionByZero("negative power of the zero polynomial")
+            return cls.zero()
+        if not poly.terms.keys() - {_ONE_MONO}:
+            return cls.const(Fraction(poly.constant_term()) ** e)
+        scale, factor = _factor(poly)
+        return cls(Polynomial.const(Fraction(scale) ** e), {factor: e})
+
+    @classmethod
+    def of(cls, rf: RationalFunction) -> "Factored":
+        """The form rf was expanded from, or else num^1 * den^-1."""
+        if rf._factored is not None:
+            return rf._factored
+        return cls(rf.num) * cls.power(rf.den, -1)
+
+    @classmethod
+    def sum(cls, parts) -> "Factored":
+        """Exact sum that multiplies out only the factors addends do not share.
+
+        Each factor keeps its smallest exponent over the addends; every
+        addend is expanded against the rest, so a factor all addends carry
+        to the same power is never expanded.
+        """
+        parts = [p for p in parts if not p.is_zero()]
+        if len(parts) < 2:
+            return parts[0] if parts else cls.zero()
+        lowest = {}
+        for p in parts:
+            for f in p.factors:
+                lowest[f] = 0
+        for p in parts:
+            for f in lowest:
+                e = p.factors.get(f, 0)
+                if e < lowest[f]:
+                    lowest[f] = e
+        total = Polynomial.zero()
+        for p in parts:
+            term = p.poly
+            for f, low in lowest.items():
+                extra = p.factors.get(f, 0) - low
+                if extra:
+                    term = term * f.poly**extra
+            total = total + term
+        if total.is_zero():
+            return cls.zero()
+        return cls(total, {f: e for f, e in lowest.items() if e})
+
+    def is_zero(self) -> bool:
+        return self.poly.is_zero()
+
+    def __mul__(self, other: "Factored") -> "Factored":
+        if self.is_zero() or other.is_zero():
+            return Factored.zero()
+        if not other.factors:
+            return Factored(self.poly * other.poly, self.factors)
+        factors = dict(self.factors)
+        for f, e in other.factors.items():
+            total = factors.get(f, 0) + e
+            if total:
+                factors[f] = total
+            else:
+                del factors[f]
+        return Factored(self.poly * other.poly, factors)
+
+    def __neg__(self) -> "Factored":
+        return Factored(-self.poly, self.factors)
+
+    def __sub__(self, other: "Factored") -> "Factored":
+        return Factored.sum((self, -other))
+
+    def _num_den(self):
+        """(numerator, denominator) polynomials with the factors multiplied out."""
+        num = self.poly
+        den = Polynomial.const(1)
+        for f, e in self.factors.items():
+            if e > 0:
+                num = num * (f.poly if e == 1 else f.poly**e)
+            else:
+                den = den * (f.poly if e == -1 else f.poly**-e)
+        return num, den
+
+    def star(self) -> "Factored":
+        """The geometric series 1/(1 - f): for f = P/Q this is Q * (Q - P)^-1.
+
+        Q keeps its factors, now with positive exponents, and Q - P becomes
+        one new factor.
+        """
+        p, q = self._num_den()
+        if q.constant_term() == 0:
+            raise StarOfUnit("star argument has no series at the origin")
+        if p.constant_term() != 0:
+            raise StarOfUnit(
+                "star argument accepts the empty word; geometric series diverges"
+            )
+        top = Factored(
+            Polynomial.const(1), {f: -e for f, e in self.factors.items() if e < 0}
+        )
+        return top * Factored.power(q - p, -1)
+
+    def expand(self) -> RationalFunction:
+        """The value as a numerator/denominator pair that remembers self."""
+        num, den = self._num_den()
+        rf = RationalFunction(num, den)
+        rf._factored = self
+        return rf
+
+    def equals(self, other) -> bool:
+        """True iff self - other is the zero function."""
+        if isinstance(other, RationalFunction):
+            other = Factored.of(other)
+        elif not isinstance(other, Factored):
+            other = Factored.const(other)
+        return (self - other).is_zero()
+
+    def _pieces(self) -> list:
+        """[(polynomial, exponent)]: poly with exponent 1, then every factor."""
+        return [(self.poly, 1), *((f.poly, e) for f, e in self.factors.items())]
+
+    @staticmethod
+    def _product(pieces) -> "Factored":
+        out = Factored.const(1)
+        for poly, e in pieces:
+            out = out * Factored.power(poly, e)
+        return out
+
+    def substitute(self, var: str, value: Polynomial) -> "Factored":
+        """Replace var by a polynomial, one factor at a time."""
+        pieces = [(p.substitute(var, value), e) for p, e in self._pieces()]
+        if any(p.is_zero() and e < 0 for p, e in pieces):
+            raise ZeroDenominator(
+                f"substituting {var} makes the denominator identically zero"
+            )
+        return Factored._product(pieces)
+
+
+def limit_at_box_zero(r, box_var: str, elim_var: str, generator_vars):
     """The limit box -> 0 under the constraint sum(generators) + box = 1.
 
-    Eliminates elim_var as 1 - (other generators) - box, factors the largest
-    box power out of numerator and denominator, and compares orders: a higher
-    numerator order gives 0, equal orders give the finite value, and a lower
-    one raises PoleAtLimit.  The result is a rational function in the
-    remaining generator variables, to be read with elim_var = 1 - sum(others).
+    Works one factor at a time on a :class:`Factored` form (a
+    :class:`RationalFunction` is read as num^1 * den^-1, or as the form it
+    was expanded from): eliminates elim_var as 1 - (other generators) - box,
+    divides the largest box power out of each factor, and adds up the box
+    orders weighted by the exponents.  A positive total gives 0, zero gives
+    the product of the factors at box = 0, and a negative one raises
+    PoleAtLimit.  The result, of the same type as r, is in the remaining
+    generator variables, to be read with elim_var = 1 - sum(others).
     """
     if elim_var not in generator_vars:
         raise ValueError(f"{elim_var!r} is not a generator variable")
@@ -545,22 +774,14 @@ def limit_at_box_zero(
     for v in generator_vars:
         if v != elim_var:
             repl = repl - Polynomial.variable(v)
-    num = r.num.substitute(elim_var, repl)
-    den = r.den.substitute(elim_var, repl)
-    if den.is_zero():
-        raise ZeroDenominator(
-            "denominator vanishes identically on the constraint surface"
-        )
-    if num.is_zero():
-        return RationalFunction.zero()
-    j, n1 = num.divide_out(box_var)
-    k, d1 = den.divide_out(box_var)
-    if j < k:
-        raise PoleAtLimit(f"box order {j} in numerator below {k} in denominator")
-    if j > k:
-        return RationalFunction.zero()
-    n0 = n1.set_var_zero(box_var)
-    d0 = d1.set_var_zero(box_var)
-    if d0.is_zero():
-        raise ZeroDenominator("denominator vanishes in the box limit")
-    return RationalFunction(n0, d0)
+    form = r if isinstance(r, Factored) else Factored.of(r)
+    order = 0
+    at_zero = []
+    for poly, e in form.substitute(elim_var, repl)._pieces():
+        k, rest = poly.divide_out(box_var)
+        order += k * e
+        at_zero.append((rest.set_var_zero(box_var), e))
+    if order < 0:
+        raise PoleAtLimit(f"box order {order} below zero")
+    limit = Factored._product(at_zero) if order == 0 else Factored.zero()
+    return limit if isinstance(r, Factored) else limit.expand()

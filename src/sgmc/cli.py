@@ -133,7 +133,9 @@ def load_chain_file(path: str) -> ChainFile:
         if (
             not isinstance(action, list)
             or len(action) != n
-            or not all(isinstance(i, int) for i in action)
+            or not all(
+                isinstance(i, int) and not isinstance(i, bool) for i in action
+            )
         ):
             raise ChainFileError(
                 f"{path}: {where}: 'action' must list {n} state indices"
@@ -178,6 +180,10 @@ def _parse_eval(text: str, spec: MarkovChainSpec) -> dict:
         if key not in spec.labels():
             raise ChainFileError(f"--eval names unknown generator {key!r}")
         point[key] = parse_rational(value.strip(), f"--eval {key}")
+        if not 0 <= point[key] <= 1:
+            raise ChainFileError(
+                f"--eval {key}: probability {point[key]} outside [0, 1]"
+            )
     missing = [lab for lab in spec.labels() if lab not in point]
     if missing:
         raise ChainFileError(f"--eval missing generators: {', '.join(missing)}")

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .algebra import RationalFunction
+from .algebra import Factored, RationalFunction
 from .errors import (
     AmbiguousExpression,
     CapExceeded,
@@ -38,13 +38,13 @@ DEFAULT_MAX_PATHS = 10**6
 _MAX_NESTING = 4000
 
 
-@dataclass
+@dataclass(slots=True)
 class LoopVertex:
     name: str
     loops: list = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class Loop:
     """A cycle through its attachment vertex.
 
@@ -177,13 +177,13 @@ class Kleene:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Epsilon(Kleene):
     def __str__(self):
         return "ε"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Letter(Kleene):
     label: str
 
@@ -191,7 +191,7 @@ class Letter(Kleene):
         return self.label
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Concat(Kleene):
     parts: tuple
 
@@ -203,7 +203,7 @@ class Concat(Kleene):
         return "".join(str(p) for p in self.parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Union(Kleene):
     parts: tuple
 
@@ -215,7 +215,7 @@ class Union(Kleene):
         return "{" + ",".join(str(p) for p in self.parts) + "}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Star(Kleene):
     inner: Kleene
 
@@ -226,7 +226,7 @@ class Star(Kleene):
         return f"({inner})*"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class LoopSymbol(Kleene):
     loop: Loop
     index: int
@@ -334,36 +334,31 @@ def zimin_unionless(expr: Kleene) -> Kleene:
 
 def kleene_to_rf(expr: Kleene, variables: dict = None) -> RationalFunction:
     """Letters to variables, concatenation to product, union to sum,
-    star to the geometric series 1/(1 - f)."""
+    star to the geometric series 1/(1 - f).
+
+    Built in factored form, so denominators that several parts share are
+    never multiplied together, and expanded once at the end; the result
+    remembers its factored form (see :meth:`Factored.of`).
+    """
     mapping = variables or {}
 
     def conv(node):
         if isinstance(node, Epsilon):
-            return RationalFunction.const(1)
+            return Factored.const(1)
         if isinstance(node, Letter):
-            return RationalFunction.variable(mapping.get(node.label, node.label))
+            return Factored.variable(mapping.get(node.label, node.label))
         if isinstance(node, Concat):
-            out = RationalFunction.const(1)
-            for p in node.parts:
+            out = conv(node.parts[0])
+            for p in node.parts[1:]:
                 out = out * conv(p)
             return out
         if isinstance(node, Union):
-            out = RationalFunction.zero()
-            for p in node.parts:
-                out = out + conv(p)
-            return out
+            return Factored.sum([conv(p) for p in node.parts])
         if isinstance(node, Star):
-            f = conv(node.inner)
-            if f.den.constant_term() == 0:
-                raise StarOfUnit("star argument has no series at the origin")
-            if f.num.constant_term() != 0:
-                raise StarOfUnit(
-                    "star argument accepts the empty word; geometric series diverges"
-                )
-            return RationalFunction.const(1) / (RationalFunction.const(1) - f)
+            return conv(node.inner).star()
         raise TypeError(f"cannot convert {node!r}; expand placeholders first")
 
-    return conv(expr)
+    return conv(expr).expand()
 
 
 # -- enumeration oracles ----------------------------------------------------

@@ -101,14 +101,22 @@ def tv_bound_check(
     Matrix powers and the stationary vector are exact rationals; nu is the
     point mass at start_state.  Requires a left-zero minimal ideal.
     """
+    result = _left_zero_result(spec, result, caps)
+    tail = tail_table([t.psi for t in result.terminals], point, tmax + 1)
+    return _tv_rows(spec, point, tmax, start_state, tail)
+
+
+def _left_zero_result(spec, result, caps) -> StationaryResult:
     if result is None:
         s = build_semigroup(spec, caps.pop("max_elements", 10**5))
         result = stationary_left_zero(s, **caps)
     if result.case != "left_zero":
         raise NotLeftZero("the TV bound applies to left-zero chains only")
-    tail = tail_table(
-        [t.psi for t in result.terminals], point, tmax + 1
-    )
+    return result
+
+
+def _tv_rows(spec, point, tmax, start_state, tail) -> list:
+    """TV rows for t = 0..tmax against a tail table reaching t = tmax + 1."""
     tm = transition_matrix(spec)
     matrix = tm.evaluate(point)
     psi = stationary_oracle(tm, point)
@@ -147,9 +155,7 @@ def mixing_report(
     **caps,
 ) -> MixingReport:
     """Tail table, conditional and total E[tau], Markov bound, ASST rows."""
-    if result is None:
-        s = build_semigroup(spec, caps.pop("max_elements", 10**5))
-        result = stationary_left_zero(s, **caps)
+    result = _left_zero_result(spec, result, caps)
     tail = tail_table([t.psi for t in result.terminals], point, tmax + 1)
     expected_by_element = {}
     total = Fraction(0)
@@ -159,9 +165,7 @@ def mixing_report(
         expected_by_element[name] = (e_rf, value)
         total += rf.evaluate(point) * value
     bound = markov_bound(total, epsilon)
-    rows = tv_bound_check(
-        spec, point, tmax, start_state=start_state, result=result
-    )
+    rows = _tv_rows(spec, point, tmax, start_state, tail)
     return MixingReport(
         point=point,
         tail=tail[: tmax + 1],

@@ -9,9 +9,12 @@ Otherwise a zero is adjoined to semigroup and generators; terminals are the
 box vertices u-box, each contributes its rational function, the limit
 box -> 0 is taken under the stochastic constraint, and vertices whose prefix
 projects outside K(S) feed a residual mass that must vanish in the limit.
-The limit is taken per vertex (limits pass through the finite group sums;
-this keeps unreduced denominators small) with a group-sum fallback should a
-per-vertex limit ever report a pole.
+The limit is taken per vertex (limits pass through the finite group sums).
+
+Path sums, per-element sums, box limits and the normalization check all work
+on factored forms (:class:`~sgmc.algebra.Factored`), which never multiply
+out a factor the addends share; only the results kept in a
+:class:`StationaryResult` are expanded to numerator/denominator pairs.
 
 Every run can be cross-checked against the exact eigenvector oracle at
 random interior rational points: the distribution on chain states is the
@@ -25,11 +28,10 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Polynomial, RationalFunction, limit_at_box_zero
+from .algebra import Factored, Polynomial, RationalFunction, limit_at_box_zero
 from .errors import (
     NotLeftZero,
     NotUsp,
-    PoleAtLimit,
     ResidualMassNonzero,
     VerificationFailed,
 )
@@ -118,28 +120,6 @@ def _expand(s, ideal_members, max_kr, max_mc):
     return kr, mc, tree, sizes
 
 
-def _sum_rationals(parts):
-    """Sum rational functions, pooling addends that share a denominator.
-
-    Exact and reduction-free; it only avoids multiplying out identical
-    denominators, which the unreduced pairwise sum would square repeatedly.
-    """
-    pools = []
-    index = {}
-    for rf in parts:
-        key = frozenset(rf.den.terms.items())
-        at = index.get(key)
-        if at is None:
-            index[key] = len(pools)
-            pools.append([rf.num, rf.den])
-        else:
-            pools[at][0] = pools[at][0] + rf.num
-    total = RationalFunction.zero()
-    for num, den in pools:
-        total = total + RationalFunction(num, den)
-    return total
-
-
 def _terminal(mc, unique, vid, element, max_loop):
     lg = pict(mc, unique[vid], verify_usp=False, max_vertices=max_loop)
     expr = algorithm2(algorithm1(lg), lg)
@@ -171,9 +151,9 @@ def stationary_left_zero(
     for t in terminals:
         per_vertex[t.name] = t.psi
         kleene[t.name] = str(t.expression)
-        addends[s.name(t.element)].append(t.psi)
+        addends[s.name(t.element)].append(Factored.of(t.psi))
     per_element = {
-        name: _sum_rationals(parts) for name, parts in addends.items()
+        name: Factored.sum(parts).expand() for name, parts in addends.items()
     }
     return StationaryResult(
         case="left_zero",
@@ -222,42 +202,24 @@ def stationary_general(
             t.element = None
         terminals.append(t)
 
-    def box_limit(rf):
-        return limit_at_box_zero(rf, box_label, elim, variables)
-
     element_ids = {s.name(k): k for k in sorted(ideal.members)}
-    try:
-        group_limits = {name: [] for name in element_ids}
-        residual_limits = []
-        for t in terminals:
-            lim = box_limit(t.psi)
-            if t.element is None:
-                residual_limits.append(lim)
-            else:
-                group_limits[s.name(t.element)].append(lim)
-        per_element = {
-            name: _collapse(_sum_rationals(parts))
-            for name, parts in group_limits.items()
-        }
-        residual = _sum_rationals(residual_limits)
-    except PoleAtLimit:
-        # a vertex limit alone diverged: take limits of whole group sums
-        groups = {name: [] for name in element_ids}
-        residual_parts = []
-        for t in terminals:
-            if t.element is None:
-                residual_parts.append(t.psi)
-            else:
-                groups[s.name(t.element)].append(t.psi)
-        per_element = {
-            name: _collapse(box_limit(_sum_rationals(parts)))
-            for name, parts in groups.items()
-        }
-        residual = box_limit(_sum_rationals(residual_parts))
-    if not residual.is_zero() and not residual.equals(0):
+    groups = {name: [] for name in element_ids}
+    residual_parts = []
+    for t in terminals:
+        lim = limit_at_box_zero(Factored.of(t.psi), box_label, elim, variables)
+        if t.element is None:
+            residual_parts.append(lim)
+        else:
+            groups[s.name(t.element)].append(lim)
+    residual = Factored.sum(residual_parts)
+    if not residual.is_zero():
         raise ResidualMassNonzero(
             "limit mass outside the minimal ideal does not vanish"
         )
+    per_element = {
+        name: _collapse(Factored.sum(parts).expand())
+        for name, parts in groups.items()
+    }
     per_vertex = {t.name: t.psi for t in terminals}
     kleene = {t.name: str(t.expression) for t in terminals}
     return StationaryResult(
@@ -267,7 +229,7 @@ def stationary_general(
         elim_var=elim,
         per_vertex=per_vertex,
         per_element=per_element,
-        residual_mass=residual,
+        residual_mass=residual.expand(),
         kleene=kleene,
         graph_sizes=sizes,
         element_ids=element_ids,
@@ -291,17 +253,16 @@ def stationary(s: FiniteSemigroup, box_label="□", **caps) -> StationaryResult:
 
 def normalization_holds(result: StationaryResult) -> bool:
     """Sum of per-element masses plus residual equals 1 under the constraint."""
-    total = result.residual_mass
-    for rf in result.per_element.values():
-        total = total + rf
-    if result.case == "general":
-        return total.equals(1)
-    elim = max(result.variables)
-    repl = Polynomial.const(1)
-    for v in result.variables:
-        if v != elim:
-            repl = repl - Polynomial.variable(v)
-    return total.substitute(elim, repl).equals(1)
+    parts = [Factored.of(result.residual_mass)]
+    parts.extend(Factored.of(rf) for rf in result.per_element.values())
+    if result.case == "left_zero":
+        elim = max(result.variables)
+        repl = Polynomial.const(1)
+        for v in result.variables:
+            if v != elim:
+                repl = repl - Polynomial.variable(v)
+        parts = [part.substitute(elim, repl) for part in parts]
+    return Factored.sum(parts).equals(1)
 
 
 # -- oracle cross-check ------------------------------------------------------

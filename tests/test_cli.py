@@ -39,6 +39,21 @@ class TestChainFile:
         with pytest.raises(ChainFileError, match="generator 'g'.*out of range"):
             load_chain_file(path)
 
+    def test_boolean_action_entries_rejected(self, tmp_path):
+        path = write(
+            tmp_path,
+            "bools.json",
+            {
+                "states": ["x", "y"],
+                "generators": [
+                    {"label": "g", "action": [True, False], "prob": "1"}
+                ],
+            },
+        )
+        with pytest.raises(ChainFileError, match="generator 'g'.*state indices"):
+            load_chain_file(path)
+        assert run("analyze", path) == 1
+
     def test_prob_overflow(self, tmp_path):
         path = write(
             tmp_path,
@@ -161,6 +176,17 @@ class TestMixing:
 
     def test_missing_eval_point(self):
         assert run("mixing", bundled_path("d2.json")) == 1
+
+    def test_negative_eval_probability_is_a_parse_error(self, capsys):
+        # the values sum to 1, so only the range check can catch this point
+        code = run(
+            "mixing",
+            bundled_path("example210.json"),
+            "--eval",
+            "1=-1/2,2=3/2,3=0",
+        )
+        assert code == 1
+        assert "--eval 1" in capsys.readouterr().err
 
 
 class TestExport:

@@ -18,7 +18,6 @@ from sgmc.pipeline import (
     stationary_left_zero,
     verify_language_and_series,
     verify_oracle,
-    _sum_rationals,
 )
 from sgmc.semigroup import FiniteSemigroup
 
@@ -128,7 +127,7 @@ class TestGeneralCase:
                 and res.semigroup.name(t.element) == element
             ]
             summed_then_limited = limit_at_box_zero(
-                _sum_rationals(members), "□", "b", gens
+                sum(members, RationalFunction.zero()), "□", "b", gens
             )
             assert summed_then_limited.equals(res.per_element[element])
 
