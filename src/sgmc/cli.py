@@ -28,9 +28,9 @@ from .errors import (
     VerificationFailed,
 )
 from .expansions import (
-    check_usp,
+    DEFAULT_MAX_KR,
+    DEFAULT_MAX_MC,
     kr_expand,
-    mc_expand,
     render_dot,
     right_cayley,
     scc,
@@ -41,15 +41,18 @@ from .loopkleene import flatten, pict
 from .markov import ChainGenerator, MarkovChainSpec, ergodicity
 from .mixing import mixing_report
 from .pipeline import (
+    _expand,
     build_semigroup,
     full_report,
     report_dict,
     stationary,
+    stationary_left_zero,
     verify_language_and_series,
     verify_oracle,
     sample_simplex_points,
     normalization_holds,
 )
+from .semigroup import DEFAULT_MAX_ELEMENTS
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -214,13 +217,26 @@ def _seed(args, chain: ChainFile) -> int:
     return int(chain.options.get("seed", DEFAULT_SEED))
 
 
+def _at_least(value: int, low: int, option: str) -> int:
+    if value < low:
+        raise ValueError(f"{option} must be at least {low}, got {value}")
+    return value
+
+
 def _caps(args, chain: ChainFile) -> dict:
-    opts = chain.options
-    return {
-        "max_elements": args.max_elements or int(opts.get("max_elements", 10**5)),
-        "max_kr": args.max_kr or int(opts.get("max_kr", 10**5)),
-        "max_mc": args.max_mc or int(opts.get("max_mc", 10**6)),
-    }
+    caps = {}
+    for key, default in (
+        ("max_elements", DEFAULT_MAX_ELEMENTS),
+        ("max_kr", DEFAULT_MAX_KR),
+        ("max_mc", DEFAULT_MAX_MC),
+    ):
+        value = getattr(args, key)
+        option = "--" + key.replace("_", "-")
+        if value is None:
+            value = int(chain.options.get(key, default))
+            option = f"options.{key}"
+        caps[key] = _at_least(value, 1, option)
+    return caps
 
 
 def _write(text: str, out_path):
@@ -232,6 +248,7 @@ def _write(text: str, out_path):
 
 
 def cmd_analyze(args) -> int:
+    _at_least(args.points, 1, "--points")
     chain = load_chain_file(args.input)
     caps = _caps(args, chain)
     seed = _seed(args, chain)
@@ -245,7 +262,7 @@ def cmd_analyze(args) -> int:
         max_mc=caps["max_mc"],
     )
     erg = ergodicity(chain.spec)
-    payload = report_dict(report, include_timings=False)
+    payload = report_dict(report)
     payload["ergodicity"] = erg
     text = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
     _write(text, args.out)
@@ -256,7 +273,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_mixing(args) -> int:
+    _at_least(args.tmax, 0, "--tmax")
     chain = load_chain_file(args.input)
+    n = len(chain.spec.states)
+    if not 0 <= args.start < n:
+        raise ValueError(
+            f"--start must be a state index in 0..{n - 1}, got {args.start}"
+        )
     caps = _caps(args, chain)
     point = _numeric_point(chain, args.eval)
     epsilon = parse_rational(args.epsilon, "--epsilon")
@@ -274,8 +297,9 @@ def cmd_mixing(args) -> int:
         epsilon,
         args.tmax,
         start_state=args.start,
-        max_kr=caps["max_kr"],
-        max_mc=caps["max_mc"],
+        result=stationary_left_zero(
+            s, max_kr=caps["max_kr"], max_mc=caps["max_mc"]
+        ),
     )
     lines = []
     lines.append("t    Pr(tau>=t)")
@@ -329,15 +353,8 @@ def cmd_export(args) -> int:
         text = render_dot(g, "kr", blue_edges=blue)
     elif kind == "mc" or kind.startswith("loop:"):
         ideal = s.minimal_ideal()
-        kr = kr_expand(s, caps["max_kr"])
-        if ideal.is_left_zero:
-            sinks = [
-                vid
-                for vid in range(kr.n_vertices())
-                if kr.payloads[vid].element in ideal.members
-            ]
-            kr = kr.without_out_edges(sinks)
-        mc, tree = mc_expand(kr, caps["max_mc"])
+        sinks = ideal.members if ideal.is_left_zero else frozenset()
+        kr, mc, tree, _ = _expand(s, sinks, caps["max_kr"], caps["max_mc"])
         if kind == "mc":
             back = set(range(len(mc.edges))) - tree
             blue = transition_edges(mc, scc(mc))
@@ -360,8 +377,6 @@ def cmd_export(args) -> int:
                 raise UnknownVertexWord(
                     f"vertex {''.join(word)!r} does not end in the minimal ideal"
                 )
-            if not check_usp(mc):
-                raise SgmcError("expansion unexpectedly fails USP")
             lg = pict(mc, simple_path_edges(mc)[target], verify_usp=False)
             flat, _end = flatten(lg)
             spine = set(range(len(lg.spine_labels)))
@@ -373,6 +388,9 @@ def cmd_export(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _at_least(args.points, 1, "--points")
+    _at_least(args.maxlen, 0, "--maxlen")
+    _at_least(args.series_order, 1, "--series-order")
     chain = load_chain_file(args.input)
     caps = _caps(args, chain)
     seed = _seed(args, chain)

@@ -51,6 +51,7 @@ class RootedGraph:
         self.alphabet = list(alphabet)
         self._out = None
         self._in = None
+        self._simple_paths = None
 
     def n_vertices(self):
         return len(self.payloads)
@@ -320,10 +321,14 @@ def check_usp(g: RootedGraph, max_paths: int = DEFAULT_MAX_PATHS) -> bool:
 
 
 def simple_path_edges(g: RootedGraph) -> list:
-    """For a USP graph: vertex id -> edge ids of its unique simple path.
+    """For a USP graph: vertex id -> edge-id tuple of its unique simple path.
 
-    Raises NotUsp if some vertex has zero or several simple paths.
+    The table is found once per graph and kept on it, like its edge lists.
+    Raises NotUsp, on every call, if some vertex has zero or several simple
+    paths.
     """
+    if g._simple_paths is not None:
+        return g._simple_paths
     paths = [None] * g.n_vertices()
     paths[g.root] = ()
     on_path = {g.root}
@@ -348,7 +353,8 @@ def simple_path_edges(g: RootedGraph) -> list:
     missing = [v for v, p in enumerate(paths) if p is None]
     if missing:
         raise NotUsp(f"vertices not reachable from the root: {missing[:5]}")
-    return [list(p) for p in paths]
+    g._simple_paths = paths
+    return paths
 
 
 def path_from_word(g: RootedGraph, word) -> list:
@@ -364,11 +370,6 @@ def path_from_word(g: RootedGraph, word) -> list:
         out.append(eid)
         v = g.edges[eid][2]
     return out
-
-
-def project(word, s: FiniteSemigroup) -> int:
-    """Evaluate a vertex word in S^1."""
-    return s.eval_word(word)
 
 
 def render_dot(g: RootedGraph, name="g", blue_edges=(), red_dashed_edges=()):

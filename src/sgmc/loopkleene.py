@@ -96,7 +96,7 @@ def pict(
     if len(set(spine_vertices)) != len(spine_vertices):
         raise PathNotInGraph("path is not simple")
     for i, sv in enumerate(spine_vertices):
-        if list(path_edges[:i]) != unique[sv]:
+        if tuple(path_edges[:i]) != unique[sv]:
             raise PathNotInGraph(
                 f"given path to {g.names[sv]} is not its unique simple path"
             )

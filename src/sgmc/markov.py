@@ -17,6 +17,7 @@ import numpy as np
 
 from .algebra import Polynomial
 from .errors import NotIrreducible, NotStochastic
+from .expansions import RootedGraph, scc
 
 # Simulation RNG: numpy PCG64 seeded directly; letters are drawn by comparing
 # raw 64-bit outputs against floor(2^64 * cumulative probability) thresholds,
@@ -77,13 +78,11 @@ def ergodicity(spec: MarkovChainSpec) -> dict:
     """
     n = len(spec.states)
     succ = [sorted({g.action[j] for g in spec.generators}) for j in range(n)]
-    comp = _scc_of_diagram(succ)
-    irreducible = len(set(comp)) == 1
-    representatives = {}
-    for v in range(n):
-        representatives.setdefault(comp[v], v)
+    edges = [(u, "", v) for u in range(n) for v in succ[u]]
+    components = scc(RootedGraph(range(n), spec.states, edges, 0, ()))
+    comp = components.component_of
     period = 0
-    for start in sorted(representatives.values()):
+    for start, *_ in components.components:
         depth = {start: 0}
         queue = [start]
         head = 0
@@ -98,54 +97,7 @@ def ergodicity(spec: MarkovChainSpec) -> dict:
             for v in succ[u]:
                 if comp[v] == comp[start]:
                     period = gcd(period, depth[u] + 1 - depth[v])
-    return {"irreducible": irreducible, "period": abs(period)}
-
-
-def _scc_of_diagram(succ):
-    n = len(succ)
-    index = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    comp = [None] * n
-    counter = 0
-    ncomp = 0
-    for start in range(n):
-        if index[start] is not None:
-            continue
-        work = [(start, 0)]
-        while work:
-            v, ei = work[-1]
-            if ei == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while ei < len(succ[v]):
-                w = succ[v][ei]
-                ei += 1
-                if index[w] is None:
-                    work[-1] = (v, ei)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[v])
-    return comp
+    return {"irreducible": len(components.components) == 1, "period": abs(period)}
 
 
 def stationary_oracle(tm: TransitionMatrix, point: dict) -> dict:

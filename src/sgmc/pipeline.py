@@ -396,11 +396,11 @@ def _point_str(point):
     return ", ".join(f"x_{k}={v}" for k, v in sorted(point.items()))
 
 
-def report_dict(report: FullReport, include_timings: bool = False) -> dict:
+def report_dict(report: FullReport) -> dict:
     """JSON-ready dictionary; deterministic for a fixed input and seed."""
     spec = report.spec
     result = report.result
-    out = {
+    return {
         "chain": {
             "states": list(spec.states),
             "generators": [
@@ -439,6 +439,3 @@ def report_dict(report: FullReport, include_timings: bool = False) -> dict:
             for rec in report.verification
         ],
     }
-    if include_timings:
-        out["timings"] = {k: round(v, 6) for k, v in report.timings.items()}
-    return out

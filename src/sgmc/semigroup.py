@@ -160,25 +160,16 @@ class FiniteSemigroup:
             eid = self.mul(eid, self.gens[label])
         return eid
 
-    def _principal_ideal(self, seed: int) -> frozenset:
-        gen_ids = sorted(set(self.gens.values()))
-        members = {seed}
-        queue = [seed]
-        while queue:
-            t = queue.pop()
-            for g in gen_ids:
-                for product in (self.mul(g, t), self.mul(t, g)):
-                    if product not in members:
-                        members.add(product)
-                        queue.append(product)
-        return frozenset(members)
-
     def minimal_ideal(self) -> IdealInfo:
         """The unique minimal two-sided ideal K(S), with its left-zero flag.
 
-        K(S) is the smallest principal ideal generated from inside any one
-        principal ideal: every principal ideal contains K(S), and elements of
-        K(S) generate exactly K(S).
+        In a transformation semigroup K(S) is exactly the set of elements of
+        minimal rank (image size) r.  Rank never grows under multiplication,
+        so every element of K(S) = S^1 s S^1, for s of rank r, has rank r.
+        Conversely, take s of rank r and k in K(S): e = (sk)^omega lies in
+        K(S) and is idempotent, and image(e) is contained in image(s) with the
+        same size r, so the two images are equal.  An idempotent fixes its
+        image pointwise, hence e*s = s, and s lies in K(S).
         """
         if self._ideal is not None:
             return self._ideal
@@ -187,13 +178,9 @@ class FiniteSemigroup:
         if self.zero_id is not None:
             self._ideal = IdealInfo(frozenset({self.zero_id}), True)
             return self._ideal
-        first = self._principal_ideal(1)
-        best = first
-        for t in sorted(first):
-            ideal = self._principal_ideal(t)
-            if len(ideal) < len(best):
-                best = ideal
-        members = best
+        rank = [len(set(images)) for images in self.transform[1:]]
+        low = min(rank)
+        members = frozenset(eid for eid, r in enumerate(rank, 1) if r == low)
         left_zero = all(
             self.mul(x, y) == x for x in members for y in members
         )

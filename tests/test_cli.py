@@ -4,6 +4,7 @@ import pytest
 
 from sgmc.cli import bundled_path, load_chain_file, main
 from sgmc.errors import ChainFileError
+from sgmc.semigroup import FiniteSemigroup
 
 
 def run(*argv):
@@ -174,6 +175,21 @@ class TestMixing:
         err = capsys.readouterr().err
         assert "not left zero" in err
 
+    def test_semigroup_built_once_under_the_given_cap(self, monkeypatch):
+        calls = []
+        generate = FiniteSemigroup.generate.__func__
+
+        def counting(cls, generators, max_elements):
+            calls.append(max_elements)
+            return generate(cls, generators, max_elements)
+
+        monkeypatch.setattr(FiniteSemigroup, "generate", classmethod(counting))
+        code = run(
+            "mixing", bundled_path("example210.json"), "--max-elements", "200000"
+        )
+        assert code == 0
+        assert calls == [200000]
+
     def test_missing_eval_point(self):
         assert run("mixing", bundled_path("d2.json")) == 1
 
@@ -273,3 +289,33 @@ class TestVerify:
             "1=1/2,2=1/3,3=0",
         )
         assert code == 2
+
+
+class TestNumericOptions:
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("mixing", "example210.json", "--start", "7"), "--start"),
+            (("mixing", "example210.json", "--tmax", "-1"), "--tmax"),
+            (("analyze", "example210.json", "--points", "0"), "--points"),
+            (("verify", "example210.json", "--points", "0"), "--points"),
+            (("verify", "d2.json", "--points", "0"), "--points"),
+            (("analyze", "example210.json", "--max-kr", "0"), "--max-kr"),
+            (("analyze", "example210.json", "--max-kr", "-3"), "--max-kr"),
+        ],
+        ids=[
+            "mixing-start-7",
+            "mixing-tmax-neg",
+            "analyze-points-0",
+            "verify-points-0-left-zero",
+            "verify-points-0-general",
+            "max-kr-0",
+            "max-kr-neg",
+        ],
+    )
+    def test_out_of_range_value_is_an_input_error(self, argv, option, capsys):
+        command, chain, *rest = argv
+        assert run(command, bundled_path(chain), *rest) == 1
+        captured = capsys.readouterr()
+        assert option in captured.err
+        assert captured.out == ""

@@ -10,7 +10,6 @@ from sgmc.expansions import (
     kr_expand,
     mc_expand,
     path_from_word,
-    project,
     render_dot,
     right_cayley,
     scc,
@@ -264,7 +263,7 @@ class TestMcExpansion:
         for _ in range(50):
             word = tuple(rnd.choice(s.labels) for _ in range(rnd.randint(0, 8)))
             end = walk(mc, word)
-            assert project(mc.payloads[end].word, s) == s.eval_word(word)
+            assert s.eval_word(mc.payloads[end].word) == s.eval_word(word)
 
     def test_cap(self, d2_semigroup):
         with pytest.raises(CapExceeded):
@@ -289,21 +288,27 @@ class TestCheckUsp:
             assert len(edge_ids) == len(mc.payloads[vid].word)
 
     def test_non_usp_listing_raises(self, d2_semigroup):
-        with pytest.raises(NotUsp):
-            simple_path_edges(right_cayley(d2_semigroup))
+        g = right_cayley(d2_semigroup)
+        for _ in range(2):
+            with pytest.raises(NotUsp):
+                simple_path_edges(g)
+
+    def test_listing_found_once_per_graph(self, two_state_semigroup):
+        mc, _ = mc_expand(kr_expand(two_state_semigroup))
+        assert simple_path_edges(mc) is simple_path_edges(mc)
 
 
 class TestProjectAndPaths:
     def test_empty_word(self, d2_semigroup):
-        assert project((), d2_semigroup) == d2_semigroup.identity_id
+        assert d2_semigroup.eval_word(()) == d2_semigroup.identity_id
 
     def test_group_word(self, d2_semigroup):
         s = d2_semigroup
-        assert project(("a", "a", "b"), s) == s.gens["b"]
+        assert s.eval_word(("a", "a", "b")) == s.gens["b"]
 
     def test_two_state_word(self, two_state_semigroup):
         s = two_state_semigroup
-        assert project(("3", "2"), s) == s.gens["1"]
+        assert s.eval_word(("3", "2")) == s.gens["1"]
 
     def test_path_from_word(self, two_state_semigroup):
         g = right_cayley(two_state_semigroup)

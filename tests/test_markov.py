@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -18,6 +19,39 @@ from sgmc.markov import (
 from conftest import d2_chain_spec, two_state_chain_spec
 
 x = Polynomial.variable
+
+
+def boolean_product(a, b):
+    n = len(a)
+    return [
+        [any(a[i][k] and b[k][j] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def random_action(rnd, n):
+    """A permutation (periodic diagrams) or a random map (reducible ones)."""
+    if rnd.random() < 0.4:
+        return tuple(rnd.sample(range(n), n))
+    return tuple(rnd.randrange(n) for _ in range(n))
+
+
+def ergodicity_by_matrix_powers(spec):
+    """Reachability, and the gcd of closed-walk lengths 1..n, from A^1..A^n."""
+    n = len(spec.states)
+    adjacency = [[False] * n for _ in range(n)]
+    for g in spec.generators:
+        for u in range(n):
+            adjacency[u][g.action[u]] = True
+    reach = [[i == j for j in range(n)] for i in range(n)]
+    power = reach
+    period = 0
+    for length in range(1, n + 1):
+        power = boolean_product(power, adjacency)
+        reach = [[r or p for r, p in zip(rr, pr)] for rr, pr in zip(reach, power)]
+        if any(power[u][u] for u in range(n)):
+            period = gcd(period, length)
+    return {"irreducible": all(all(row) for row in reach), "period": period}
 
 
 class TestTransitionMatrix:
@@ -70,6 +104,21 @@ class TestErgodicity:
             "irreducible": True,
             "period": 1,
         }
+
+    def test_matches_matrix_powers_on_random_diagrams(self):
+        rnd = random.Random(5)
+        irreducible = 0
+        for _ in range(60):
+            n = rnd.randint(1, 6)
+            gens = tuple(
+                ChainGenerator(label, random_action(rnd, n), None)
+                for label in "abc"[: rnd.randint(1, 3)]
+            )
+            spec = MarkovChainSpec(tuple(str(i) for i in range(n)), gens)
+            expected = ergodicity_by_matrix_powers(spec)
+            assert ergodicity(spec) == expected, gens
+            irreducible += expected["irreducible"]
+        assert 0 < irreducible < 60
 
     def test_reducible_diagram(self):
         spec = MarkovChainSpec(

@@ -10,6 +10,38 @@ D2_GENS = [("a", (1, 0, 3, 2)), ("b", (2, 3, 0, 1))]
 LEFT_ZERO_BAND = [("u", (0, 0)), ("v", (1, 1))]
 
 
+def principal_ideal(s, seed, limit=None):
+    """S^1 seed S^1, closing {seed} under generator products on both sides.
+
+    Returns None as soon as the ideal has more than `limit` members.
+    """
+    members = {seed}
+    queue = [seed]
+    while queue:
+        t = queue.pop()
+        for g in s.gens.values():
+            for product in (s.mul(g, t), s.mul(t, g)):
+                if product not in members:
+                    members.add(product)
+                    queue.append(product)
+                    if limit is not None and len(members) > limit:
+                        return None
+    return frozenset(members)
+
+
+def smallest_principal_ideal(s):
+    """Brute force: the smallest of all principal ideals S^1 t S^1."""
+    best = None
+    for t in s.element_ids():
+        if t == s.identity_id:
+            continue
+        limit = None if best is None else len(best) - 1
+        ideal = principal_ideal(s, t, limit)
+        if ideal is not None:
+            best = ideal
+    return best
+
+
 def test_composition_right_factor_first():
     flip, const1 = (1, 0), (0, 0)
     # flip after const1: everything lands on the image of state 0 under flip
@@ -130,9 +162,20 @@ class TestMinimalIdeal:
     def test_ideal_product_contained_in_intersection(self):
         s = FiniteSemigroup.generate(TWO_STATE_GENS)
         minimal = s.minimal_ideal().members
-        principal = s._principal_ideal(s.gens["3"])
+        principal = principal_ideal(s, s.gens["3"])
         products = {s.mul(x, y) for x in minimal for y in principal}
         assert products <= (minimal & principal)
+
+    def test_equals_smallest_principal_ideal_on_random_semigroups(self):
+        rnd = random.Random(11)
+        for _ in range(40):
+            n = rnd.randint(2, 5)
+            gens = [
+                (label, tuple(rnd.randrange(n) for _ in range(n)))
+                for label in "abc"[: rnd.randint(1, 3)]
+            ]
+            s = FiniteSemigroup.generate(gens)
+            assert s.minimal_ideal().members == smallest_principal_ideal(s), gens
 
     def test_left_zero_band(self):
         s = FiniteSemigroup.generate(LEFT_ZERO_BAND)
