@@ -213,8 +213,19 @@ def _seed(args, chain: ChainFile) -> int:
         return args.seed
     env = os.environ.get("SGMC_SEED")
     if env is not None:
-        return int(env)
-    return int(chain.options.get("seed", DEFAULT_SEED))
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"SGMC_SEED must be an integer, got {env!r}") from None
+    return _option(chain, "seed", DEFAULT_SEED)
+
+
+def _option(chain: ChainFile, key: str, default: int) -> int:
+    """An integer from the chain file's options; bool and float are refused."""
+    value = chain.options.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"options.{key} must be an integer, got {value!r}")
+    return value
 
 
 def _at_least(value: int, low: int, option: str) -> int:
@@ -233,7 +244,7 @@ def _caps(args, chain: ChainFile) -> dict:
         value = getattr(args, key)
         option = "--" + key.replace("_", "-")
         if value is None:
-            value = int(chain.options.get(key, default))
+            value = _option(chain, key, default)
             option = f"options.{key}"
         caps[key] = _at_least(value, 1, option)
     return caps

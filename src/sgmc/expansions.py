@@ -290,34 +290,21 @@ def mc_expand(kr: RootedGraph, max_vertices: int = DEFAULT_MAX_MC):
 
 
 def check_usp(g: RootedGraph, max_paths: int = DEFAULT_MAX_PATHS) -> bool:
-    """True iff every vertex is reached by exactly one simple path from the root."""
-    counts = [0] * g.n_vertices()
-    seen_paths = 0
-    on_path = {g.root}
-    stack = [(g.root, iter(g.out_edges(g.root)))]
-    counts[g.root] = 1
-    seen_paths = 1
-    while stack:
-        vid, edge_iter = stack[-1]
-        advanced = False
-        for eid in edge_iter:
-            dst = g.edges[eid][2]
-            if dst in on_path:
-                continue
-            seen_paths += 1
-            if seen_paths > max_paths:
-                raise CapExceeded(f"more than {max_paths} simple paths")
-            counts[dst] += 1
-            if counts[dst] > 1:
-                return False
-            on_path.add(dst)
-            stack.append((dst, iter(g.out_edges(dst))))
-            advanced = True
-            break
-        if not advanced:
-            on_path.discard(vid)
-            stack.pop()
-    return all(c == 1 for c in counts)
+    """True iff every vertex is reached by exactly one simple path from the root.
+
+    The check is :func:`simple_path_edges`, which stops at a vertex's second
+    simple path and so extends at most |V| - 1 paths; on success the table
+    stays on the graph.  max_paths caps the number of vertices (CapExceeded).
+    """
+    if g.n_vertices() > max_paths:
+        raise CapExceeded(
+            f"USP check: {g.n_vertices()} vertices exceed {max_paths} simple paths"
+        )
+    try:
+        simple_path_edges(g)
+    except NotUsp:
+        return False
+    return True
 
 
 def simple_path_edges(g: RootedGraph) -> list:

@@ -85,36 +85,28 @@ def pict(
     if verify_usp and not check_usp(g, max_paths):
         raise NotUsp("pict requires the unique simple path property")
     unique = simple_path_edges(g)
-    spine_vertices = [g.root]
-    v = g.root
-    for eid in path_edges:
-        src, _, dst = g.edges[eid]
-        if src != v:
-            raise PathNotInGraph("edges do not chain from the root")
-        v = dst
-        spine_vertices.append(v)
-    if len(set(spine_vertices)) != len(spine_vertices):
-        raise PathNotInGraph("path is not simple")
-    for i, sv in enumerate(spine_vertices):
-        if tuple(path_edges[:i]) != unique[sv]:
-            raise PathNotInGraph(
-                f"given path to {g.names[sv]} is not its unique simple path"
-            )
+    end = g.edges[path_edges[-1]][2] if path_edges else g.root
+    # a prefix of a unique simple path is the unique simple path to its end
+    if tuple(path_edges) != unique[end]:
+        raise PathNotInGraph(
+            f"given path to {g.names[end]} is not its unique simple path"
+        )
+    spine_vertices = [g.root] + [g.edges[e][2] for e in path_edges]
     spine = [LoopVertex(g.names[sv]) for sv in spine_vertices]
     lg = LoopGraph([g.edges[e][1] for e in path_edges], spine)
     budget = [max_vertices - len(spine)]
-    for i, sv in enumerate(spine_vertices):
-        entry = path_edges[i - 1] if i > 0 else None
-        _attach_loops(g, unique, spine[i], sv, entry, 0, budget)
+    for lvertex, sv in zip(spine, spine_vertices):
+        _attach_loops(g, unique, lvertex, sv, 0, budget)
     return lg
 
 
-def _attach_loops(g, unique, lvertex, v, entry_edge, depth, budget):
+def _attach_loops(g, unique, lvertex, v, depth, budget):
     if depth > _MAX_NESTING:
         raise CapExceeded("loop nesting exceeds the recursion guard")
     base = unique[v]
+    tree_edge = base[-1] if base else None
     for eid in g.in_edges(v):
-        if eid == entry_edge:
+        if eid == tree_edge:
             continue
         src, closing_label, _ = g.edges[eid]
         if unique[src][: len(base)] != base:
@@ -132,7 +124,7 @@ def _attach_loops(g, unique, lvertex, v, entry_edge, depth, budget):
                 raise CapExceeded("loop graph exceeds the vertex cap")
             copy = LoopVertex(g.names[bdst])
             inner.append(copy)
-            _attach_loops(g, unique, copy, bdst, beid, depth + 1, budget)
+            _attach_loops(g, unique, copy, bdst, depth + 1, budget)
         labels.append(closing_label)
         lvertex.loops.append(Loop(labels, inner))
 
@@ -244,30 +236,24 @@ def concat(parts) -> Kleene:
     return Concat(parts)
 
 
+def _loop_star(lvertex, counter):
+    """Star over fresh placeholders for the loops at a vertex, or None."""
+    if not lvertex.loops:
+        return None
+    symbols = []
+    for loop in lvertex.loops:
+        counter[0] += 1
+        symbols.append(LoopSymbol(loop, counter[0]))
+    return Star(symbols[0] if len(symbols) == 1 else Union(tuple(symbols)))
+
+
 def algorithm1(lg: LoopGraph) -> Kleene:
     """Spine walk emitting labels and starred unions of loop placeholders."""
     counter = [0]
-
-    def stars(lvertex):
-        if not lvertex.loops:
-            return None
-        symbols = []
-        for loop in lvertex.loops:
-            counter[0] += 1
-            symbols.append(LoopSymbol(loop, counter[0]))
-        body = symbols[0] if len(symbols) == 1 else Union(tuple(symbols))
-        return Star(body)
-
-    parts = []
-    lead = stars(lg.spine[0])
-    if lead is not None:
-        parts.append(lead)
-    for i, label in enumerate(lg.spine_labels):
-        parts.append(Letter(label))
-        s = stars(lg.spine[i + 1])
-        if s is not None:
-            parts.append(s)
-    return concat(parts)
+    parts = [_loop_star(lg.spine[0], counter)]
+    for label, lvertex in zip(lg.spine_labels, lg.spine[1:]):
+        parts += [Letter(label), _loop_star(lvertex, counter)]
+    return concat(p for p in parts if p is not None)
 
 
 def algorithm2(expr: Kleene, lg: LoopGraph = None) -> Kleene:
@@ -276,15 +262,12 @@ def algorithm2(expr: Kleene, lg: LoopGraph = None) -> Kleene:
 
     def expand_loop(loop):
         parts = []
-        for j, label in enumerate(loop.labels):
+        for label, copy in zip(loop.labels, loop.inner):
             parts.append(Letter(label))
-            if j < len(loop.inner) and loop.inner[j].loops:
-                symbols = []
-                for sub in loop.inner[j].loops:
-                    counter[0] += 1
-                    symbols.append(LoopSymbol(sub, counter[0]))
-                body = symbols[0] if len(symbols) == 1 else Union(tuple(symbols))
-                parts.append(rewrite(Star(body)))
+            star = _loop_star(copy, counter)
+            if star is not None:
+                parts.append(rewrite(star))
+        parts.append(Letter(loop.labels[-1]))
         return concat(parts)
 
     def rewrite(node):

@@ -26,9 +26,7 @@ from .pipeline import StationaryResult, build_semigroup, stationary_left_zero
 
 def hitting_tail(psi: RationalFunction, t: int, point: dict) -> Fraction:
     """Pr(tau >= t) = 1 - Psi^{<t}(point) / Psi(point)."""
-    total = psi.evaluate(point)
-    below = psi.series(t).coefficients.evaluate(point) if t > 0 else Fraction(0)
-    return 1 - below / total
+    return tail_table([psi], point, t)[t]
 
 
 def tail_table(psis, point, tmax: int) -> list:

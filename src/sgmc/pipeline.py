@@ -120,56 +120,15 @@ def _expand(s, ideal_members, max_kr, max_mc):
     return kr, mc, tree, sizes
 
 
-def _terminal(mc, unique, vid, element, max_loop):
-    lg = pict(mc, unique[vid], verify_usp=False, max_vertices=max_loop)
-    expr = algorithm2(algorithm1(lg), lg)
-    psi = kleene_to_rf(expr)
-    word = mc.payloads[vid].word
-    return Terminal(word, word_name(word), vid, element, psi, expr, lg)
-
-
 def stationary_left_zero(
     s: FiniteSemigroup,
     max_kr: int = DEFAULT_MAX_KR,
     max_mc: int = DEFAULT_MAX_MC,
     max_loop: int = 10**6,
 ) -> StationaryResult:
-    ideal = s.minimal_ideal()
-    if not ideal.is_left_zero:
+    if not s.minimal_ideal().is_left_zero:
         raise NotLeftZero("K(S) is not left zero; use stationary_general")
-    kr, mc, _, sizes = _expand(s, ideal.members, max_kr, max_mc)
-    unique = simple_path_edges(mc)
-    terminals = []
-    for vid in range(mc.n_vertices()):
-        element = kr.payloads[mc.payloads[vid].kr_vertex].element
-        if element in ideal.members:
-            terminals.append(_terminal(mc, unique, vid, element, max_loop))
-    element_ids = {s.name(k): k for k in sorted(ideal.members)}
-    per_vertex = {}
-    kleene = {}
-    addends = {name: [] for name in element_ids}
-    for t in terminals:
-        per_vertex[t.name] = t.psi
-        kleene[t.name] = str(t.expression)
-        addends[s.name(t.element)].append(Factored.of(t.psi))
-    per_element = {
-        name: Factored.sum(parts).expand() for name, parts in addends.items()
-    }
-    return StationaryResult(
-        case="left_zero",
-        variables=list(s.labels),
-        box_var=None,
-        elim_var=None,
-        per_vertex=per_vertex,
-        per_element=per_element,
-        residual_mass=RationalFunction.zero(),
-        kleene=kleene,
-        graph_sizes=sizes,
-        element_ids=element_ids,
-        semigroup=s,
-        mc=mc,
-        terminals=terminals,
-    )
+    return _stationary(s, None, max_kr, max_mc, max_loop)
 
 
 def stationary_general(
@@ -184,53 +143,67 @@ def stationary_general(
     Works whether or not K(S) is left zero; grouping follows the projection
     of the prefix before the box letter.
     """
-    ideal = s.minimal_ideal()
-    boxed = s.adjoin_zero(box_label)
-    kr, mc, _, sizes = _expand(boxed, {boxed.zero_id}, max_kr, max_mc)
-    unique = simple_path_edges(mc)
-    elim = max(s.labels)
-    variables = list(s.labels)
-    terminals = []
-    for vid in range(mc.n_vertices()):
-        element = kr.payloads[mc.payloads[vid].kr_vertex].element
-        if element != boxed.zero_id:
-            continue
-        word = mc.payloads[vid].word
-        group = s.eval_word(word[:-1])
-        t = _terminal(mc, unique, vid, group, max_loop)
-        if group not in ideal.members:
-            t.element = None
-        terminals.append(t)
+    return _stationary(s, box_label, max_kr, max_mc, max_loop)
 
+
+def _stationary(s, box_label, max_kr, max_mc, max_loop) -> StationaryResult:
+    """The route both cases share; box_label is None in the left-zero case.
+
+    Left zero: Mc is built on S with K(S) as sinks, a terminal's whole word
+    names its element, and its path sum is its mass.  Otherwise: Mc is built
+    on S with a zero adjoined, the word before the box letter names the
+    element, and the mass is the path sum's limit box -> 0; masses outside
+    K(S) form the residual, which must vanish.
+    """
+    ideal = s.minimal_ideal()
+    variables = list(s.labels)
+    if box_label is None:
+        expanded, sinks, elim = s, ideal.members, None
+    else:
+        expanded = s.adjoin_zero(box_label)
+        sinks, elim = {expanded.zero_id}, max(s.labels)
+    kr, mc, _, sizes = _expand(expanded, sinks, max_kr, max_mc)
+    unique = simple_path_edges(mc)
     element_ids = {s.name(k): k for k in sorted(ideal.members)}
     groups = {name: [] for name in element_ids}
     residual_parts = []
-    for t in terminals:
-        lim = limit_at_box_zero(Factored.of(t.psi), box_label, elim, variables)
-        if t.element is None:
-            residual_parts.append(lim)
+    terminals = []
+    for vid in range(mc.n_vertices()):
+        if kr.payloads[mc.payloads[vid].kr_vertex].element not in sinks:
+            continue
+        word = mc.payloads[vid].word
+        group = s.eval_word(word if box_label is None else word[:-1])
+        element = group if group in ideal.members else None
+        lg = pict(mc, unique[vid], verify_usp=False, max_vertices=max_loop)
+        expr = algorithm2(algorithm1(lg), lg)
+        psi = kleene_to_rf(expr)
+        terminals.append(Terminal(word, word_name(word), vid, element, psi, expr, lg))
+        mass = Factored.of(psi)
+        if box_label is not None:
+            mass = limit_at_box_zero(mass, box_label, elim, variables)
+        if element is None:
+            residual_parts.append(mass)
         else:
-            groups[s.name(t.element)].append(lim)
+            groups[s.name(element)].append(mass)
     residual = Factored.sum(residual_parts)
     if not residual.is_zero():
         raise ResidualMassNonzero(
             "limit mass outside the minimal ideal does not vanish"
         )
     per_element = {
-        name: _collapse(Factored.sum(parts).expand())
-        for name, parts in groups.items()
+        name: Factored.sum(parts).expand() for name, parts in groups.items()
     }
-    per_vertex = {t.name: t.psi for t in terminals}
-    kleene = {t.name: str(t.expression) for t in terminals}
+    if box_label is not None:
+        per_element = {name: _collapse(rf) for name, rf in per_element.items()}
     return StationaryResult(
-        case="general",
+        case="left_zero" if box_label is None else "general",
         variables=variables,
         box_var=box_label,
         elim_var=elim,
-        per_vertex=per_vertex,
+        per_vertex={t.name: t.psi for t in terminals},
         per_element=per_element,
         residual_mass=residual.expand(),
-        kleene=kleene,
+        kleene={t.name: str(t.expression) for t in terminals},
         graph_sizes=sizes,
         element_ids=element_ids,
         semigroup=s,

@@ -29,6 +29,23 @@ def compose(s: Transformation, t: Transformation) -> Transformation:
     return tuple(s[i] for i in t)
 
 
+def _require_prefix_code(labels):
+    """Reject labels of which one is a prefix of another.
+
+    Words are named by concatenating their labels, so the names of distinct
+    words differ only if no label is a prefix of another (a prefix code).
+    In sorted order a label that is a prefix of some label is a prefix of
+    the next one.
+    """
+    ordered = sorted(labels)
+    for shorter, longer in zip(ordered, ordered[1:]):
+        if longer.startswith(shorter):
+            raise ValueError(
+                f"generator label {shorter!r} is a prefix of {longer!r}; "
+                "labels must form a prefix code"
+            )
+
+
 @dataclass(frozen=True)
 class IdealInfo:
     members: frozenset  # element ids
@@ -85,6 +102,7 @@ class FiniteSemigroup:
                 eid = s._add(images, (label,), max_elements)
                 queue.append(eid)
             s.gens[label] = eid
+        _require_prefix_code(s.labels)
         gen_images = [s.transform[s.gens[a]] for a in s.labels]
         head = 0
         while head < len(queue):
@@ -116,6 +134,7 @@ class FiniteSemigroup:
             raise ValueError(f"zero label {label!r} collides with a generator")
         if self.zero_id is not None:
             raise ValueError("zero already adjoined")
+        _require_prefix_code(self.labels + [label])
         s = FiniteSemigroup()
         s.labels = self.labels + [label]
         s.transform = list(self.transform) + [None]

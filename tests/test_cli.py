@@ -140,6 +140,24 @@ class TestAnalyze:
         assert run("analyze", path) == 3
 
 
+    def test_labels_that_are_not_a_prefix_code(self, tmp_path, capsys):
+        # a.b and the generator ab were both named "ab" and their masses merged
+        path = write(
+            tmp_path,
+            "collide.json",
+            {
+                "states": ["0", "1", "2"],
+                "generators": [
+                    {"label": "a", "action": [1, 2, 0], "prob": "1/3"},
+                    {"label": "b", "action": [0, 0, 0], "prob": "1/3"},
+                    {"label": "ab", "action": [2, 2, 2], "prob": "1/3"},
+                ],
+            },
+        )
+        assert run("analyze", path) == 1
+        assert "'a' is a prefix of 'ab'" in capsys.readouterr().err
+
+
 class TestMixing:
     def test_worked_bound(self, capsys):
         assert (
@@ -318,4 +336,32 @@ class TestNumericOptions:
         assert run(command, bundled_path(chain), *rest) == 1
         captured = capsys.readouterr()
         assert option in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "options, key",
+        [
+            ({"max_kr": True}, "max_kr"),
+            ({"max_kr": 2.7}, "max_kr"),
+            ({"max_kr": "lots"}, "max_kr"),
+            ({"seed": "x"}, "seed"),
+        ],
+        ids=["bool-cap", "float-cap", "string-cap", "string-seed"],
+    )
+    def test_chain_file_option_must_be_an_integer(
+        self, options, key, tmp_path, capsys
+    ):
+        with open(bundled_path("example210.json"), encoding="utf-8") as handle:
+            payload = json.load(handle)
+        payload["options"] = options
+        assert run("analyze", write(tmp_path, "chain.json", payload)) == 1
+        captured = capsys.readouterr()
+        assert f"options.{key} must be an integer" in captured.err
+        assert captured.out == ""
+
+    def test_env_seed_must_be_an_integer(self, monkeypatch, capsys):
+        monkeypatch.setenv("SGMC_SEED", "x")
+        assert run("analyze", bundled_path("example210.json")) == 1
+        captured = capsys.readouterr()
+        assert "SGMC_SEED must be an integer" in captured.err
         assert captured.out == ""

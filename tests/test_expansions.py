@@ -297,6 +297,99 @@ class TestCheckUsp:
         mc, _ = mc_expand(kr_expand(two_state_semigroup))
         assert simple_path_edges(mc) is simple_path_edges(mc)
 
+    @pytest.mark.parametrize("kind", ["usp", "two_paths", "unreachable", "any"])
+    def test_agrees_with_brute_force_path_count(self, kind):
+        rnd = random.Random(f"usp-{kind}")
+        for _ in range(40):
+            n = rnd.randint(1 if kind in ("usp", "any") else 2, 6)
+            edges = random_graph_edges(rnd, n, kind)
+            paths = brute_force_simple_paths(n, edges)
+            usp = all(len(found) == 1 for found in paths)
+            if kind == "usp":
+                assert usp
+            elif kind != "any":
+                assert not usp
+            # a fresh graph each time, so no table is cached before the call
+            assert check_usp(labelled_graph(n, edges)) == usp
+            g = labelled_graph(n, edges)
+            if usp:
+                assert simple_path_edges(g) == [found[0] for found in paths]
+                assert check_usp(g)
+            else:
+                with pytest.raises(NotUsp):
+                    simple_path_edges(g)
+
+    def test_vertex_count_over_cap(self):
+        chain = labelled_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        with pytest.raises(CapExceeded):
+            check_usp(chain, max_paths=4)
+        assert check_usp(chain, max_paths=5)
+        two = labelled_graph(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
+        with pytest.raises(CapExceeded):
+            check_usp(two, max_paths=4)
+        assert not check_usp(two, max_paths=5)
+
+
+def labelled_graph(n, edges):
+    """RootedGraph on vertices 0..n-1, root 0, one fresh label per edge."""
+    labelled = [(src, f"e{i}", dst) for i, (src, dst) in enumerate(edges)]
+    return RootedGraph(
+        list(range(n)), [f"v{v}" for v in range(n)], labelled, 0,
+        [label for _, label, _ in labelled],
+    )
+
+
+def random_graph_edges(rnd, n, kind):
+    """Edge list of a seeded random graph of the given kind.
+
+    usp: a random tree plus edges back to ancestors of the source (the
+    source itself included); two_paths: the same plus one edge that gives
+    some vertex a second simple path; unreachable: the same with one vertex
+    that no edge enters; any: uniformly random edges.
+    """
+    if kind == "any":
+        return [
+            (rnd.randrange(n), rnd.randrange(n)) for _ in range(rnd.randint(0, 2 * n))
+        ]
+    reach = n - 1 if kind == "unreachable" else n
+    parent = {v: rnd.randrange(v) for v in range(1, reach)}
+    edges = [(parent[v], v) for v in range(1, reach)]
+
+    def ancestors(v):
+        out = [v]
+        while v in parent:
+            v = parent[v]
+            out.append(v)
+        return out
+
+    for _ in range(rnd.randint(0, n)):
+        src = rnd.randrange(reach)
+        edges.append((src, rnd.choice(ancestors(src))))
+    if kind == "two_paths":
+        # from a vertex outside the subtree of dst (its parent gives a
+        # parallel edge), so the tree path to src plus this edge is simple
+        dst = rnd.randrange(1, reach)
+        src = rnd.choice([v for v in range(reach) if dst not in ancestors(v)])
+        edges.append((src, dst))
+    if kind == "unreachable" and rnd.random() < 0.5:
+        edges.append((n - 1, rnd.randrange(n)))
+    rnd.shuffle(edges)
+    return edges
+
+
+def brute_force_simple_paths(n, edges):
+    """For each vertex, the edge-id tuples of all simple paths from vertex 0."""
+    found = [[] for _ in range(n)]
+
+    def extend(v, visited, path):
+        found[v].append(tuple(path))
+        for eid, (src, dst) in enumerate(edges):
+            if src == v and dst not in visited:
+                extend(dst, visited | {dst}, path + [eid])
+
+    extend(0, {0}, [])
+    return found
+
 
 class TestProjectAndPaths:
     def test_empty_word(self, d2_semigroup):

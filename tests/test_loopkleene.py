@@ -122,6 +122,31 @@ class TestPict:
         with pytest.raises(PathNotInGraph):
             pict(mc, [0, loop_edge, back], verify_usp=False)
 
+    @pytest.mark.parametrize(
+        "path",
+        [[1], [2], [0, 2], [0, 1, 2], [0, 3], [0, 1, 2, 1], [0, 0]],
+        ids=[
+            "starts-off-root",
+            "starts-at-back-edge",
+            "does-not-chain",
+            "returns-to-spine",
+            "returns-to-root",
+            "ends-right-through-a-loop",
+            "repeats-an-edge",
+        ],
+    )
+    def test_rejects_path_that_is_not_the_unique_one(self, path):
+        # r -a-> u -b-> v, back edges v -c-> u and u -d-> r
+        g = RootedGraph(
+            [0, 1, 2],
+            ["r", "u", "v"],
+            [(0, "a", 1), (1, "b", 2), (2, "c", 1), (1, "d", 0)],
+            0,
+            ["a", "b", "c", "d"],
+        )
+        with pytest.raises(PathNotInGraph):
+            pict(g, path)
+
     def test_rejects_non_usp_graph(self, d2_semigroup):
         from sgmc.expansions import right_cayley
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sgmc.algebra import Polynomial, RationalFunction, limit_at_box_zero
-from sgmc.errors import NotLeftZero, VerificationFailed
+from sgmc.errors import CapExceeded, NotLeftZero, VerificationFailed
 from sgmc.markov import ChainGenerator, MarkovChainSpec
 from sgmc.pipeline import (
     build_semigroup,
@@ -141,6 +141,34 @@ class TestGeneralCase:
             )
         assert gen.residual_mass.equals(0)
         assert normalization_holds(gen)
+
+    def test_random_left_zero_chains_through_general_route(self):
+        rnd = random.Random(4242)
+        checked = 0
+        while checked < 12:
+            n = rnd.randint(2, 4)
+            labels = ["a", "b", "c"][: rnd.randint(2, 3)]
+            gens = [(lab, tuple(rnd.randrange(n) for _ in range(n))) for lab in labels]
+            try:
+                s = FiniteSemigroup.generate(gens, 200)
+                if not s.minimal_ideal().is_left_zero:
+                    continue
+                caps = {"max_kr": 400, "max_mc": 1000, "max_loop": 200}
+                lz = stationary_left_zero(s, **caps)
+                gen = stationary_general(s, **caps)
+            except CapExceeded:
+                continue
+            others = Polynomial.const(1)
+            for lab in labels[:-1]:
+                others = others - Polynomial.variable(lab)
+            assert gen.elim_var == labels[-1]
+            assert lz.per_element.keys() == gen.per_element.keys()
+            for name, rf in lz.per_element.items():
+                assert rf.substitute(labels[-1], others).equals(
+                    gen.per_element[name]
+                ), (gens, name)
+            assert gen.residual_mass.equals(0)
+            checked += 1
 
     def test_identity_generator_variant(self, d2c_result):
         res = d2c_result

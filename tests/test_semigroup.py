@@ -57,6 +57,20 @@ class TestGenerate:
         assert s.mul(s.gens["3"], s.gens["1"]) == s.gens["2"]
         assert s.mul(s.gens["3"], s.gens["2"]) == s.gens["1"]
 
+    def test_labels_must_form_a_prefix_code(self):
+        # a.b and the generator ab would both be named "ab"
+        gens = [("a", (1, 2, 0)), ("b", (0, 0, 0)), ("ab", (2, 2, 2))]
+        with pytest.raises(ValueError, match="'a' is a prefix of 'ab'"):
+            FiniteSemigroup.generate(gens)
+
+    def test_box_label_must_keep_a_prefix_code(self):
+        s = FiniteSemigroup.generate([("ab", (0, 0)), ("b", (1, 0))])
+        with pytest.raises(ValueError, match="'a' is a prefix of 'ab'"):
+            s.adjoin_zero("a")
+        with pytest.raises(ValueError, match="'b' is a prefix of 'b□'"):
+            s.adjoin_zero("b□")
+        assert s.adjoin_zero("□").labels == ["ab", "b", "□"]
+
     def test_single_identity_generator(self):
         s = FiniteSemigroup.generate([("a", (0,))])
         assert s.size() == 1
