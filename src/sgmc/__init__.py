@@ -1,13 +1,7 @@
 """Exact stationary distributions of finite Markov chains via the
 Karnofsky-Rhodes and McCammond expansions of the underlying semigroup."""
 
-from .algebra import (
-    Factored,
-    Polynomial,
-    RationalFunction,
-    SeriesTruncation,
-    limit_at_box_zero,
-)
+from .algebra import Polynomial, RationalFunction, limit_at_box_zero
 from .errors import SgmcError
 from .expansions import (
     RootedGraph,
@@ -37,7 +31,13 @@ from .markov import (
     transition_matrix,
     tv_distance,
 )
-from .mixing import expected_tau, hitting_tail, markov_bound, tv_bound_check
+from .mixing import (
+    expected_tau,
+    expected_total,
+    hitting_tail,
+    markov_bound,
+    tv_bound_check,
+)
 from .pipeline import (
     FullReport,
     StationaryResult,
@@ -51,10 +51,8 @@ from .semigroup import FiniteSemigroup, IdealInfo
 __version__ = "0.1.0"
 
 __all__ = [
-    "Factored",
     "Polynomial",
     "RationalFunction",
-    "SeriesTruncation",
     "limit_at_box_zero",
     "SgmcError",
     "RootedGraph",
@@ -80,6 +78,7 @@ __all__ = [
     "transition_matrix",
     "tv_distance",
     "expected_tau",
+    "expected_total",
     "hitting_tail",
     "markov_bound",
     "tv_bound_check",

@@ -5,15 +5,13 @@ with no zero exponents stored.  A polynomial maps monomials to Fraction
 coefficients; zero coefficients are never stored, so equal polynomials have
 identical term dictionaries.
 
-Rational functions come in two forms.  :class:`Factored` is the working form:
-a polynomial times a product of shared factors raised to integer exponents.
-Products add exponents, sums pull out each factor's smallest exponent and
-expand only the leftover powers, so identical factors are never multiplied
-out.  :class:`RationalFunction` is the expanded numerator/denominator pair
-that results are reported in; equality is decided by cross-multiplication.
-Neither form ever computes a multivariate gcd: the only cancellation is of
-identical factors and, in :func:`limit_at_box_zero`, of powers of the box
-variable.
+A :class:`RationalFunction` is a polynomial times a product of shared
+factors raised to integer exponents.  Products add exponents, sums pull out
+each factor's smallest exponent and expand only the leftover powers, so
+identical factors are never multiplied out; the numerator/denominator pair
+is multiplied out only when it is read.  No multivariate gcd is ever
+computed: the only cancellation is of identical factors and, in
+:func:`limit_at_box_zero`, of powers of the box variable.
 
 Variables are plain strings (a generator label); they render as ``x_<label>``.
 Term order everywhere is graded lexicographic: lower total degree first, and
@@ -175,11 +173,12 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._mul_impl(other, None)
+        return self.mul_truncated(other)
 
     __rmul__ = __mul__
 
-    def _mul_impl(self, other, bound):
+    def mul_truncated(self, other: "Polynomial", bound: int = None) -> "Polynomial":
+        """The product, keeping only terms of total degree < bound if given."""
         a, b = self.terms, other.terms
         if not a or not b:
             return Polynomial()
@@ -190,7 +189,7 @@ class Polynomial:
                 m: v for m, v in out.items() if _mono_degree(m) < bound
             })
         if len(b) == 1 and _ONE_MONO in b:
-            return other._mul_impl(self, bound)
+            return other.mul_truncated(self, bound)
         if len(a) > len(b):
             a, b = b, a
         if len(a) == 1 and bound is None:
@@ -236,9 +235,6 @@ class Polynomial:
         return Polynomial(
             {m: c for m, c in self.terms.items() if _mono_degree(m) < bound}
         )
-
-    def mul_truncated(self, other: "Polynomial", bound: int) -> "Polynomial":
-        return self._mul_impl(other, bound)
 
     def evaluate(self, point: dict) -> Fraction:
         total = Fraction(0)
@@ -330,6 +326,12 @@ class Polynomial:
             out[mono] = out.get(mono, 0) + c * e
         return Polynomial({m: c for m, c in out.items() if c})
 
+    def euler(self) -> "Polynomial":
+        """sum_i x_i d/dx_i: each term times its total degree."""
+        return Polynomial(
+            {m: c * _mono_degree(m) for m, c in self.terms.items() if m}
+        )
+
     def degree_slices(self) -> dict:
         """Split into {total degree: polynomial of that degree}."""
         out = {}
@@ -365,197 +367,13 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-class SeriesTruncation:
-    """Power-series coefficients of total degree < bound."""
-
-    __slots__ = ("coefficients", "bound")
-
-    def __init__(self, coefficients: Polynomial, bound: int):
-        self.coefficients = coefficients
-        self.bound = bound
-
-    def truncate(self, bound: int) -> "SeriesTruncation":
-        if bound > self.bound:
-            raise ValueError("cannot extend a truncation")
-        return SeriesTruncation(self.coefficients.truncate(bound), bound)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SeriesTruncation)
-            and self.bound == other.bound
-            and self.coefficients == other.coefficients
-        )
-
-    def __repr__(self):
-        return f"SeriesTruncation({self.coefficients}, bound={self.bound})"
-
-
-class RationalFunction:
-    """Unreduced quotient of two polynomials.
-
-    No gcd reduction ever happens; a/b + c/d is literally (ad+cb)/(bd).  A
-    quotient made by :meth:`Factored.expand` remembers the factored form it
-    came from, so :meth:`Factored.of` gets the factors back for free.
-    """
-
-    __slots__ = ("num", "den", "_factored")
-
-    def __init__(self, num: Polynomial, den: Polynomial = None):
-        if den is None:
-            den = Polynomial.const(1)
-        if den.is_zero():
-            raise ZeroDenominator("denominator is identically zero")
-        self.num = num
-        self.den = den
-        self._factored = None
-
-    @classmethod
-    def const(cls, value) -> "RationalFunction":
-        return cls(Polynomial.const(value))
-
-    @classmethod
-    def variable(cls, name: str) -> "RationalFunction":
-        return cls(Polynomial.variable(name))
-
-    @classmethod
-    def zero(cls) -> "RationalFunction":
-        return cls(Polynomial.zero())
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, Polynomial):
-            return RationalFunction(other)
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction.const(other)
-        return NotImplemented
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.num.is_zero():
-            raise DivisionByZero("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def equals(self, other) -> bool:
-        """True iff self.num*other.den == other.num*self.den canonically."""
-        other = self._coerce(other)
-        return self.num * other.den == other.num * self.den
-
-    def as_constant(self):
-        """The constant this function equals everywhere, or None.
-
-        Detects numerator = c * denominator termwise; no gcd involved.
-        """
-        if self.num.is_zero():
-            return Fraction(0)
-        if len(self.num.terms) != len(self.den.terms):
-            return None
-        mono, den_c = next(iter(self.den.terms.items()))
-        num_c = self.num.terms.get(mono)
-        if num_c is None:
-            return None
-        ratio = Fraction(num_c, den_c)
-        for m, c in self.den.terms.items():
-            if self.num.terms.get(m) != ratio * c:
-                return None
-        return ratio
-
-    def variables(self) -> list:
-        return sorted(set(self.num.variables()) | set(self.den.variables()))
-
-    def evaluate(self, point: dict) -> Fraction:
-        d = self.den.evaluate(point)
-        if d == 0:
-            raise ZeroDenominator(f"denominator vanishes at {point}")
-        return self.num.evaluate(point) / d
-
-    def substitute(self, var: str, value: Polynomial) -> "RationalFunction":
-        den = self.den.substitute(var, value)
-        if den.is_zero():
-            raise ZeroDenominator(
-                f"substituting {var} makes the denominator identically zero"
-            )
-        return RationalFunction(self.num.substitute(var, value), den)
-
-    def partial(self, var: str) -> "RationalFunction":
-        """Quotient-rule derivative (n'd - nd')/d^2."""
-        return RationalFunction(
-            self.num.partial(var) * self.den - self.num * self.den.partial(var),
-            self.den * self.den,
-        )
-
-    def series(self, bound: int) -> SeriesTruncation:
-        """Expand as a power series, graded by total degree, to degree < bound.
-
-        Works by iterated truncated multiplication with u = 1 - den/c, which
-        has zero constant term, so u^k only contributes degrees >= k.
-        """
-        c = self.den.constant_term()
-        if c == 0:
-            raise NonUnitDenominator(
-                "series requires a denominator with nonzero constant term"
-            )
-        if bound <= 0:
-            return SeriesTruncation(Polynomial.zero(), max(bound, 0))
-        u = (Polynomial.const(1) - self.den * Fraction(1, c)).truncate(bound)
-        inv = Polynomial.const(1)
-        acc = Polynomial.const(1)
-        for _ in range(1, bound):
-            acc = acc.mul_truncated(u, bound)
-            if acc.is_zero():
-                break
-            inv = inv + acc
-        out = self.num.truncate(bound).mul_truncated(inv, bound) * Fraction(1, c)
-        return SeriesTruncation(out, bound)
-
-    def __str__(self):
-        return f"({self.num})/({self.den})"
-
-    def __repr__(self):
-        return f"RationalFunction({self})"
+def point_str(point) -> str:
+    """A point as ``x_a=1/2, x_b=1/2``, in variable order."""
+    return ", ".join(f"x_{k}={v}" for k, v in sorted(point.items()))
 
 
 class _Factor:
-    """A polynomial shared by every factored form that uses it.
+    """A polynomial shared by every rational function that uses it.
 
     Made only by :func:`_factor`, which interns one instance per polynomial,
     so identity is equality and factor dictionaries hash by identity.
@@ -567,7 +385,7 @@ class _Factor:
         self.poly = poly
 
 
-# Weak, so a factor lives only as long as some factored form uses it.
+# Weak, so a factor lives only as long as some rational function uses it.
 _INTERNED = weakref.WeakValueDictionary()
 
 
@@ -590,35 +408,52 @@ def _factor(poly: Polynomial):
     return scale, factor
 
 
-class Factored:
+class RationalFunction:
     """A rational function as poly * prod(factor^e), with integer e != 0.
 
     Factors are interned polynomials scaled to a leading coefficient of 1;
     any constant is carried by poly, and zero is poly = 0 with no factors.
     Equality of factors is identity of polynomials, never a gcd, so equal
-    values can have different forms; :meth:`equals` compares values.
+    values can have different forms; :meth:`equals` compares values.  The
+    numerator and denominator (:attr:`num`, :attr:`den`) are multiplied out
+    on first use and kept.
     """
 
-    __slots__ = ("poly", "factors")
+    __slots__ = ("poly", "factors", "_pair")
 
-    def __init__(self, poly: Polynomial, factors: dict = None):
-        self.poly = poly
-        self.factors = {} if factors is None else factors
+    def __init__(self, num: Polynomial, den: Polynomial = None):
+        """num / den, with den kept as one factor."""
+        self.poly = num
+        self.factors = {}
+        self._pair = None
+        if den is not None:
+            if den.is_zero():
+                raise ZeroDenominator("denominator is identically zero")
+            quotient = self * RationalFunction.power(den, -1)
+            self.poly, self.factors = quotient.poly, quotient.factors
 
     @classmethod
-    def const(cls, value) -> "Factored":
+    def _form(cls, poly: Polynomial, factors: dict) -> "RationalFunction":
+        """poly * prod(factor^e) from its parts; a zero poly drops the factors."""
+        rf = cls(poly)
+        if not poly.is_zero():
+            rf.factors = factors
+        return rf
+
+    @classmethod
+    def const(cls, value) -> "RationalFunction":
         return cls(Polynomial.const(value))
 
     @classmethod
-    def variable(cls, name: str) -> "Factored":
+    def variable(cls, name: str) -> "RationalFunction":
         return cls(Polynomial.variable(name))
 
     @classmethod
-    def zero(cls) -> "Factored":
+    def zero(cls) -> "RationalFunction":
         return cls(Polynomial.zero())
 
     @classmethod
-    def power(cls, poly: Polynomial, e: int) -> "Factored":
+    def power(cls, poly: Polynomial, e: int) -> "RationalFunction":
         """poly^e, with poly kept as one factor."""
         if poly.is_zero():
             if e < 0:
@@ -627,17 +462,10 @@ class Factored:
         if not poly.terms.keys() - {_ONE_MONO}:
             return cls.const(Fraction(poly.constant_term()) ** e)
         scale, factor = _factor(poly)
-        return cls(Polynomial.const(Fraction(scale) ** e), {factor: e})
+        return cls._form(Polynomial.const(Fraction(scale) ** e), {factor: e})
 
     @classmethod
-    def of(cls, rf: RationalFunction) -> "Factored":
-        """The form rf was expanded from, or else num^1 * den^-1."""
-        if rf._factored is not None:
-            return rf._factored
-        return cls(rf.num) * cls.power(rf.den, -1)
-
-    @classmethod
-    def sum(cls, parts) -> "Factored":
+    def sum(cls, parts) -> "RationalFunction":
         """Exact sum that multiplies out only the factors addends do not share.
 
         Each factor keeps its smallest exponent over the addends; every
@@ -664,18 +492,46 @@ class Factored:
                 if extra:
                     term = term * f.poly**extra
             total = total + term
-        if total.is_zero():
-            return cls.zero()
-        return cls(total, {f: e for f, e in lowest.items() if e})
+        return cls._form(total, {f: e for f, e in lowest.items() if e})
+
+    @staticmethod
+    def _coerce(other):
+        if isinstance(other, RationalFunction):
+            return other
+        if isinstance(other, Polynomial):
+            return RationalFunction(other)
+        if isinstance(other, (int, Fraction)):
+            return RationalFunction.const(other)
+        return NotImplemented
 
     def is_zero(self) -> bool:
         return self.poly.is_zero()
 
-    def __mul__(self, other: "Factored") -> "Factored":
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return RationalFunction.sum((self, other))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RationalFunction._form(-self.poly, self.factors)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         if self.is_zero() or other.is_zero():
-            return Factored.zero()
+            return RationalFunction.zero()
         if not other.factors:
-            return Factored(self.poly * other.poly, self.factors)
+            return RationalFunction._form(self.poly * other.poly, self.factors)
         factors = dict(self.factors)
         for f, e in other.factors.items():
             total = factors.get(f, 0) + e
@@ -683,26 +539,126 @@ class Factored:
                 factors[f] = total
             else:
                 del factors[f]
-        return Factored(self.poly * other.poly, factors)
+        return RationalFunction._form(self.poly * other.poly, factors)
 
-    def __neg__(self) -> "Factored":
-        return Factored(-self.poly, self.factors)
+    __rmul__ = __mul__
 
-    def __sub__(self, other: "Factored") -> "Factored":
-        return Factored.sum((self, -other))
+    def __truediv__(self, other):
+        """self times every piece of other with its exponent negated."""
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if other.is_zero():
+            raise DivisionByZero("division by the zero rational function")
+        return self * RationalFunction._product((p, -e) for p, e in other.pieces())
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) / self
+
+    @property
+    def num(self) -> Polynomial:
+        """poly times the factors of positive exponent, multiplied out."""
+        return self._num_den()[0]
+
+    @property
+    def den(self) -> Polynomial:
+        """The factors of negative exponent, multiplied out."""
+        return self._num_den()[1]
 
     def _num_den(self):
-        """(numerator, denominator) polynomials with the factors multiplied out."""
-        num = self.poly
-        den = Polynomial.const(1)
-        for f, e in self.factors.items():
-            if e > 0:
-                num = num * (f.poly if e == 1 else f.poly**e)
-            else:
-                den = den * (f.poly if e == -1 else f.poly**-e)
-        return num, den
+        if self._pair is None:
+            num = self.poly
+            den = Polynomial.const(1)
+            for f, e in self.factors.items():
+                if e > 0:
+                    num = num * (f.poly if e == 1 else f.poly**e)
+                else:
+                    den = den * (f.poly if e == -1 else f.poly**-e)
+            self._pair = (num, den)
+        return self._pair
 
-    def star(self) -> "Factored":
+    def pieces(self) -> list:
+        """[(polynomial, exponent)]: poly with exponent 1, then every factor."""
+        return [(self.poly, 1), *((f.poly, e) for f, e in self.factors.items())]
+
+    @staticmethod
+    def _product(pieces) -> "RationalFunction":
+        out = RationalFunction.const(1)
+        for poly, e in pieces:
+            out = out * RationalFunction.power(poly, e)
+        return out
+
+    def equals(self, other) -> bool:
+        """True iff self - other is the zero function."""
+        return (self - other).is_zero()
+
+    def as_constant(self):
+        """The constant this function equals everywhere, or None.
+
+        Detects numerator = c * denominator termwise; no gcd involved.
+        """
+        if self.is_zero():
+            return Fraction(0)
+        num, den = self._num_den()
+        if len(num.terms) != len(den.terms):
+            return None
+        mono, den_c = next(iter(den.terms.items()))
+        num_c = num.terms.get(mono)
+        if num_c is None:
+            return None
+        ratio = Fraction(num_c, den_c)
+        for m, c in den.terms.items():
+            if num.terms.get(m) != ratio * c:
+                return None
+        return ratio
+
+    def variables(self) -> list:
+        return sorted({v for poly, _ in self.pieces() for v in poly.variables()})
+
+    def evaluate(self, point: dict) -> Fraction:
+        """The value at point, one piece at a time."""
+        value = Fraction(1)
+        for poly, e in self.pieces():
+            v = poly.evaluate(point)
+            if v == 0 and e < 0:
+                raise ZeroDenominator(f"denominator vanishes at {point_str(point)}")
+            value *= v**e
+        return value
+
+    def substitute(self, var: str, value: Polynomial) -> "RationalFunction":
+        """Replace var by a polynomial, one piece at a time."""
+        pieces = [(p.substitute(var, value), e) for p, e in self.pieces()]
+        if any(p.is_zero() and e < 0 for p, e in pieces):
+            raise ZeroDenominator(
+                f"substituting {var} makes the denominator identically zero"
+            )
+        return RationalFunction._product(pieces)
+
+    def _derive(self, d) -> "RationalFunction":
+        """A derivation d of polynomials, extended by the product rule: the
+        sum over the pieces p^e of self * e * d(p) / p."""
+        terms = [RationalFunction._form(d(self.poly), self.factors)]
+        for f, e in self.factors.items():
+            dp = d(f.poly)
+            if dp.is_zero():
+                continue
+            factors = dict(self.factors)
+            if e == 1:
+                del factors[f]
+            else:
+                factors[f] = e - 1
+            terms.append(RationalFunction._form(self.poly * (dp * e), factors))
+        return RationalFunction.sum(terms)
+
+    def partial(self, var: str) -> "RationalFunction":
+        """d self / d var, by the product rule over the pieces."""
+        return self._derive(lambda p: p.partial(var))
+
+    def euler(self) -> "RationalFunction":
+        """sum_i x_i d self / d x_i, by the product rule over the pieces."""
+        return self._derive(Polynomial.euler)
+
+    def star(self) -> "RationalFunction":
         """The geometric series 1/(1 - f): for f = P/Q this is Q * (Q - P)^-1.
 
         Q keeps its factors, now with positive exponents, and Q - P becomes
@@ -715,57 +671,52 @@ class Factored:
             raise StarOfUnit(
                 "star argument accepts the empty word; geometric series diverges"
             )
-        top = Factored(
+        top = RationalFunction._form(
             Polynomial.const(1), {f: -e for f, e in self.factors.items() if e < 0}
         )
-        return top * Factored.power(q - p, -1)
+        return top * RationalFunction.power(q - p, -1)
 
-    def expand(self) -> RationalFunction:
-        """The value as a numerator/denominator pair that remembers self."""
+    def series(self, bound: int) -> Polynomial:
+        """Power-series coefficients of total degree < bound.
+
+        Works by iterated truncated multiplication with u = 1 - den/c, which
+        has zero constant term, so u^k only contributes degrees >= k.
+        """
         num, den = self._num_den()
-        rf = RationalFunction(num, den)
-        rf._factored = self
-        return rf
-
-    def equals(self, other) -> bool:
-        """True iff self - other is the zero function."""
-        if isinstance(other, RationalFunction):
-            other = Factored.of(other)
-        elif not isinstance(other, Factored):
-            other = Factored.const(other)
-        return (self - other).is_zero()
-
-    def _pieces(self) -> list:
-        """[(polynomial, exponent)]: poly with exponent 1, then every factor."""
-        return [(self.poly, 1), *((f.poly, e) for f, e in self.factors.items())]
-
-    @staticmethod
-    def _product(pieces) -> "Factored":
-        out = Factored.const(1)
-        for poly, e in pieces:
-            out = out * Factored.power(poly, e)
-        return out
-
-    def substitute(self, var: str, value: Polynomial) -> "Factored":
-        """Replace var by a polynomial, one factor at a time."""
-        pieces = [(p.substitute(var, value), e) for p, e in self._pieces()]
-        if any(p.is_zero() and e < 0 for p, e in pieces):
-            raise ZeroDenominator(
-                f"substituting {var} makes the denominator identically zero"
+        c = den.constant_term()
+        if c == 0:
+            raise NonUnitDenominator(
+                "series requires a denominator with nonzero constant term"
             )
-        return Factored._product(pieces)
+        if bound <= 0:
+            return Polynomial.zero()
+        u = (Polynomial.const(1) - den * Fraction(1, c)).truncate(bound)
+        inv = Polynomial.const(1)
+        acc = Polynomial.const(1)
+        for _ in range(1, bound):
+            acc = acc.mul_truncated(u, bound)
+            if acc.is_zero():
+                break
+            inv = inv + acc
+        return num.truncate(bound).mul_truncated(inv, bound) * Fraction(1, c)
+
+    def __str__(self):
+        return f"({self.num})/({self.den})"
+
+    def __repr__(self):
+        return f"RationalFunction({self})"
 
 
-def limit_at_box_zero(r, box_var: str, elim_var: str, generator_vars):
+def limit_at_box_zero(
+    r: RationalFunction, box_var: str, elim_var: str, generator_vars
+) -> RationalFunction:
     """The limit box -> 0 under the constraint sum(generators) + box = 1.
 
-    Works one factor at a time on a :class:`Factored` form (a
-    :class:`RationalFunction` is read as num^1 * den^-1, or as the form it
-    was expanded from): eliminates elim_var as 1 - (other generators) - box,
-    divides the largest box power out of each factor, and adds up the box
-    orders weighted by the exponents.  A positive total gives 0, zero gives
-    the product of the factors at box = 0, and a negative one raises
-    PoleAtLimit.  The result, of the same type as r, is in the remaining
+    Works one piece of r at a time: eliminates elim_var as
+    1 - (other generators) - box, divides the largest box power out of each
+    piece, and adds up the box orders weighted by the exponents.  A positive
+    total gives 0, zero gives the product of the pieces at box = 0, and a
+    negative one raises PoleAtLimit.  The result is in the remaining
     generator variables, to be read with elim_var = 1 - sum(others).
     """
     if elim_var not in generator_vars:
@@ -774,14 +725,12 @@ def limit_at_box_zero(r, box_var: str, elim_var: str, generator_vars):
     for v in generator_vars:
         if v != elim_var:
             repl = repl - Polynomial.variable(v)
-    form = r if isinstance(r, Factored) else Factored.of(r)
     order = 0
     at_zero = []
-    for poly, e in form.substitute(elim_var, repl)._pieces():
+    for poly, e in r.substitute(elim_var, repl).pieces():
         k, rest = poly.divide_out(box_var)
         order += k * e
         at_zero.append((rest.set_var_zero(box_var), e))
     if order < 0:
         raise PoleAtLimit(f"box order {order} below zero")
-    limit = Factored._product(at_zero) if order == 0 else Factored.zero()
-    return limit if isinstance(r, Factored) else limit.expand()
+    return RationalFunction._product(at_zero) if order == 0 else RationalFunction.zero()

@@ -39,7 +39,7 @@ from .expansions import (
 )
 from .loopkleene import flatten, pict
 from .markov import ChainGenerator, MarkovChainSpec, ergodicity
-from .mixing import mixing_report
+from .mixing import expected_total, mixing_report, tail_table
 from .pipeline import (
     _expand,
     build_semigroup,
@@ -182,6 +182,8 @@ def _parse_eval(text: str, spec: MarkovChainSpec) -> dict:
         key = key.strip()
         if key not in spec.labels():
             raise ChainFileError(f"--eval names unknown generator {key!r}")
+        if key in point:
+            raise ChainFileError(f"--eval names generator {key!r} twice")
         point[key] = parse_rational(value.strip(), f"--eval {key}")
         if not 0 <= point[key] <= 1:
             raise ChainFileError(
@@ -318,7 +320,10 @@ def cmd_mixing(args) -> int:
         lines.append(f"{t:<4d} {str(value)} ({float(value):.6f})")
     lines.append("")
     for name, (rf, value) in report.expected_by_element.items():
-        lines.append(f"E[tau | {name}] = {value} ({float(value):.6f})")
+        if value is None:
+            lines.append(f"E[tau | {name}] = undefined (mass 0)")
+        else:
+            lines.append(f"E[tau | {name}] = {value} ({float(value):.6f})")
     lines.append(
         f"E[tau] = {report.expected_total} ({float(report.expected_total):.6f})"
     )
@@ -448,13 +453,9 @@ def cmd_verify(args) -> int:
 
 def _check_tail_expectation(result, point, order):
     """Partial sums of Pr(tau >= t) stay below E[tau] and approach it."""
-    from .mixing import expected_tau, tail_table
-
     tails = tail_table([t.psi for t in result.terminals], point, order)
     partial = sum(tails[1:], Fraction(0))
-    expected = Fraction(0)
-    for name, rf in result.per_element.items():
-        expected += rf.evaluate(point) * expected_tau(rf).evaluate(point)
+    expected = expected_total(result.per_element.values(), point)
     _require(partial <= expected, "truncated tail sum exceeds the expectation")
     _require(
         all(a >= b for a, b in zip(tails, tails[1:])),

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .algebra import Factored, RationalFunction
+from .algebra import RationalFunction
 from .errors import (
     AmbiguousExpression,
     CapExceeded,
@@ -319,29 +319,28 @@ def kleene_to_rf(expr: Kleene, variables: dict = None) -> RationalFunction:
     """Letters to variables, concatenation to product, union to sum,
     star to the geometric series 1/(1 - f).
 
-    Built in factored form, so denominators that several parts share are
-    never multiplied together, and expanded once at the end; the result
-    remembers its factored form (see :meth:`Factored.of`).
+    Denominators that several parts share are never multiplied together
+    (see :class:`~sgmc.algebra.RationalFunction`).
     """
     mapping = variables or {}
 
     def conv(node):
         if isinstance(node, Epsilon):
-            return Factored.const(1)
+            return RationalFunction.const(1)
         if isinstance(node, Letter):
-            return Factored.variable(mapping.get(node.label, node.label))
+            return RationalFunction.variable(mapping.get(node.label, node.label))
         if isinstance(node, Concat):
             out = conv(node.parts[0])
             for p in node.parts[1:]:
                 out = out * conv(p)
             return out
         if isinstance(node, Union):
-            return Factored.sum([conv(p) for p in node.parts])
+            return RationalFunction.sum([conv(p) for p in node.parts])
         if isinstance(node, Star):
             return conv(node.inner).star()
         raise TypeError(f"cannot convert {node!r}; expand placeholders first")
 
-    return conv(expr).expand()
+    return conv(expr)
 
 
 # -- enumeration oracles ----------------------------------------------------

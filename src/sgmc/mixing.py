@@ -4,8 +4,9 @@ All quantities here assume the left-zero setting: the pipeline's rational
 functions count ideal-hitting paths by length, term degree equals path
 length, so the truncated series divided by the full value is the hitting
 probability before time t.  The expected hitting time comes from the Euler
-log-derivative sum(x_i d/dx_i) ln Psi, assembled from quotient-rule partials
-without materializing any logarithm.
+operator D = sum(x_i d/dx_i): E[tau] is the sum over the elements of
+(D Psi)(point), and E[tau | element] is the log-derivative D Psi / Psi, one
+factor of Psi at a time.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def tail_table(psis, point, tmax: int) -> list:
     total = sum((psi.evaluate(point) for psi in psis), Fraction(0))
     mass_by_degree = [Fraction(0)] * (tmax + 1)
     for psi in psis:
-        slices = psi.series(tmax + 1).coefficients.degree_slices()
+        slices = psi.series(tmax + 1).degree_slices()
         for degree, poly in slices.items():
             if degree <= tmax:
                 mass_by_degree[degree] += poly.evaluate(point)
@@ -53,11 +54,23 @@ def tail_table(psis, point, tmax: int) -> list:
 
 
 def expected_tau(psi: RationalFunction) -> RationalFunction:
-    """E[tau] = sum_i x_i (d Psi/d x_i) / Psi, as one rational function."""
-    total = RationalFunction.zero()
-    for var in psi.variables():
-        total = total + RationalFunction.variable(var) * psi.partial(var)
-    return total / psi
+    """E[tau | element] = sum_i x_i (d Psi/d x_i) / Psi for the element's
+    mass Psi, as one rational function.
+
+    This is the sum over the pieces p^e of Psi of e * D(p) / p, where D
+    multiplies each term of p by its total degree.
+    """
+    return RationalFunction.sum(
+        RationalFunction(p.euler() * e, p) for p, e in psi.pieces()
+    )
+
+
+def expected_total(psis, point) -> Fraction:
+    """E[tau] = sum over psi of (sum_i x_i d psi/d x_i)(point).
+
+    There is no division, so an element of mass 0 at the point adds 0.
+    """
+    return sum((psi.euler().evaluate(point) for psi in psis), Fraction(0))
 
 
 def markov_bound(expected, epsilon) -> int:
@@ -136,7 +149,7 @@ def _tv_rows(spec, point, tmax, start_state, tail) -> list:
 class MixingReport:
     point: dict
     tail: list                    # Pr(tau >= t), t = 0..tmax
-    expected_by_element: dict     # element -> (RationalFunction, value at point)
+    expected_by_element: dict     # element -> (RationalFunction, value or None at mass 0)
     expected_total: Fraction
     epsilon: Fraction
     tmix_bound: int
@@ -156,12 +169,11 @@ def mixing_report(
     result = _left_zero_result(spec, result, caps)
     tail = tail_table([t.psi for t in result.terminals], point, tmax + 1)
     expected_by_element = {}
-    total = Fraction(0)
     for name, rf in sorted(result.per_element.items()):
         e_rf = expected_tau(rf)
-        value = e_rf.evaluate(point)
+        value = e_rf.evaluate(point) if rf.evaluate(point) else None
         expected_by_element[name] = (e_rf, value)
-        total += rf.evaluate(point) * value
+    total = expected_total(result.per_element.values(), point)
     bound = markov_bound(total, epsilon)
     rows = _tv_rows(spec, point, tmax, start_state, tail)
     return MixingReport(

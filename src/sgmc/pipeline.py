@@ -11,10 +11,10 @@ box -> 0 is taken under the stochastic constraint, and vertices whose prefix
 projects outside K(S) feed a residual mass that must vanish in the limit.
 The limit is taken per vertex (limits pass through the finite group sums).
 
-Path sums, per-element sums, box limits and the normalization check all work
-on factored forms (:class:`~sgmc.algebra.Factored`), which never multiply
-out a factor the addends share; only the results kept in a
-:class:`StationaryResult` are expanded to numerator/denominator pairs.
+Path sums, per-element sums, box limits and the normalization check work on
+rational functions in factored form (:class:`~sgmc.algebra.RationalFunction`),
+which never multiply out a factor the addends share; a numerator/denominator
+pair is multiplied out only when a report prints it.
 
 Every run can be cross-checked against the exact eigenvector oracle at
 random interior rational points: the distribution on chain states is the
@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Factored, Polynomial, RationalFunction, limit_at_box_zero
+from .algebra import Polynomial, RationalFunction, limit_at_box_zero, point_str
 from .errors import (
     NotLeftZero,
     NotUsp,
@@ -178,20 +178,20 @@ def _stationary(s, box_label, max_kr, max_mc, max_loop) -> StationaryResult:
         expr = algorithm2(algorithm1(lg), lg)
         psi = kleene_to_rf(expr)
         terminals.append(Terminal(word, word_name(word), vid, element, psi, expr, lg))
-        mass = Factored.of(psi)
+        mass = psi
         if box_label is not None:
-            mass = limit_at_box_zero(mass, box_label, elim, variables)
+            mass = limit_at_box_zero(psi, box_label, elim, variables)
         if element is None:
             residual_parts.append(mass)
         else:
             groups[s.name(element)].append(mass)
-    residual = Factored.sum(residual_parts)
+    residual = RationalFunction.sum(residual_parts)
     if not residual.is_zero():
         raise ResidualMassNonzero(
             "limit mass outside the minimal ideal does not vanish"
         )
     per_element = {
-        name: Factored.sum(parts).expand() for name, parts in groups.items()
+        name: RationalFunction.sum(parts) for name, parts in groups.items()
     }
     if box_label is not None:
         per_element = {name: _collapse(rf) for name, rf in per_element.items()}
@@ -202,7 +202,7 @@ def _stationary(s, box_label, max_kr, max_mc, max_loop) -> StationaryResult:
         elim_var=elim,
         per_vertex={t.name: t.psi for t in terminals},
         per_element=per_element,
-        residual_mass=residual.expand(),
+        residual_mass=residual,
         kleene={t.name: str(t.expression) for t in terminals},
         graph_sizes=sizes,
         element_ids=element_ids,
@@ -226,8 +226,7 @@ def stationary(s: FiniteSemigroup, box_label="□", **caps) -> StationaryResult:
 
 def normalization_holds(result: StationaryResult) -> bool:
     """Sum of per-element masses plus residual equals 1 under the constraint."""
-    parts = [Factored.of(result.residual_mass)]
-    parts.extend(Factored.of(rf) for rf in result.per_element.values())
+    parts = [result.residual_mass, *result.per_element.values()]
     if result.case == "left_zero":
         elim = max(result.variables)
         repl = Polynomial.const(1)
@@ -235,7 +234,7 @@ def normalization_holds(result: StationaryResult) -> bool:
             if v != elim:
                 repl = repl - Polynomial.variable(v)
         parts = [part.substitute(elim, repl) for part in parts]
-    return Factored.sum(parts).equals(1)
+    return RationalFunction.sum(parts).equals(1)
 
 
 # -- oracle cross-check ------------------------------------------------------
@@ -278,7 +277,7 @@ def verify_oracle(
                 push[spec.states[target]] += value
             if push != oracle:
                 raise VerificationFailed(
-                    f"symbolic vs oracle mismatch at {_point_str(point)} "
+                    f"symbolic vs oracle mismatch at {point_str(point)} "
                     f"from start {spec.states[start]!r}: {push} != {oracle}"
                 )
         outcomes.append({"point": point, "outcome": "pass"})
@@ -304,8 +303,7 @@ def verify_language_and_series(
         by_degree = {}
         for word in expr_words:
             by_degree[len(word)] = by_degree.get(len(word), 0) + 1
-        series = t.psi.series(maxlen + 1)
-        slices = series.coefficients.degree_slices()
+        slices = t.psi.series(maxlen + 1).degree_slices()
         for degree in range(maxlen + 1):
             coeff_sum = sum(
                 slices[degree].terms.values(), Fraction(0)
@@ -363,10 +361,6 @@ def full_report(
     verification = verify_oracle(spec, result, sample)
     timings["verification"] = time.perf_counter() - tic
     return FullReport(spec, result, verification, True, timings)
-
-
-def _point_str(point):
-    return ", ".join(f"x_{k}={v}" for k, v in sorted(point.items()))
 
 
 def report_dict(report: FullReport) -> dict:

@@ -222,6 +222,46 @@ class TestMixing:
         assert code == 1
         assert "--eval 1" in capsys.readouterr().err
 
+    def test_repeated_eval_label_is_a_parse_error(self, capsys):
+        code = run(
+            "mixing",
+            bundled_path("example210.json"),
+            "--eval",
+            "1=1/2,2=1/3,3=1/3,1=1/3",
+        )
+        assert code == 1
+        assert "generator '1' twice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["eval", "chain file"])
+    def test_boundary_point_with_a_mass_of_zero(self, source, tmp_path, capsys):
+        # generator 1 alone: every walk is absorbed at the first step, and
+        # element 2 has mass 0, so E[tau | 2] is undefined but E[tau] = 1
+        if source == "eval":
+            argv = [bundled_path("example210.json"), "--eval", "1=1,2=0,3=0"]
+        else:
+            chain = json.loads(
+                open(bundled_path("example210.json"), encoding="utf-8").read()
+            )
+            for gen, prob in zip(chain["generators"], ("1", "0", "0")):
+                gen["prob"] = prob
+            argv = [write(tmp_path, "boundary.json", chain)]
+            assert run("analyze", *argv) == 0
+            assert run("verify", *argv) == 0
+            capsys.readouterr()
+        assert run("mixing", *argv) == 0
+        out = capsys.readouterr().out
+        assert "E[tau | 2] = undefined (mass 0)" in out
+        assert "E[tau] = 1 (1.000000)" in out
+        assert "t_mix <= 4 for epsilon = 1/4" in out
+
+    def test_point_where_the_ideal_is_never_reached(self, capsys):
+        # generator 3 alone never leaves the non-ideal elements: a pole
+        code = run(
+            "mixing", bundled_path("example210.json"), "--eval", "1=0,2=0,3=1"
+        )
+        assert code == 2
+        assert "x_1=0, x_2=0, x_3=1" in capsys.readouterr().err
+
 
 class TestExport:
     def test_cayley_graph(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Pinned CLI output on the bundled chains.
+"""Pinned CLI output on the bundled chains and on the chains in tests/chains.
 
 Each case runs ``sgmc`` in process and compares its exit code and the
 sha256 digests (first 16 hex digits) of its stdout and stderr with the
@@ -12,12 +12,18 @@ import io
 import json
 import os
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from sgmc.cli import bundled_path, main
 
 CHAINS = ("d2.json", "d2box.json", "d2c.json", "example210.json")
+
+# Chains from the benchmark corpus, every probability "sym": left zero
+# [(1,0,2),(1,1,1),(2,0,1)], general [(3,0,1,2),(1,1,3,3)], and the left-zero
+# [(1,2,1),(1,2,0)] for mixing.
+TEST_CHAINS = Path(__file__).with_name("chains")
 
 CASES = [
     f"{command} {chain}{extra}"
@@ -43,6 +49,10 @@ CASES = [
     "export example210.json --graph loop:31",
     "export d2box.json --graph loop:ab",
     "export example210.json --graph loop:33",
+    "analyze left_zero3.json",
+    "analyze general4.json",
+    "analyze mixing3.json",
+    "mixing mixing3.json --eval a=1/3,b=2/3",
 ]
 
 PINNED = {
@@ -79,6 +89,10 @@ PINNED = {
     "export example210.json --graph loop:31": (0, "a7e3202d5fa0a8b8", "e3b0c44298fc1c14"),
     "export d2box.json --graph loop:ab": (1, "e3b0c44298fc1c14", "ec1ed4fbda6500aa"),
     "export example210.json --graph loop:33": (1, "e3b0c44298fc1c14", "3733b1e23f32911a"),
+    "analyze left_zero3.json": (0, "7d446695a065bf15", "e3b0c44298fc1c14"),
+    "analyze general4.json": (0, "375e3051932c3009", "e3b0c44298fc1c14"),
+    "analyze mixing3.json": (0, "9390e34f27ba6b5d", "e3b0c44298fc1c14"),
+    "mixing mixing3.json --eval a=1/3,b=2/3": (0, "54d8a1d958e3f752", "e3b0c44298fc1c14"),
 }
 
 
@@ -86,11 +100,16 @@ def _digest(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
+def chain_path(name):
+    local = TEST_CHAINS / name
+    return str(local) if local.exists() else bundled_path(name)
+
+
 def run_case(case):
     command, chain, *rest = case.split(" ")
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main([command, bundled_path(chain), *rest])
+        code = main([command, chain_path(chain), *rest])
     return code, _digest(out.getvalue()), _digest(err.getvalue())
 
 

@@ -1,20 +1,23 @@
-"""The factored form against plain numerator/denominator arithmetic.
+"""The factored rational functions against plain numerator/denominator pairs.
 
-Every reference value here is rebuilt with RationalFunction's own + * /
-operators and a termwise box limit, never through Factored, so the checks
-compare two independent computations of the same rational function.
+Every reference value here is a (num, den) pair of polynomials combined by
+cross-multiplication, with a whole-polynomial box limit, all written in
+this file; the checks compare two independent computations of the same
+rational function.
 """
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from sgmc.algebra import Factored, Polynomial, RationalFunction, limit_at_box_zero
+from sgmc.algebra import Polynomial, RationalFunction, limit_at_box_zero
 from sgmc.cli import bundled_path, load_chain_file
 from sgmc.errors import PoleAtLimit, StarOfUnit, ZeroDenominator
 from sgmc.loopkleene import Concat, Epsilon, Letter, Star, Union, kleene_to_rf
 from sgmc.markov import ChainGenerator, MarkovChainSpec
+from sgmc.mixing import expected_tau
 from sgmc.pipeline import (
     build_semigroup,
     full_report,
@@ -22,54 +25,82 @@ from sgmc.pipeline import (
     stationary,
 )
 
-rone = RationalFunction.const(1)
+CHAINS = Path(__file__).with_name("chains")
+ONE = Polynomial.const(1)
+ZERO = (Polynomial.zero(), ONE)
+
+
+def add(p, q):
+    return (p[0] * q[1] + q[0] * p[1], p[1] * q[1])
+
+
+def sub(p, q):
+    return add(p, (-q[0], q[1]))
+
+
+def mul(p, q):
+    return (p[0] * q[0], p[1] * q[1])
+
+
+def same(rf, pair):
+    """rf and the pair are the same function, by cross-multiplication."""
+    return rf.num * pair[1] == pair[0] * rf.den
 
 
 def plain_rf(node):
-    """Kleene expression to a rational function with unreduced pair arithmetic."""
+    """Kleene expression to a (num, den) pair with unreduced arithmetic."""
     if isinstance(node, Epsilon):
-        return RationalFunction.const(1)
+        return (ONE, ONE)
     if isinstance(node, Letter):
-        return RationalFunction.variable(node.label)
+        return (Polynomial.variable(node.label), ONE)
     if isinstance(node, Concat):
-        out = RationalFunction.const(1)
+        out = (ONE, ONE)
         for p in node.parts:
-            out = out * plain_rf(p)
+            out = mul(out, plain_rf(p))
         return out
     if isinstance(node, Union):
-        out = RationalFunction.zero()
+        out = ZERO
         for p in node.parts:
-            out = out + plain_rf(p)
+            out = add(out, plain_rf(p))
         return out
     if isinstance(node, Star):
-        f = plain_rf(node.inner)
-        if f.den.constant_term() == 0 or f.num.constant_term() != 0:
+        num, den = plain_rf(node.inner)
+        if den.constant_term() == 0 or num.constant_term() != 0:
             raise StarOfUnit("no geometric series")
-        return rone / (rone - f)
+        return (den, den - num)
     raise TypeError(node)
 
 
-def plain_limit(r, box, elim, generators):
-    """Box limit of a numerator/denominator pair, by whole-polynomial orders."""
-    repl = Polynomial.const(1) - Polynomial.variable(box)
+def plain_limit(pair, box, elim, generators):
+    """Box limit of a (num, den) pair, by whole-polynomial orders."""
+    repl = ONE - Polynomial.variable(box)
     for v in generators:
         if v != elim:
             repl = repl - Polynomial.variable(v)
-    num = r.num.substitute(elim, repl)
-    den = r.den.substitute(elim, repl)
+    num, den = (p.substitute(elim, repl) for p in pair)
+    if den.is_zero():
+        raise ZeroDenominator("denominator vanishes")
     if num.is_zero():
-        return RationalFunction.zero()
+        return ZERO
     j, n1 = num.divide_out(box)
     k, d1 = den.divide_out(box)
     if j < k:
         raise PoleAtLimit("pole")
     if j > k:
-        return RationalFunction.zero()
-    return RationalFunction(n1.set_var_zero(box), d1.set_var_zero(box))
+        return ZERO
+    return (n1.set_var_zero(box), d1.set_var_zero(box))
 
 
 def plain_sum(parts):
-    return sum(parts, RationalFunction.zero())
+    out = ZERO
+    for p in parts:
+        out = add(out, p)
+    return out
+
+
+def quotient_rule(num, den, var):
+    """d(num/den)/d var as the pair (num' den - num den', den^2)."""
+    return (num.partial(var) * den - num * den.partial(var), den * den)
 
 
 def random_poly(rnd, variables, max_terms=3, max_degree=2, constant=None):
@@ -91,17 +122,18 @@ def random_poly(rnd, variables, max_terms=3, max_degree=2, constant=None):
 
 def random_factored(rnd, variables):
     """(factored form, the same value as a plain pair) from random factors."""
-    form = Factored(random_poly(rnd, variables))
-    plain = RationalFunction(form.poly)
+    poly = random_poly(rnd, variables)
+    form = RationalFunction(poly)
+    plain = (poly, ONE)
     for _ in range(rnd.randint(0, 3)):
         base = random_poly(rnd, variables, constant=rnd.choice([1, 2, 0]))
         if base.is_zero():
             continue
         e = rnd.choice([-2, -1, 1, 2])
-        form = form * Factored.power(base, e)
-        step = RationalFunction(base) if e > 0 else rone / RationalFunction(base)
+        form = form * RationalFunction.power(base, e)
+        step = (base, ONE) if e > 0 else (ONE, base)
         for _ in range(abs(e)):
-            plain = plain * step
+            plain = mul(plain, step)
     return form, plain
 
 
@@ -130,31 +162,31 @@ class TestOperations:
         for _ in range(40):
             f, pf = random_factored(rnd, ["a", "b"])
             g, pg = random_factored(rnd, ["a", "b"])
-            assert (f * g).expand().equals(pf * pg)
-            assert Factored.sum([f, g, f]).expand().equals(pf + pg + pf)
-            assert (f - g).expand().equals(pf - pg)
-            assert f.equals(pf) and (f - f).is_zero()
+            assert same(f * g, mul(pf, pg))
+            assert same(RationalFunction.sum([f, g, f]), plain_sum([pf, pg, pf]))
+            assert same(f - g, sub(pf, pg))
+            assert same(f, pf) and (f - f).is_zero()
 
     def test_star_matches_plain_series(self):
         rnd = random.Random(6)
         for _ in range(30):
-            f, pf = random_factored(rnd, ["a", "b"])
-            if pf.den.constant_term() == 0 or pf.num.constant_term() != 0:
+            f, (num, den) = random_factored(rnd, ["a", "b"])
+            if den.constant_term() == 0 or num.constant_term() != 0:
                 with pytest.raises(StarOfUnit):
                     f.star()
                 continue
-            assert f.star().expand().equals(rone / (rone - pf))
+            assert same(f.star(), (den, den - num))
 
     def test_shared_factor_is_not_multiplied_out(self):
         a, b = Polynomial.variable("a"), Polynomial.variable("b")
-        inv = Factored.power(Polynomial.const(1) - a, -1)
-        total = Factored.sum([Factored(a) * inv, Factored(b) * inv]).expand()
-        assert total.num == a + b and total.den == Polynomial.const(1) - a
+        inv = RationalFunction.power(ONE - a, -1)
+        total = RationalFunction.sum([RationalFunction(a) * inv, RationalFunction(b) * inv])
+        assert total.num == a + b and total.den == ONE - a
 
     def test_factors_are_interned(self):
         a = Polynomial.variable("a")
-        f = Factored.power(Polynomial.const(2) - 2 * a, -1)
-        g = Factored.power(Polynomial.const(1) - a, 1)
+        f = RationalFunction.power(Polynomial.const(2) - 2 * a, -1)
+        g = RationalFunction.power(ONE - a, 1)
         assert (f * g).equals(Fraction(1, 2))
         assert not (f * g).factors
 
@@ -170,10 +202,79 @@ class TestOperations:
                 with pytest.raises(type(exc)):
                     limit_at_box_zero(f, "□", "b", gens)
                 continue
-            assert limit_at_box_zero(f, "□", "b", gens).equals(want)
-            assert limit_at_box_zero(pf, "□", "b", gens).equals(want)
+            assert same(limit_at_box_zero(f, "□", "b", gens), want)
+            # the pair as one quotient, its denominator kept as one factor
+            assert same(limit_at_box_zero(RationalFunction(*pf), "□", "b", gens), want)
             checked += 1
         assert checked >= 20
+
+
+def _masses(path):
+    chain = load_chain_file(path)
+    res = stationary(build_semigroup(chain.spec), box_label=chain.box_label or "□")
+    return res.case, res.per_element
+
+
+def _check_calculus(psi, variables):
+    """partial and expected_tau against the quotient rule on psi.num/psi.den."""
+    num, den = psi.num, psi.den
+    euler = Polynomial.zero()
+    for var in variables:
+        d = quotient_rule(num, den, var)
+        assert psi.partial(var).equals(RationalFunction(*d)), var
+        euler = euler + Polynomial.variable(var) * (num.partial(var) * den - num * den.partial(var))
+    if not psi.is_zero():
+        assert expected_tau(psi).equals(RationalFunction(euler, num * den))
+
+
+class TestCalculus:
+    def test_random_forms_match_the_quotient_rule(self):
+        rnd = random.Random(13)
+        for _ in range(40):
+            f, pf = random_factored(rnd, ["a", "b"])
+            _check_calculus(f, ["a", "b"])
+            for var in "ab":
+                assert same(f.partial(var), quotient_rule(*pf, var))
+
+    @pytest.mark.parametrize(
+        "path, case",
+        [
+            (bundled_path("example210.json"), "left_zero"),
+            (bundled_path("d2c.json"), "general"),
+            (str(CHAINS / "general4.json"), "general"),
+        ],
+        ids=["example210", "d2c", "general4"],
+    )
+    def test_stationary_masses_match_the_quotient_rule(self, path, case):
+        got, masses = _masses(path)
+        assert got == case
+        for psi in masses.values():
+            _check_calculus(psi, psi.variables())
+
+    def test_evaluate_matches_num_over_den(self):
+        rnd = random.Random(17)
+        values = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2)]
+        vanished = 0
+        for _ in range(60):
+            f, _pf = random_factored(rnd, ["a", "b"])
+            point = {"a": rnd.choice(values), "b": rnd.choice(values)}
+            den = f.den.evaluate(point)
+            if den == 0:
+                vanished += 1
+                with pytest.raises(ZeroDenominator):
+                    f.evaluate(point)
+                continue
+            assert f.evaluate(point) == f.num.evaluate(point) / den
+        assert vanished >= 1
+
+    def test_evaluate_with_a_vanishing_factor(self):
+        a = Polynomial.variable("a")
+        pole = RationalFunction(a) * RationalFunction.power(ONE - a, -1)
+        with pytest.raises(ZeroDenominator, match="x_a=1"):
+            pole.evaluate({"a": Fraction(1)})
+        root = RationalFunction.power(ONE - a, 2) / RationalFunction.variable("b")
+        assert root.evaluate({"a": Fraction(1), "b": Fraction(2)}) == 0
+        assert root.evaluate({"a": Fraction(3), "b": Fraction(2)}) == 2
 
 
 class TestKleene:
@@ -187,7 +288,7 @@ class TestKleene:
                 with pytest.raises(StarOfUnit):
                     kleene_to_rf(expr)
                 continue
-            assert kleene_to_rf(expr).equals(want), str(expr)
+            assert same(kleene_to_rf(expr), want), str(expr)
 
 
 @pytest.mark.parametrize("name", ["d2.json", "d2c.json", "d2box.json", "example210.json"])
@@ -198,19 +299,20 @@ def test_bundled_chain_forms_match_plain_arithmetic(name):
     residual = []
     for t in res.terminals:
         plain = plain_rf(t.expression)
-        assert t.psi.equals(plain), t.name
+        assert same(t.psi, plain), t.name
         if res.case == "general":
             plain = plain_limit(plain, res.box_var, res.elim_var, res.variables)
-            assert limit_at_box_zero(
-                t.psi, res.box_var, res.elim_var, res.variables
-            ).equals(plain), t.name
+            assert same(
+                limit_at_box_zero(t.psi, res.box_var, res.elim_var, res.variables),
+                plain,
+            ), t.name
         if t.element is None:
             residual.append(plain)
         else:
             masses[res.semigroup.name(t.element)].append(plain)
     for element, parts in masses.items():
-        assert res.per_element[element].equals(plain_sum(parts)), element
-    assert res.residual_mass.equals(plain_sum(residual))
+        assert same(res.per_element[element], plain_sum(parts)), element
+    assert same(res.residual_mass, plain_sum(residual))
     assert normalization_holds(res)
 
 

@@ -104,8 +104,8 @@ class TestExpectedTau:
         euler = RationalFunction.zero()
         for v in psi.variables():
             euler = euler + RationalFunction.variable(v) * psi.partial(v)
-        left = euler.series(40).coefficients.degree_slices()
-        right = psi.series(40).coefficients.degree_slices()
+        left = euler.series(40).degree_slices()
+        right = psi.series(40).degree_slices()
         for degree in range(40):
             want = right.get(degree)
             if want is None:

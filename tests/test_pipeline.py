@@ -89,7 +89,7 @@ class TestLeftZeroCase:
             for v in res.variables:
                 collapsed = collapsed.substitute(v, Polynomial.variable("t"))
             series = collapsed.series(10)
-            for mono, coeff in series.coefficients.terms.items():
+            for mono, coeff in series.terms.items():
                 assert coeff == int(coeff) and coeff >= 0
 
 
