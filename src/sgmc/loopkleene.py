@@ -17,11 +17,20 @@ graph and in the loop graph agree as multisets (checked independently by
 path language falls out of a single spine walk: emit each spine label, then
 a starred union over the loops hanging at the vertex just entered; loops are
 expanded recursively the same way.
+
+A copy of v carries the loops of v and nothing else, so the starred union
+hung at it depends only on v.  ``loop_stars`` builds its rational function
+S(v) once per vertex, and ``path_sum`` reads a path sum off the spine as
+S(root) x_e1 S(v1) ..., in the order ``kleene_to_rf`` multiplies the
+expanded tree, so no tree is needed for the rational functions.  The
+recursive tree walks raise CapExceeded, naming the stage, when the nesting
+outruns Python's recursion limit.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .algebra import RationalFunction
@@ -35,7 +44,18 @@ from .errors import (
 from .expansions import RootedGraph, check_usp, simple_path_edges
 
 DEFAULT_MAX_PATHS = 10**6
-_MAX_NESTING = 4000
+
+
+@contextmanager
+def nesting_cap(stage: str):
+    """CapExceeded naming the stage for a RecursionError in a tree walk;
+    usable as a decorator."""
+    try:
+        yield
+    except RecursionError:
+        raise CapExceeded(
+            f"{stage}: loop nesting is deeper than the recursion limit"
+        ) from None
 
 
 @dataclass(slots=True)
@@ -69,6 +89,7 @@ class LoopGraph:
 # -- Pict ------------------------------------------------------------------
 
 
+@nesting_cap("pict")
 def pict(
     g: RootedGraph,
     path_edges,
@@ -96,13 +117,13 @@ def pict(
     lg = LoopGraph([g.edges[e][1] for e in path_edges], spine)
     budget = [max_vertices - len(spine)]
     for lvertex, sv in zip(spine, spine_vertices):
-        _attach_loops(g, unique, lvertex, sv, 0, budget)
+        _attach_loops(g, unique, lvertex, sv, budget)
     return lg
 
 
-def _attach_loops(g, unique, lvertex, v, depth, budget):
-    if depth > _MAX_NESTING:
-        raise CapExceeded("loop nesting exceeds the recursion guard")
+def _loops(g, unique, v):
+    """(body edges, closing label) of the cycle each non-tree in-edge of v
+    closes: the body is the tree path from v to the edge's source."""
     base = unique[v]
     tree_edge = base[-1] if base else None
     for eid in g.in_edges(v):
@@ -113,7 +134,11 @@ def _attach_loops(g, unique, lvertex, v, depth, budget):
             raise NotUsp(
                 f"in-edge source {g.names[src]} does not extend {g.names[v]}"
             )
-        body = unique[src][len(base):]
+        yield unique[src][len(base):], closing_label
+
+
+def _attach_loops(g, unique, lvertex, v, budget):
+    for body, closing_label in _loops(g, unique, v):
         labels = []
         inner = []
         for beid in body:
@@ -124,11 +149,54 @@ def _attach_loops(g, unique, lvertex, v, depth, budget):
                 raise CapExceeded("loop graph exceeds the vertex cap")
             copy = LoopVertex(g.names[bdst])
             inner.append(copy)
-            _attach_loops(g, unique, copy, bdst, depth + 1, budget)
+            _attach_loops(g, unique, copy, bdst, budget)
         labels.append(closing_label)
         lvertex.loops.append(Loop(labels, inner))
 
 
+def _product(g, stars, first, edges, last) -> RationalFunction:
+    """first, x_e and S(dst e) for each edge, then last, without the Nones,
+    multiplied left to right as ``kleene_to_rf`` multiplies a
+    concatenation; 1 when nothing is left."""
+    parts = [first]
+    for eid in edges:
+        _, label, dst = g.edges[eid]
+        parts += [RationalFunction.variable(label), stars[dst]]
+    parts = [p for p in parts + [last] if p is not None]
+    out = parts[0] if parts else RationalFunction.const(1)
+    for p in parts[1:]:
+        out = out * p
+    return out
+
+
+def loop_stars(g: RootedGraph, unique) -> list:
+    """S(v) for every vertex v of a USP graph, or None where v has no loops.
+
+    S(v) is the star of the sum of v's loop products x_b1 S(dst b1) ... x_c,
+    one per cycle of ``_loops``; a single loop is starred without a sum.
+    Each S(v) uses only the S of vertices deeper on the tree, so the
+    vertices are taken deepest first.
+    """
+    stars = [None] * g.n_vertices()
+    for v in sorted(range(g.n_vertices()), key=lambda v: -len(unique[v])):
+        products = [
+            _product(g, stars, None, body, RationalFunction.variable(closing))
+            for body, closing in _loops(g, unique, v)
+        ]
+        if len(products) == 1:
+            stars[v] = products[0].star()
+        elif products:
+            stars[v] = RationalFunction.sum(products).star()
+    return stars
+
+
+def path_sum(g: RootedGraph, stars, path_edges) -> RationalFunction:
+    """The path sum at the end of a unique simple path, from ``loop_stars``:
+    the same form as ``kleene_to_rf`` of the path's expanded Pict tree."""
+    return _product(g, stars, stars[g.root], path_edges, None)
+
+
+@nesting_cap("flatten")
 def flatten(lg: LoopGraph):
     """Materialize a loop graph as a RootedGraph; returns (graph, spine end id)."""
     names = []
@@ -256,6 +324,7 @@ def algorithm1(lg: LoopGraph) -> Kleene:
     return concat(p for p in parts if p is not None)
 
 
+@nesting_cap("algorithm2")
 def algorithm2(expr: Kleene, lg: LoopGraph = None) -> Kleene:
     """Expand every loop placeholder by re-rooting its cycle as a loop graph."""
     counter = [10**6]  # fresh indices for symbols created mid-expansion
@@ -315,6 +384,7 @@ def zimin_unionless(expr: Kleene) -> Kleene:
     return rewrite(expr)
 
 
+@nesting_cap("kleene_to_rf")
 def kleene_to_rf(expr: Kleene, variables: dict = None) -> RationalFunction:
     """Letters to variables, concatenation to product, union to sum,
     star to the geometric series 1/(1 - f).
@@ -406,6 +476,7 @@ def _enumerate(node: Kleene, maxlen: int, cap: int) -> Counter:
     raise TypeError(f"cannot enumerate {node!r}; expand placeholders first")
 
 
+@nesting_cap("kleene_enumerate")
 def kleene_enumerate(
     expr: Kleene, maxlen: int, cap: int = DEFAULT_MAX_PATHS
 ) -> Counter:

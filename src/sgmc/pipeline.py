@@ -1,15 +1,23 @@
 """End-to-end computation of stationary distributions from expansions.
 
 Left-zero minimal ideal: every vertex of Mc(KR(S,A)) projecting into K(S) is
-a terminal; its loop graph, Kleene expression and rational function give the
-path sum ending there, and grouping by projected element yields the
-stationary distribution directly.
+a terminal; the rational function of its path sum, read off the Pict
+unfolding, and grouping by projected element yield the stationary
+distribution directly.
 
 Otherwise a zero is adjoined to semigroup and generators; terminals are the
 box vertices u-box, each contributes its rational function, the limit
 box -> 0 is taken under the stochastic constraint, and vertices whose prefix
 projects outside K(S) feed a residual mass that must vanish in the limit.
 The limit is taken per vertex (limits pass through the finite group sums).
+
+A path sum is S(root) x_e1 S(v1) ... along the terminal's unique simple
+path, where S(v) is the starred union of the loops a Pict copy of v carries;
+each S(v) is built once per run and shared by every terminal
+(:func:`~sgmc.loopkleene.loop_stars`).  A terminal's loop graph and Kleene
+expression, and the result's ``kleene`` texts, are built only when read
+(by ``report_dict`` and verification), and ``max_loop`` bounds only those
+trees.
 
 Path sums, per-element sums, box limits and the normalization check work on
 rational functions in factored form (:class:`~sgmc.algebra.RationalFunction`),
@@ -27,6 +35,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import Polynomial, RationalFunction, limit_at_box_zero, point_str
 from .errors import (
@@ -47,10 +56,12 @@ from .expansions import (
 from .loopkleene import (
     algorithm1,
     algorithm2,
-    kleene_enumerate,
-    kleene_to_rf,
     enumerate_path_words,
     flatten,
+    kleene_enumerate,
+    loop_stars,
+    nesting_cap,
+    path_sum,
     pict,
 )
 from .markov import MarkovChainSpec, stationary_oracle, transition_matrix
@@ -64,8 +75,19 @@ class Terminal:
     vertex: int
     element: int          # grouping element in S (or None for residual)
     psi: RationalFunction
-    expression: object
-    loop_graph: object
+    mc: object = field(repr=False)
+    max_loop: int = field(repr=False)
+
+    @cached_property
+    def loop_graph(self):
+        """The Pict unfolding along the unique simple path, built on first read."""
+        path = simple_path_edges(self.mc)[self.vertex]
+        return pict(self.mc, path, verify_usp=False, max_vertices=self.max_loop)
+
+    @cached_property
+    def expression(self):
+        """Algorithms 1 and 2 on the loop graph, built on first read."""
+        return algorithm2(algorithm1(self.loop_graph))
 
 
 @dataclass
@@ -77,7 +99,6 @@ class StationaryResult:
     per_vertex: dict               # vertex word name -> RationalFunction
     per_element: dict              # element name -> RationalFunction
     residual_mass: RationalFunction
-    kleene: dict                   # vertex word name -> expression text
     graph_sizes: dict
     element_ids: dict              # element name -> element id in `semigroup`
     semigroup: FiniteSemigroup = field(repr=False, default=None)
@@ -86,6 +107,12 @@ class StationaryResult:
 
     def stationary_value(self, element_name: str, point: dict) -> Fraction:
         return self.per_element[element_name].evaluate(point)
+
+    @cached_property
+    def kleene(self) -> dict:
+        """Vertex word name -> expression text, built on first read."""
+        with nesting_cap("kleene print"):
+            return {t.name: str(t.expression) for t in self.terminals}
 
 
 def _prune_ideal_sinks(kr, ideal_members):
@@ -164,6 +191,7 @@ def _stationary(s, box_label, max_kr, max_mc, max_loop) -> StationaryResult:
         sinks, elim = {expanded.zero_id}, max(s.labels)
     kr, mc, _, sizes = _expand(expanded, sinks, max_kr, max_mc)
     unique = simple_path_edges(mc)
+    stars = loop_stars(mc, unique)
     element_ids = {s.name(k): k for k in sorted(ideal.members)}
     groups = {name: [] for name in element_ids}
     residual_parts = []
@@ -174,10 +202,10 @@ def _stationary(s, box_label, max_kr, max_mc, max_loop) -> StationaryResult:
         word = mc.payloads[vid].word
         group = s.eval_word(word if box_label is None else word[:-1])
         element = group if group in ideal.members else None
-        lg = pict(mc, unique[vid], verify_usp=False, max_vertices=max_loop)
-        expr = algorithm2(algorithm1(lg), lg)
-        psi = kleene_to_rf(expr)
-        terminals.append(Terminal(word, word_name(word), vid, element, psi, expr, lg))
+        psi = path_sum(mc, stars, unique[vid])
+        terminals.append(
+            Terminal(word, word_name(word), vid, element, psi, mc, max_loop)
+        )
         mass = psi
         if box_label is not None:
             mass = limit_at_box_zero(psi, box_label, elim, variables)
@@ -203,7 +231,6 @@ def _stationary(s, box_label, max_kr, max_mc, max_loop) -> StationaryResult:
         per_vertex={t.name: t.psi for t in terminals},
         per_element=per_element,
         residual_mass=residual,
-        kleene={t.name: str(t.expression) for t in terminals},
         graph_sizes=sizes,
         element_ids=element_ids,
         semigroup=s,

@@ -1,0 +1,235 @@
+"""Path sums from the per-vertex loop stars S(v), against the expanded trees.
+
+``kleene_to_rf(algorithm2(algorithm1(pict(...))))`` is kept as the
+independent reference: the path sum read off S(root) x_e1 S(v1) ... must
+print the same numerator and denominator.  The pipeline builds a terminal's
+loop graph and expression only when they are read.
+"""
+
+import hashlib
+import json
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from sgmc import loopkleene, pipeline
+from sgmc.cli import bundled_path, load_chain_file
+from sgmc.errors import CapExceeded
+from sgmc.expansions import RootedGraph, simple_path_edges
+from sgmc.loopkleene import (
+    algorithm1,
+    algorithm2,
+    kleene_to_rf,
+    loop_stars,
+    path_sum,
+    pict,
+)
+from sgmc.pipeline import (
+    build_semigroup,
+    full_report,
+    report_dict,
+    stationary,
+    verify_language_and_series,
+)
+from sgmc.semigroup import FiniteSemigroup
+
+CHAINS = Path(__file__).with_name("chains")
+
+
+def prints(rf):
+    return str(rf.num), str(rf.den)
+
+
+def reference_psi(mc, vertex):
+    lg = pict(mc, simple_path_edges(mc)[vertex], verify_usp=False)
+    return kleene_to_rf(algorithm2(algorithm1(lg)))
+
+
+def assert_psi_matches_trees(result):
+    assert result.terminals
+    for t in result.terminals:
+        assert prints(t.psi) == prints(reference_psi(result.mc, t.vertex)), t.name
+
+
+def chain_result(path):
+    chain = load_chain_file(path)
+    return stationary(build_semigroup(chain.spec), box_label=chain.box_label or "□")
+
+
+BUNDLED = ("d2", "d2c", "d2box", "example210")
+LOCAL = ("left_zero3", "general4", "mixing3")
+
+
+@pytest.mark.parametrize(
+    "path",
+    [bundled_path(f"{name}.json") for name in BUNDLED]
+    + [str(CHAINS / f"{name}.json") for name in LOCAL],
+    ids=BUNDLED + LOCAL,
+)
+def test_psi_from_loop_stars_prints_as_the_tree(path):
+    assert_psi_matches_trees(chain_result(path))
+
+
+def random_chains(seed, case, count):
+    """Seeded random transformation semigroups of one ideal case."""
+    rnd = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rnd.randint(2, 4)
+        k = rnd.randint(2, 3)
+        gens = [
+            ("abc"[i], tuple(rnd.randrange(n) for _ in range(n))) for i in range(k)
+        ]
+        s = FiniteSemigroup.generate(gens)
+        if s.minimal_ideal().is_left_zero == (case == "left_zero"):
+            out.append(s)
+    return out
+
+
+@pytest.mark.parametrize("case", ["left_zero", "general"])
+def test_psi_from_loop_stars_on_random_chains(case):
+    for s in random_chains(23, case, 4):
+        result = stationary(s)
+        assert result.case == case
+        assert_psi_matches_trees(result)
+
+
+# -- deep loop nesting -------------------------------------------------------
+
+
+def ladder(depth):
+    """v_i -a-> v_(i+1) and v_(i+1) -b-> v_i: a USP graph whose loops nest
+    depth deep, with the target v_depth at the end of the spine."""
+    edges = []
+    for i in range(depth):
+        edges.append((i, "a", i + 1))
+        edges.append((i + 1, "b", i))
+    names = [f"v{i}" for i in range(depth + 1)]
+    return RootedGraph(range(depth + 1), names, edges, 0, ["a", "b"])
+
+
+def ladder_psi(depth, point):
+    """The path sum to v_depth at a point: a^depth times S_0 ... S_(depth-1),
+    where S_i = 1/(1 - a S_(i+1) b) and v_depth, with no loops, gives 1."""
+    a, b = point["a"], point["b"]
+    s = product = Fraction(1)
+    for _ in range(depth):
+        s = 1 / (1 - a * s * b)
+        product *= s
+    return product * a**depth
+
+
+def test_loop_stars_need_no_recursion():
+    g = ladder(2000)
+    unique = simple_path_edges(g)
+    psi = path_sum(g, loop_stars(g, unique), unique[2000])
+    point = {"a": Fraction(1, 3), "b": Fraction(1, 2)}
+    assert psi.evaluate(point) == ladder_psi(2000, point)
+
+
+def test_loop_stars_print_as_the_tree_when_deep():
+    # loops nest 300 deep at the root; the trees to v_0, v_1 and v_2 hold
+    # about 300 copies per spine vertex
+    g = ladder(300)
+    unique = simple_path_edges(g)
+    stars = loop_stars(g, unique)
+    for target in (0, 1, 2):
+        psi = path_sum(g, stars, unique[target])
+        assert prints(psi) == prints(reference_psi(g, target)), target
+
+
+def test_deep_trees_raise_cap_exceeded_naming_the_stage():
+    g = ladder(2000)
+    with pytest.raises(CapExceeded, match="^pict: "):
+        pict(g, simple_path_edges(g)[1], verify_usp=False)
+    g = ladder(900)
+    lg = pict(g, simple_path_edges(g)[1], verify_usp=False)
+    with pytest.raises(CapExceeded, match="^algorithm2: "):
+        algorithm2(algorithm1(lg))
+
+
+# -- the two slowest analyze chains of the benchmark corpus -----------------
+
+# sha256 (first 16 hex digits) of the per_vertex, per_element and
+# residual_mass prints, recorded before path sums came from loop stars.
+PINNED_PRINTS = {
+    "pinned2.json": "034761a94a71b387",
+    "grid4x3_3.json": "c48dc9ecef74217b",
+}
+
+
+def prints_digest(result):
+    text = json.dumps(
+        {
+            "per_vertex": {
+                n: prints(rf) for n, rf in sorted(result.per_vertex.items())
+            },
+            "per_element": {
+                n: prints(rf) for n, rf in sorted(result.per_element.items())
+            },
+            "residual_mass": prints(result.residual_mass),
+        },
+        ensure_ascii=False,
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PRINTS))
+def test_slow_corpus_chains_keep_their_prints(name):
+    # pinned2: analyze item pinned-2, [(3,1,0,3),(1,3,2,1),(0,3,2,2)];
+    # grid4x3_3: analyze item grid-4x3-3, [(2,0,0,1),(3,1,2,2),(2,3,0,0)]
+    report = full_report(load_chain_file(str(CHAINS / name)).spec, points=3, seed=1)
+    assert report.normalization
+    assert [rec["outcome"] for rec in report.verification] == ["pass"] * 3
+    assert prints_digest(report.result) == PINNED_PRINTS[name]
+
+
+# -- loop graphs and expressions are built only when read -------------------
+
+
+@pytest.fixture
+def tree_calls(monkeypatch):
+    """Calls of the tree builders, counted wherever the package calls them."""
+    calls = {"pict": 0, "algorithm1": 0, "algorithm2": 0, "kleene_to_rf": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        fn = getattr(loopkleene, name)
+        monkeypatch.setattr(loopkleene, name, counted(name, fn))
+        if hasattr(pipeline, name):
+            monkeypatch.setattr(pipeline, name, counted(name, fn))
+    return calls
+
+
+def test_full_report_builds_no_tree(tree_calls):
+    chain = load_chain_file(bundled_path("d2c.json"))
+    full_report(chain.spec, points=1, seed=1)
+    assert set(tree_calls.values()) == {0}
+
+
+def test_trees_are_built_once_when_read(tree_calls):
+    chain = load_chain_file(bundled_path("d2.json"))
+    report = full_report(chain.spec, points=1, seed=1)
+    terminals = len(report.result.terminals)
+    first = report_dict(report)
+    assert tree_calls["pict"] == tree_calls["algorithm2"] == terminals
+    assert verify_language_and_series(report.result, 4) == terminals
+    assert report_dict(report) == first
+    assert tree_calls["pict"] == tree_calls["algorithm2"] == terminals
+    assert tree_calls["kleene_to_rf"] == 0
+
+
+def test_max_loop_bounds_only_the_trees():
+    chain = load_chain_file(bundled_path("d2.json"))
+    report = full_report(chain.spec, points=1, seed=1, max_loop=1)
+    assert report.normalization
+    with pytest.raises(CapExceeded, match="vertex cap"):
+        report_dict(report)
