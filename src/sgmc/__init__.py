@@ -18,7 +18,6 @@ from .loopkleene import (
     algorithm2,
     kleene_enumerate,
     kleene_to_rf,
-    paths_bijection_check,
     pict,
     zimin_unionless,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "algorithm2",
     "kleene_enumerate",
     "kleene_to_rf",
-    "paths_bijection_check",
     "pict",
     "zimin_unionless",
     "ChainGenerator",

@@ -12,11 +12,10 @@ path into that shape.  The key facts the construction relies on:
   vertex itself gets none inside the copy (its own loops are siblings).
 
 With that shape, the label words of paths root -> end-of-spine in the source
-graph and in the loop graph agree as multisets (checked independently by
-``paths_bijection_check``), and a Kleene expression for the loop graph's
-path language falls out of a single spine walk: emit each spine label, then
-a starred union over the loops hanging at the vertex just entered; loops are
-expanded recursively the same way.
+graph and in the loop graph agree as multisets, and a Kleene expression for
+the loop graph's path language falls out of a single spine walk: emit each
+spine label, then a starred union over the loops hanging at the vertex just
+entered; loops are expanded recursively the same way.
 
 A copy of v carries the loops of v and nothing else, so the starred union
 hung at it depends only on v.  ``loop_stars`` builds its rational function
@@ -25,6 +24,12 @@ S(root) x_e1 S(v1) ..., in the order ``kleene_to_rf`` multiplies the
 expanded tree, so no tree is needed for the rational functions.  The
 recursive tree walks raise CapExceeded, naming the stage, when the nesting
 outruns Python's recursion limit.
+
+The enumeration oracles check those multisets up to a length:
+``enumerate_path_words`` walks a graph's walks from the root, skipping every
+step after which no target is reachable in the length left, and one such
+walk serves all the targets of a graph; ``kleene_enumerate`` enumerates an
+expression's words one length at a time, once per distinct subtree.
 """
 
 from __future__ import annotations
@@ -416,64 +421,96 @@ def kleene_to_rf(expr: Kleene, variables: dict = None) -> RationalFunction:
 # -- enumeration oracles ----------------------------------------------------
 
 
-def _by_length(words: Counter, maxlen: int):
-    buckets = {}
-    for w, c in words.items():
-        if len(w) <= maxlen:
-            buckets.setdefault(len(w), []).append((w, c))
-    return buckets
+def _joined(a: dict, b: dict) -> dict:
+    """u + v with count cu * cv for every u in a and v in b.  The words of a
+    are all of one length, so no two pairs give the same word."""
+    b_items = b.items()
+    return {u + v: cu * cv for u, cu in a.items() for v, cv in b_items}
 
 
-def _combine(a: Counter, b: Counter, maxlen: int) -> Counter:
-    # pair only length buckets that can fit inside maxlen
-    out = Counter()
-    buckets_a = _by_length(a, maxlen)
-    buckets_b = _by_length(b, maxlen)
-    for la, words_a in buckets_a.items():
-        for lb, words_b in buckets_b.items():
-            if la + lb > maxlen:
-                continue
-            for u, cu in words_a:
-                for v, cv in words_b:
-                    out[u + v] += cu * cv
+def _add(bucket: Counter, words: dict):
+    """Add the counts of words to bucket, by a plain dict update when no word
+    is in both (always, unless the expression is ambiguous)."""
+    if bucket.keys().isdisjoint(words):
+        dict.update(bucket, words)
+    else:
+        bucket.update(words)
+
+
+def _concat(a: list, b: list, maxlen: int) -> list:
+    """Length buckets of the words u + v, u from the buckets a and v from b,
+    pairing only lengths that fit inside maxlen."""
+    out = [Counter() for _ in range(maxlen + 1)]
+    for la, words_a in enumerate(a):
+        if words_a:
+            for lb in range(maxlen + 1 - la):
+                _add(out[la + lb], _joined(words_a, b[lb]))
+    return out
+
+
+def _check_cap(buckets: list, cap: int):
+    if sum(map(len, buckets)) > cap:
+        raise CapExceeded(f"more than {cap} words enumerated")
+
+
+def _buckets(node: Kleene, maxlen: int, cap: int, memo: dict) -> list:
+    """The words of node up to maxlen, with multiplicity: one Counter per
+    length 0..maxlen.
+
+    memo maps each node met in one enumeration to its buckets, so equal
+    subtrees (algorithm2 expands the same loops many times) are enumerated
+    once.  A stored list is shared by every occurrence of its node, so no
+    list or Counter is changed after it is stored.
+    """
+    hit = memo.get(node)
+    if hit is not None:
+        return hit
+    if isinstance(node, Epsilon):
+        out = [Counter({(): 1})] + [Counter() for _ in range(maxlen)]
+    elif isinstance(node, Letter):
+        out = [Counter() for _ in range(maxlen + 1)]
+        if maxlen >= 1:
+            out[1][(node.label,)] = 1
+    elif isinstance(node, Concat):
+        out = None
+        for p in node.parts:
+            words = _buckets(p, maxlen, cap, memo)
+            out = words if out is None else _concat(out, words, maxlen)
+            _check_cap(out, cap)
+            if not any(out):
+                break
+    elif isinstance(node, Union):
+        out = [Counter() for _ in range(maxlen + 1)]
+        for p in node.parts:
+            for bucket, words in zip(out, _buckets(p, maxlen, cap, memo)):
+                _add(bucket, words)
+        _check_cap(out, cap)
+    elif isinstance(node, Star):
+        base = _buckets(node.inner, maxlen, cap, memo)
+        if base[0]:
+            raise StarOfUnit("empty word under a star makes enumeration diverge")
+        # a word of length n of the star is a word of length k >= 1 of the
+        # body followed by a word of length n - k of the star
+        out = [Counter({(): 1})]
+        for n in range(1, maxlen + 1):
+            bucket = Counter()
+            for k in range(1, n + 1):
+                _add(bucket, _joined(base[k], out[n - k]))
+            out.append(bucket)
+            _check_cap(out, cap)
+    else:
+        raise TypeError(f"cannot enumerate {node!r}; expand placeholders first")
+    memo[node] = out
     return out
 
 
 def _enumerate(node: Kleene, maxlen: int, cap: int) -> Counter:
-    if isinstance(node, Epsilon):
-        return Counter({(): 1})
-    if isinstance(node, Letter):
-        return Counter({(node.label,): 1}) if maxlen >= 1 else Counter()
-    if isinstance(node, Concat):
-        out = Counter({(): 1})
-        for p in node.parts:
-            out = _combine(out, _enumerate(p, maxlen, cap), maxlen)
-            if len(out) > cap:
-                raise CapExceeded(f"more than {cap} words enumerated")
-            if not out:
-                break
-        return out
-    if isinstance(node, Union):
-        out = Counter()
-        for p in node.parts:
-            out += _enumerate(p, maxlen, cap)
-        if len(out) > cap:
-            raise CapExceeded(f"more than {cap} words enumerated")
-        return out
-    if isinstance(node, Star):
-        base = _enumerate(node.inner, maxlen, cap)
-        if () in base:
-            raise StarOfUnit("empty word under a star makes enumeration diverge")
-        total = Counter({(): 1})
-        frontier = Counter({(): 1})
-        while True:
-            frontier = _combine(frontier, base, maxlen)
-            if not frontier:
-                return total
-            total += frontier
-            if len(total) > cap:
-                raise CapExceeded(f"more than {cap} words enumerated")
-    raise TypeError(f"cannot enumerate {node!r}; expand placeholders first")
+    """The words of node up to maxlen, each counted once per way the
+    expression produces it."""
+    words = Counter()
+    for bucket in _buckets(node, maxlen, cap, {}):
+        _add(words, bucket)
+    return words
 
 
 @nesting_cap("kleene_enumerate")
@@ -490,11 +527,44 @@ def kleene_enumerate(
     return words
 
 
-def enumerate_path_words(
-    g: RootedGraph, target: int, maxlen: int, cap: int = DEFAULT_MAX_PATHS
-) -> Counter:
-    """Label words (with multiplicity) of all length <= maxlen walks root -> target."""
-    words = Counter()
+def _distances_to(g: RootedGraph, targets, maxlen: int) -> list:
+    """Length of a shortest walk from each vertex to a target, by a reverse
+    breadth-first search that stops at maxlen; None where it is longer."""
+    dist = [None] * g.n_vertices()
+    frontier = list(targets)
+    for t in frontier:
+        dist[t] = 0
+    for d in range(1, maxlen + 1):
+        reached = []
+        for v in frontier:
+            for eid in g.in_edges(v):
+                src = g.edges[eid][0]
+                if dist[src] is None:
+                    dist[src] = d
+                    reached.append(src)
+        if not reached:
+            break
+        frontier = reached
+    return dist
+
+
+def _walk_words(g: RootedGraph, targets, maxlen: int, cap: int) -> dict:
+    """Label words (with multiplicity) of all length <= maxlen walks from the
+    root to each target, by one depth-first walk: target -> Counter.
+
+    A step is taken only if some target can still be reached in the length
+    left after it, so every partial walk visited is a prefix of a counted
+    one, and no more are visited than by the walk over all length <= maxlen
+    walks; more than cap visits raise CapExceeded.
+    """
+    words = {t: Counter() for t in targets}
+    dist = _distances_to(g, words, maxlen)
+    if dist[g.root] is None:
+        return words
+    steps = [
+        [(g.edges[eid][1], g.edges[eid][2]) for eid in reversed(g.out_edges(v))]
+        for v in range(g.n_vertices())
+    ]
     visited = 0
     stack = [(g.root, ())]
     while stack:
@@ -502,28 +572,18 @@ def enumerate_path_words(
         visited += 1
         if visited > cap:
             raise CapExceeded(f"more than {cap} partial paths enumerated")
-        if v == target:
-            words[word] += 1
-        if len(word) == maxlen:
-            continue
-        for eid in reversed(g.out_edges(v)):
-            src, label, dst = g.edges[eid]
-            stack.append((dst, word + (label,)))
+        if v in words:
+            words[v][word] += 1
+        left = maxlen - len(word) - 1
+        for label, dst in steps[v]:
+            d = dist[dst]
+            if d is not None and d <= left:
+                stack.append((dst, word + (label,)))
     return words
 
 
-def paths_bijection_check(
-    g: RootedGraph,
-    path_edges,
-    lg: LoopGraph,
-    maxlen: int,
-    cap: int = DEFAULT_MAX_PATHS,
-) -> bool:
-    """Compare path-word multisets of the source graph and the loop graph."""
-    target = g.root
-    for eid in path_edges:
-        target = g.edges[eid][2]
-    flat, end = flatten(lg)
-    return enumerate_path_words(g, target, maxlen, cap) == enumerate_path_words(
-        flat, end, maxlen, cap
-    )
+def enumerate_path_words(
+    g: RootedGraph, target: int, maxlen: int, cap: int = DEFAULT_MAX_PATHS
+) -> Counter:
+    """Label words (with multiplicity) of all length <= maxlen walks root -> target."""
+    return _walk_words(g, (target,), maxlen, cap)[target]

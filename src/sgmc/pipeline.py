@@ -54,6 +54,7 @@ from .expansions import (
     word_name,
 )
 from .loopkleene import (
+    _walk_words,
     algorithm1,
     algorithm2,
     enumerate_path_words,
@@ -316,10 +317,12 @@ def verify_language_and_series(
 ) -> int:
     """Per-terminal consistency: Mc paths = loop-graph paths = Kleene words,
     and series coefficients count words by length.  Returns checks performed."""
-    mc = result.mc
+    mc_words_at = _walk_words(
+        result.mc, [t.vertex for t in result.terminals], maxlen, cap
+    )
     checks = 0
     for t in result.terminals:
-        mc_words = enumerate_path_words(mc, t.vertex, maxlen, cap)
+        mc_words = mc_words_at.pop(t.vertex)
         flat, end = flatten(t.loop_graph)
         lg_words = enumerate_path_words(flat, end, maxlen, cap)
         expr_words = kleene_enumerate(t.expression, maxlen, cap)

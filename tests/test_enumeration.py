@@ -1,0 +1,320 @@
+"""The enumeration oracles against the simple versions they replaced.
+
+``unpruned_path_words`` walks every walk of length <= maxlen from the root
+once per target; ``concatenated_words`` enumerates an expression by
+concatenating whole word Counters, with no length buckets and no memo.
+Both are kept here as references: the pruned, bucketed walk and the
+memoised, length-bucketed Kleene enumeration must give the same Counters,
+raise the same errors, and hit their caps no earlier.
+"""
+
+import copy
+import random
+from collections import Counter
+
+import pytest
+
+from sgmc.cli import bundled_path, load_chain_file
+from sgmc.errors import AmbiguousExpression, CapExceeded, StarOfUnit
+from sgmc.expansions import RootedGraph, check_usp
+from sgmc.loopkleene import (
+    Concat,
+    Epsilon,
+    Letter,
+    Star,
+    Union,
+    _enumerate,
+    _walk_words,
+    enumerate_path_words,
+    flatten,
+    kleene_enumerate,
+)
+from sgmc.pipeline import build_semigroup, stationary
+
+BUNDLED = ("d2", "d2c", "d2box", "example210")
+
+
+# -- references ---------------------------------------------------------------
+
+
+def unpruned_path_words(g, target, maxlen, cap=10**6):
+    """Every walk of length <= maxlen from the root, counted where it ends at
+    target; returns (words, partial walks visited)."""
+    words = Counter()
+    visited = 0
+    stack = [(g.root, ())]
+    while stack:
+        v, word = stack.pop()
+        visited += 1
+        if visited > cap:
+            raise CapExceeded(f"more than {cap} partial paths enumerated")
+        if v == target:
+            words[word] += 1
+        if len(word) == maxlen:
+            continue
+        for eid in reversed(g.out_edges(v)):
+            _, label, dst = g.edges[eid]
+            stack.append((dst, word + (label,)))
+    return words, visited
+
+
+def _combine(a, b, maxlen):
+    out = Counter()
+    for u, cu in a.items():
+        for v, cv in b.items():
+            if len(u) + len(v) <= maxlen:
+                out[u + v] += cu * cv
+    return out
+
+
+def concatenated_words(node, maxlen, cap=10**6):
+    """Words of an expression with multiplicity, by whole-Counter
+    concatenation: a star adds body^1, body^2, ... until nothing fits."""
+    if isinstance(node, Epsilon):
+        return Counter({(): 1})
+    if isinstance(node, Letter):
+        return Counter({(node.label,): 1}) if maxlen >= 1 else Counter()
+    if isinstance(node, Concat):
+        out = Counter({(): 1})
+        for p in node.parts:
+            out = _combine(out, concatenated_words(p, maxlen, cap), maxlen)
+            if len(out) > cap:
+                raise CapExceeded(f"more than {cap} words enumerated")
+            if not out:
+                break
+        return out
+    if isinstance(node, Union):
+        out = Counter()
+        for p in node.parts:
+            out += concatenated_words(p, maxlen, cap)
+        if len(out) > cap:
+            raise CapExceeded(f"more than {cap} words enumerated")
+        return out
+    if isinstance(node, Star):
+        base = concatenated_words(node.inner, maxlen, cap)
+        if () in base:
+            raise StarOfUnit("empty word under a star")
+        total = Counter({(): 1})
+        frontier = Counter({(): 1})
+        while True:
+            frontier = _combine(frontier, base, maxlen)
+            if not frontier:
+                return total
+            total += frontier
+            if len(total) > cap:
+                raise CapExceeded(f"more than {cap} words enumerated")
+    raise TypeError(node)
+
+
+def outcome(enumerate_words, expr, maxlen, cap=10**6):
+    """The Counter, or the type of the error raised."""
+    try:
+        return enumerate_words(expr, maxlen, cap)
+    except (CapExceeded, StarOfUnit) as exc:
+        return type(exc)
+
+
+# -- random inputs --------------------------------------------------------------
+
+
+def random_usp_graph(rnd, n):
+    """A random tree from the root plus edges from a vertex back to a vertex
+    on its tree path (itself included), so every simple path is unique;
+    labels repeat, so words can have multiplicity."""
+    parent = [None] + [rnd.randrange(v) for v in range(1, n)]
+    edges = [(parent[v], rnd.choice("ab"), v) for v in range(1, n)]
+    for _ in range(rnd.randint(1, n)):
+        src = rnd.randrange(n)
+        ancestors = [src]
+        while parent[ancestors[-1]] is not None:
+            ancestors.append(parent[ancestors[-1]])
+        edges.append((src, rnd.choice("abc"), rnd.choice(ancestors)))
+    rnd.shuffle(edges)
+    return RootedGraph(range(n), [f"v{v}" for v in range(n)], edges, 0, ["a", "b", "c"])
+
+
+def random_graph(rnd, n):
+    """Any multigraph, some vertices unreachable from the root."""
+    edges = [
+        (rnd.randrange(n), rnd.choice("ab"), rnd.randrange(n))
+        for _ in range(rnd.randint(n, 2 * n))
+    ]
+    return RootedGraph(range(n), [f"v{v}" for v in range(n)], edges, 0, ["a", "b"])
+
+
+def random_expression(rnd, depth, pool):
+    """Letters, ε, concatenations, unions and stars; a third of the inner
+    nodes repeat an earlier subtree, as the same object or as an equal copy,
+    so the memo is hit.  Ambiguous and nullable star bodies occur."""
+    if depth == 0 or rnd.random() < 0.15:
+        return Epsilon() if rnd.random() < 0.1 else Letter(rnd.choice("ab"))
+    if pool and rnd.random() < 0.33:
+        shared = rnd.choice(pool)
+        return shared if rnd.random() < 0.5 else copy.deepcopy(shared)
+    kind = rnd.randrange(3)
+    if kind == 2:
+        node = Star(random_expression(rnd, depth - 1, pool))
+    else:
+        parts = tuple(
+            random_expression(rnd, depth - 1, pool) for _ in range(rnd.randint(2, 3))
+        )
+        node = Concat(parts) if kind == 0 else Union(parts)
+    pool.append(node)
+    return node
+
+
+def bundled_result(name):
+    chain = load_chain_file(bundled_path(f"{name}.json"))
+    return stationary(build_semigroup(chain.spec), box_label=chain.box_label or "□")
+
+
+@pytest.fixture(scope="module", params=BUNDLED)
+def bundled(request):
+    return bundled_result(request.param)
+
+
+# -- the Mc walk ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("usp", [True, False], ids=["usp", "any"])
+def test_walk_matches_unpruned_walk_on_random_graphs(usp):
+    rnd = random.Random(41 if usp else 43)
+    for _ in range(40):
+        n = rnd.randint(2, 9)
+        g = random_usp_graph(rnd, n) if usp else random_graph(rnd, n)
+        if usp:
+            assert check_usp(g)
+        maxlen = rnd.randint(0, 8)
+        targets = rnd.sample(range(n), rnd.randint(1, n))
+        together = _walk_words(g, targets, maxlen, 10**6)
+        assert set(together) == set(targets)
+        for t in range(n):
+            reference, visited = unpruned_path_words(g, t, maxlen)
+            assert enumerate_path_words(g, t, maxlen) == reference
+            if t in together:
+                assert together[t] == reference
+            # the pruned walk visits no more partial walks than the
+            # unpruned one (the same for every target), so the same cap
+            # never fires earlier
+            enumerate_path_words(g, t, maxlen, cap=visited)
+        _walk_words(g, targets, maxlen, visited)
+
+
+def test_walk_matches_unpruned_walk_on_bundled_terminals(bundled):
+    maxlen = 7
+    mc = bundled.mc
+    together = _walk_words(mc, [t.vertex for t in bundled.terminals], maxlen, 10**6)
+    assert len(together) == len(bundled.terminals)
+    for t in bundled.terminals:
+        reference, _ = unpruned_path_words(mc, t.vertex, maxlen)
+        assert reference, t.name
+        assert together[t.vertex] == reference, t.name
+        assert enumerate_path_words(mc, t.vertex, maxlen) == reference, t.name
+        flat, end = flatten(t.loop_graph)
+        assert enumerate_path_words(flat, end, maxlen) == reference, t.name
+
+
+def test_unreachable_target_gives_no_words():
+    # r -a-> u, u -b-> r; w has only an edge out
+    g = RootedGraph(
+        range(3), ["r", "u", "w"], [(0, "a", 1), (1, "b", 0), (2, "a", 0)], 0, ["a", "b"]
+    )
+    assert enumerate_path_words(g, 2, 10) == Counter()
+    words = _walk_words(g, [1, 2], 10, 10**6)
+    assert words[2] == Counter()
+    assert words[1] == unpruned_path_words(g, 1, 10)[0]
+
+
+def test_maxlen_zero_gives_the_empty_word_at_the_root_only():
+    g = RootedGraph(
+        range(2), ["r", "u"], [(0, "a", 0), (0, "a", 1), (1, "b", 0)], 0, ["a", "b"]
+    )
+    assert enumerate_path_words(g, 0, 0) == Counter({(): 1})
+    assert enumerate_path_words(g, 1, 0) == Counter()
+    assert _walk_words(g, [0, 1], 0, 10**6) == {0: Counter({(): 1}), 1: Counter()}
+
+
+def test_walk_cap():
+    # two letters on a self loop: 2^k walks of length k
+    g = RootedGraph(range(1), ["r"], [(0, "a", 0), (0, "b", 0)], 0, ["a", "b"])
+    reference, visited = unpruned_path_words(g, 0, 6)
+    assert enumerate_path_words(g, 0, 6, cap=visited) == reference
+    with pytest.raises(CapExceeded):
+        enumerate_path_words(g, 0, 6, cap=visited - 1)
+    with pytest.raises(CapExceeded):
+        _walk_words(g, [0], 6, 3)
+
+
+# -- the Kleene enumeration -------------------------------------------------------
+
+
+def test_kleene_enumeration_matches_concatenation_on_random_expressions():
+    rnd = random.Random(47)
+    seen = Counter()
+    for _ in range(300):
+        expr = random_expression(rnd, rnd.randint(1, 4), [])
+        maxlen = rnd.randint(0, 7)
+        reference = outcome(concatenated_words, expr, maxlen)
+        assert outcome(_enumerate, expr, maxlen) == reference, str(expr)
+        if not isinstance(reference, Counter):
+            seen[reference.__name__] += 1
+            with pytest.raises(reference):
+                kleene_enumerate(expr, maxlen)
+        elif any(c > 1 for c in reference.values()):
+            seen["ambiguous"] += 1
+            with pytest.raises(AmbiguousExpression):
+                kleene_enumerate(expr, maxlen)
+        else:
+            seen["unambiguous"] += 1
+            assert kleene_enumerate(expr, maxlen) == reference, str(expr)
+    # every kind of outcome is exercised
+    assert seen["StarOfUnit"] and seen["ambiguous"] and seen["unambiguous"] > 50
+
+
+def test_kleene_cap_fires_at_the_same_sizes():
+    rnd = random.Random(53)
+    checked = 0
+    while checked < 40:
+        expr = random_expression(rnd, 3, [])
+        reference = outcome(concatenated_words, expr, 6)
+        if not isinstance(reference, Counter):
+            continue
+        for cap in range(len(reference) + 2):
+            assert outcome(_enumerate, expr, 6, cap) == outcome(
+                concatenated_words, expr, 6, cap
+            ), (str(expr), cap)
+        checked += 1
+
+
+def test_kleene_enumeration_matches_concatenation_on_bundled_terminals(bundled):
+    for t in bundled.terminals:
+        reference = concatenated_words(t.expression, 7)
+        assert kleene_enumerate(t.expression, 7) == reference, t.name
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        Star(Letter("a")),
+        Union((Epsilon(), Letter("a"))),
+        Concat((Star(Letter("a")), Star(Letter("b")))),
+        Epsilon(),
+    ],
+    ids=str,
+)
+def test_nullable_star_body_is_rejected(body):
+    with pytest.raises(StarOfUnit):
+        kleene_enumerate(Concat((Letter("a"), Star(body))), 3)
+
+
+def test_kleene_cap():
+    expr = Star(Union((Letter("a"), Letter("b"))))
+    assert len(kleene_enumerate(expr, 6, cap=127)) == 127
+    with pytest.raises(CapExceeded):
+        kleene_enumerate(expr, 6, cap=126)
+
+
+def test_kleene_maxlen_zero():
+    expr = Concat((Star(Letter("a")), Star(Letter("b"))))
+    assert kleene_enumerate(expr, 0) == Counter({(): 1})
+    assert kleene_enumerate(Letter("a"), 0) == Counter()

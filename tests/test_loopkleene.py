@@ -19,7 +19,6 @@ from sgmc.loopkleene import (
     flatten,
     kleene_enumerate,
     kleene_to_rf,
-    paths_bijection_check,
     pict,
     zimin_unionless,
 )
@@ -79,7 +78,9 @@ class TestPict:
         lg = pict(g, [0, 1, 2])
         assert lg.spine_labels == ["a", "b", "c"]
         assert all(not v.loops for v in lg.spine)
-        assert paths_bijection_check(g, [0, 1, 2], lg, maxlen=10)
+        assert enumerate_path_words(g, 3, 10) == enumerate_path_words(
+            *flatten(lg), 10
+        )
 
     def test_two_state_terminal_loop(self, two_state_mc):
         mc = two_state_mc
@@ -158,13 +159,17 @@ class TestPict:
         mc = two_state_mc
         target = vertex_by_name(mc, "32")
         path = simple_path_edges(mc)[target]
-        assert paths_bijection_check(mc, path, pict(mc, path), maxlen=12)
+        assert enumerate_path_words(mc, target, 12) == enumerate_path_words(
+            *flatten(pict(mc, path)), 12
+        )
 
         mc = d2_boxed_mc
         target = vertex_by_name(mc, "ab□")
         path = simple_path_edges(mc)[target]
         lg = pict(mc, path, verify_usp=False)
-        assert paths_bijection_check(mc, path, lg, maxlen=10)
+        assert enumerate_path_words(mc, target, 10) == enumerate_path_words(
+            *flatten(lg), 10
+        )
 
 
 class TestAlgorithms:
