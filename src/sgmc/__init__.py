@@ -19,7 +19,6 @@ from .loopkleene import (
     kleene_enumerate,
     kleene_to_rf,
     pict,
-    zimin_unionless,
 )
 from .markov import (
     ChainGenerator,
@@ -67,7 +66,6 @@ __all__ = [
     "kleene_enumerate",
     "kleene_to_rf",
     "pict",
-    "zimin_unionless",
     "ChainGenerator",
     "MarkovChainSpec",
     "ergodicity",

@@ -52,6 +52,7 @@ class RootedGraph:
         self._out = None
         self._in = None
         self._simple_paths = None
+        self._loop_vertices = None    # kept by loopkleene.pict
 
     def n_vertices(self):
         return len(self.payloads)
@@ -215,75 +216,56 @@ def mc_expand(kr: RootedGraph, max_vertices: int = DEFAULT_MAX_MC):
     preorder with labels in alphabet order.  Requires kr to be
     label-deterministic (true for every Karnofsky-Rhodes expansion).
     """
-    succ = {}
+    targets = [{} for _ in range(kr.n_vertices())]
     for src, label, dst in kr.edges:
-        if (src, label) in succ and succ[(src, label)] != dst:
+        if targets[src].setdefault(label, dst) != dst:
             raise NotUsp("McCammond input must be label-deterministic")
-        succ[(src, label)] = dst
+    # kr vertex -> its (label, target) pairs in alphabet order
+    succ = [
+        [(label, out[label]) for label in kr.alphabet if label in out]
+        for out in targets
+    ]
 
-    parent = [None]       # mc vertex -> (parent id, label)
+    words = [()]          # mc vertex -> labels of its simple path
     endpoint = [kr.root]  # mc vertex -> kr vertex
-    depth = [0]
-    child = {}            # (mc vertex, label) -> child mc vertex
+    # mc vertex -> (label, target mc vertex, is a tree edge), in label order;
+    # a target is either fresh, giving a child, or on the path, giving a
+    # back edge, so every kr edge out of the endpoint is one of the two
+    steps = [[]]
     # iterative DFS over simple paths; on_path maps kr vertex -> mc vertex
     on_path = {kr.root: 0}
-    stack = [(0, iter(kr.alphabet))]
+    stack = [(0, iter(succ[kr.root]))]
     while stack:
-        vid, labels = stack[-1]
+        vid, pairs = stack[-1]
         advanced = False
-        for label in labels:
-            target = succ.get((endpoint[vid], label))
-            if target is None or target in on_path:
+        for label, target in pairs:
+            back = on_path.get(target)
+            if back is not None:
+                steps[vid].append((label, back, False))
                 continue
-            if len(parent) >= max_vertices:
+            if len(words) >= max_vertices:
                 raise CapExceeded(f"Mc expansion exceeds {max_vertices} vertices")
-            nid = len(parent)
-            parent.append((vid, label))
+            nid = len(words)
+            words.append(words[vid] + (label,))
             endpoint.append(target)
-            depth.append(depth[vid] + 1)
-            child[(vid, label)] = nid
+            steps.append([])
+            steps[vid].append((label, nid, True))
             on_path[target] = nid
-            stack.append((nid, iter(kr.alphabet)))
+            stack.append((nid, iter(succ[target])))
             advanced = True
             break
         if not advanced:
             del on_path[endpoint[vid]]
             stack.pop()
 
-    def word_of(vid):
-        out = []
-        while parent[vid] is not None:
-            vid, label = parent[vid]
-            out.append(label)
-        return tuple(reversed(out))
-
-    words = [word_of(v) for v in range(len(parent))]
-    payloads = [McVertex(words[v], endpoint[v]) for v in range(len(parent))]
+    payloads = [McVertex(word, kr_vertex) for word, kr_vertex in zip(words, endpoint)]
     edges = []
     tree = set()
-    for vid in range(len(parent)):
-        ancestors = None
-        for label in kr.alphabet:
-            target = succ.get((endpoint[vid], label))
-            if target is None:
-                continue
-            nid = child.get((vid, label))
-            if nid is not None:
+    for vid, out in enumerate(steps):
+        for label, dst, is_tree in out:
+            if is_tree:
                 tree.add(len(edges))
-                edges.append((vid, label, nid))
-                continue
-            if ancestors is None:
-                ancestors = {}
-                walk = vid
-                while walk is not None:
-                    ancestors[endpoint[walk]] = walk
-                    walk = parent[walk][0] if parent[walk] else None
-            back = ancestors.get(target)
-            if back is None:
-                raise NotUsp(
-                    f"edge target {target} is neither fresh nor on the path"
-                )
-            edges.append((vid, label, back))
+            edges.append((vid, label, dst))
     names = [word_name(w) for w in words]
     graph = RootedGraph(payloads, names, edges, 0, kr.alphabet)
     return graph, tree

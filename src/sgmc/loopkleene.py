@@ -25,11 +25,20 @@ expanded tree, so no tree is needed for the rational functions.  The
 recursive tree walks raise CapExceeded, naming the stage, when the nesting
 outruns Python's recursion limit.
 
+For the same reason loop graphs and expressions are DAGs owned by their
+graph: ``pict`` keeps one LoopVertex per vertex on the graph, and every copy
+of v in every loop graph of that graph is that object; ``algorithm2`` keeps
+each loop's expansion and each vertex's starred union on the loops, and
+Letters are interned.  Their size is linear in the graph's, their prints
+are those of the unfolded trees, and callers must not change them.  A print
+renders each shared node once (``kleene_texts`` for several expressions).
+
 The enumeration oracles check those multisets up to a length:
 ``enumerate_path_words`` walks a graph's walks from the root, skipping every
 step after which no target is reachable in the length left, and one such
 walk serves all the targets of a graph; ``kleene_enumerate`` enumerates an
-expression's words one length at a time, once per distinct subtree.
+expression's words one length at a time, once per distinct subtree, and a
+deep star with few words keeps them for the next call.
 """
 
 from __future__ import annotations
@@ -37,6 +46,8 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import repeat
 
 from .algebra import RationalFunction
 from .errors import (
@@ -80,6 +91,10 @@ class Loop:
 
     labels: list
     inner: list
+    # built by algorithm2 on first use: the loop's expression, and, on the
+    # first loop of a vertex, (the vertex's loops, their starred union)
+    _expansion: object = field(default=None, init=False, repr=False, compare=False)
+    _star: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def size(self):
         return len(self.labels)
@@ -104,9 +119,13 @@ def pict(
 ) -> LoopGraph:
     """Unfold a USP graph along a simple path into a loop graph.
 
-    The unfolding duplicates subtrees and can grow exponentially in the size
-    of the input graph; max_vertices bounds the number of loop-vertex copies
-    (CapExceeded beyond it).
+    A copy of an Mc vertex carries the loops of that vertex and nothing else,
+    so each Mc vertex has one LoopVertex, built on first use and kept on the
+    graph; the spine and every inner copy are those shared objects, and the
+    loop graph is a DAG whose size is linear in the graph's.  Callers must not
+    change it.  The unfolding it stands for can grow exponentially in the
+    size of the input graph; max_vertices bounds the number of loop-vertex
+    copies in it (CapExceeded beyond it).
     """
     if verify_usp and not check_usp(g, max_paths):
         raise NotUsp("pict requires the unique simple path property")
@@ -117,13 +136,15 @@ def pict(
         raise PathNotInGraph(
             f"given path to {g.names[end]} is not its unique simple path"
         )
+    if g._loop_vertices is None:
+        g._loop_vertices = ([None] * g.n_vertices(), [0] * g.n_vertices())
     spine_vertices = [g.root] + [g.edges[e][2] for e in path_edges]
-    spine = [LoopVertex(g.names[sv]) for sv in spine_vertices]
-    lg = LoopGraph([g.edges[e][1] for e in path_edges], spine)
-    budget = [max_vertices - len(spine)]
-    for lvertex, sv in zip(spine, spine_vertices):
-        _attach_loops(g, unique, lvertex, sv, budget)
-    return lg
+    spine = [_loop_vertex(g, unique, sv) for sv in spine_vertices]
+    copies = g._loop_vertices[1]
+    # the spine counts against the cap too, but with no copy nothing is over
+    if sum(copies[sv] for sv in spine_vertices) > max(max_vertices - len(spine), 0):
+        raise CapExceeded("loop graph exceeds the vertex cap")
+    return LoopGraph([g.edges[e][1] for e in path_edges], spine)
 
 
 def _loops(g, unique, v):
@@ -142,21 +163,31 @@ def _loops(g, unique, v):
         yield unique[src][len(base):], closing_label
 
 
-def _attach_loops(g, unique, lvertex, v, budget):
+def _loop_vertex(g, unique, v):
+    """The LoopVertex of v, built once per graph, with copies(v) kept beside it.
+
+    copies(v) is the number of loop-vertex copies the unfolding hangs below
+    one copy of v: 1 + copies(dst) for every body edge of every loop of v.
+    Body edges lead deeper into the tree, so the recursion ends.
+    """
+    vertices, copies = g._loop_vertices
+    if vertices[v] is not None:
+        return vertices[v]
+    lvertex = LoopVertex(g.names[v])
+    below = 0
     for body, closing_label in _loops(g, unique, v):
         labels = []
         inner = []
         for beid in body:
             _, blabel, bdst = g.edges[beid]
             labels.append(blabel)
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise CapExceeded("loop graph exceeds the vertex cap")
-            copy = LoopVertex(g.names[bdst])
-            inner.append(copy)
-            _attach_loops(g, unique, copy, bdst, budget)
+            inner.append(_loop_vertex(g, unique, bdst))
+            below += 1 + copies[bdst]
         labels.append(closing_label)
         lvertex.loops.append(Loop(labels, inner))
+    vertices[v] = lvertex
+    copies[v] = below
+    return lvertex
 
 
 def _product(g, stars, first, edges, last) -> RationalFunction:
@@ -265,7 +296,7 @@ class Concat(Kleene):
             raise ValueError("empty concatenation")
 
     def __str__(self):
-        return "".join(str(p) for p in self.parts)
+        return _printed(self, {})
 
 
 @dataclass(frozen=True, slots=True)
@@ -277,18 +308,17 @@ class Union(Kleene):
             raise ValueError("empty union")
 
     def __str__(self):
-        return "{" + ",".join(str(p) for p in self.parts) + "}"
+        return _printed(self, {})
 
 
 @dataclass(frozen=True, slots=True)
 class Star(Kleene):
     inner: Kleene
+    # (maxlen, peak, buckets) of its last enumeration; see _buckets
+    _words: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __str__(self):
-        inner = self.inner
-        if isinstance(inner, (Letter, Union)):
-            return f"{inner}*"
-        return f"({inner})*"
+        return _printed(self, {})
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -300,6 +330,33 @@ class LoopSymbol(Kleene):
         return f"l{self.index}"
 
 
+def _printed(node: Kleene, memo: dict) -> str:
+    """The print of node, taking each node printed before from memo, keyed
+    by id, so a node shared in a DAG is printed once.  It is mapped over the
+    parts, so a level of nesting costs one frame."""
+    text = memo.get(id(node))
+    if text is not None:
+        return text
+    if isinstance(node, Concat):
+        text = "".join(map(_printed, node.parts, repeat(memo)))
+    elif isinstance(node, Union):
+        text = "{" + ",".join(map(_printed, node.parts, repeat(memo))) + "}"
+    elif isinstance(node, Star):
+        inner = _printed(node.inner, memo)
+        bare = isinstance(node.inner, (Letter, Union))
+        text = f"{inner}*" if bare else f"({inner})*"
+    else:
+        text = str(node)
+    memo[id(node)] = text
+    return text
+
+
+def kleene_texts(exprs) -> list:
+    """str of each expression, every node they share printed once."""
+    memo = {}
+    return [_printed(expr, memo) for expr in exprs]
+
+
 def concat(parts) -> Kleene:
     parts = tuple(parts)
     if not parts:
@@ -307,6 +364,9 @@ def concat(parts) -> Kleene:
     if len(parts) == 1:
         return parts[0]
     return Concat(parts)
+
+
+_letter = cache(Letter)  # one Letter per label, shared by every expression
 
 
 def _loop_star(lvertex, counter):
@@ -325,24 +385,20 @@ def algorithm1(lg: LoopGraph) -> Kleene:
     counter = [0]
     parts = [_loop_star(lg.spine[0], counter)]
     for label, lvertex in zip(lg.spine_labels, lg.spine[1:]):
-        parts += [Letter(label), _loop_star(lvertex, counter)]
+        parts += [_letter(label), _loop_star(lvertex, counter)]
     return concat(p for p in parts if p is not None)
 
 
 @nesting_cap("algorithm2")
 def algorithm2(expr: Kleene, lg: LoopGraph = None) -> Kleene:
-    """Expand every loop placeholder by re-rooting its cycle as a loop graph."""
-    counter = [10**6]  # fresh indices for symbols created mid-expansion
+    """Expand every loop placeholder by re-rooting its cycle as a loop graph.
 
-    def expand_loop(loop):
-        parts = []
-        for label, copy in zip(loop.labels, loop.inner):
-            parts.append(Letter(label))
-            star = _loop_star(copy, counter)
-            if star is not None:
-                parts.append(rewrite(star))
-        parts.append(Letter(loop.labels[-1]))
-        return concat(parts)
+    A loop's expression is its labels with the starred union of the loops
+    at each inner copy after the label entering it.  Both are built once and
+    kept on the loops, which ``pict`` shares among all the loop graphs of
+    one Mc graph, so expressions are DAGs that share their sub-expressions;
+    callers must not change them.
+    """
 
     def rewrite(node):
         if isinstance(node, (Letter, Epsilon)):
@@ -352,41 +408,54 @@ def algorithm2(expr: Kleene, lg: LoopGraph = None) -> Kleene:
         if isinstance(node, Union):
             return Union(tuple(rewrite(p) for p in node.parts))
         if isinstance(node, Star):
-            return Star(rewrite(node.inner))
-        if isinstance(node, LoopSymbol):
-            return expand_loop(node.loop)
-        raise TypeError(f"unknown Kleene node {node!r}")
-
-    return rewrite(expr)
-
-
-def kleene_expression(lg: LoopGraph) -> Kleene:
-    return algorithm2(algorithm1(lg), lg)
-
-
-def zimin_unionless(expr: Kleene) -> Kleene:
-    """Remove unions under stars via {a,b}* = (a*b)*a*, folding n-ary unions."""
-
-    def rewrite(node):
-        if isinstance(node, (Letter, Epsilon)):
-            return node
-        if isinstance(node, Concat):
-            return concat(rewrite(p) for p in node.parts)
-        if isinstance(node, Star):
             inner = node.inner
-            if isinstance(inner, Union):
-                parts = inner.parts
-                if len(parts) == 1:
-                    return Star(rewrite(parts[0]))
-                prefix = rewrite(Star(Union(parts[:-1])))
-                last = rewrite(parts[-1])
-                return Concat((Star(Concat((prefix, last))), prefix))
+            parts = inner.parts if isinstance(inner, Union) else (inner,)
+            # a star in algorithm1's form, over one placeholder or a union of
+            # several, is the loops' shared one
+            if all(isinstance(p, LoopSymbol) for p in parts) and (
+                len(parts) > 1 or parts[0] is inner
+            ):
+                return _starred([p.loop for p in parts])
             return Star(rewrite(inner))
-        if isinstance(node, Union):
-            raise ValueError("union outside a star cannot be made unionless")
+        if isinstance(node, LoopSymbol):
+            return _expansion(node.loop)
         raise TypeError(f"unknown Kleene node {node!r}")
 
     return rewrite(expr)
+
+
+def _expansion(loop: Loop) -> Kleene:
+    """The loop's labels, each followed by the starred union of the loops at
+    the copy it enters; built once.
+
+    A nesting level costs two frames, of this and ``_starred``, and no
+    comprehension, so that deep nests reach the recursion limit late.
+    """
+    if loop._expansion is None:
+        parts = []
+        for label, copy in zip(loop.labels, loop.inner):
+            parts.append(_letter(label))
+            if copy.loops:
+                parts.append(_starred(copy.loops))
+        parts.append(_letter(loop.labels[-1]))
+        loop._expansion = concat(parts)
+    return loop._expansion
+
+
+def _starred(loops) -> Kleene:
+    """Star over the expansions of a vertex's loops, a union if several;
+    kept on the first loop and reused for the same loops."""
+    kept = loops[0]._star
+    if kept is not None and len(kept[0]) == len(loops):
+        if all(a is b for a, b in zip(kept[0], loops)):
+            return kept[1]
+    expansions = []
+    for loop in loops:
+        expansions.append(_expansion(loop))
+    inner = expansions[0] if len(expansions) == 1 else Union(tuple(expansions))
+    star = Star(inner)
+    loops[0]._star = (loops, star)
+    return star
 
 
 @nesting_cap("kleene_to_rf")
@@ -448,23 +517,42 @@ def _concat(a: list, b: list, maxlen: int) -> list:
     return out
 
 
-def _check_cap(buckets: list, cap: int):
-    if sum(map(len, buckets)) > cap:
+def _check_cap(count: int, cap: int) -> int:
+    if count > cap:
         raise CapExceeded(f"more than {cap} words enumerated")
+    return count
 
 
-def _buckets(node: Kleene, maxlen: int, cap: int, memo: dict) -> list:
-    """The words of node up to maxlen, with multiplicity: one Counter per
-    length 0..maxlen.
+def _counted(buckets: list, cap: int) -> int:
+    """The number of words in buckets, which must not be over cap."""
+    return _check_cap(sum(map(len, buckets)), cap)
 
-    memo maps each node met in one enumeration to its buckets, so equal
-    subtrees (algorithm2 expands the same loops many times) are enumerated
-    once.  A stored list is shared by every occurrence of its node, so no
-    list or Counter is changed after it is stored.
+
+def _buckets(node: Kleene, maxlen: int, cap: int, memo: dict) -> tuple:
+    """(buckets, peak): the words of node up to maxlen, with multiplicity,
+    one Counter per length 0..maxlen; and the largest word count checked
+    against the cap in node's subtree.
+
+    memo maps the id of each node met in one enumeration to that pair, so
+    a shared subtree (algorithm2 shares the expansions of loops) is
+    enumerated once.  Keys are ids because a node's structural hash walks
+    its whole unfolded tree; the expression keeps every node, and so its id,
+    alive for the whole enumeration.  A stored list is shared by every
+    occurrence of its node, so no list or Counter is changed after it is
+    stored.
+
+    A Star also keeps (maxlen, peak, buckets) on itself across calls when
+    its words are fewer than the nodes its enumeration added to memo, so
+    the deep starred unions that algorithm2 shares among the terminals of a
+    graph are enumerated once over all their calls, while a star with many
+    words is rebuilt each call rather than held.  Which counts are checked
+    does not depend on the cap, so a later call raises CapExceeded exactly
+    when the kept peak is over its cap.
     """
-    hit = memo.get(node)
+    hit = memo.get(id(node))
     if hit is not None:
         return hit
+    peak = 0
     if isinstance(node, Epsilon):
         out = [Counter({(): 1})] + [Counter() for _ in range(maxlen)]
     elif isinstance(node, Letter):
@@ -474,41 +562,52 @@ def _buckets(node: Kleene, maxlen: int, cap: int, memo: dict) -> list:
     elif isinstance(node, Concat):
         out = None
         for p in node.parts:
-            words = _buckets(p, maxlen, cap, memo)
+            words, below = _buckets(p, maxlen, cap, memo)
             out = words if out is None else _concat(out, words, maxlen)
-            _check_cap(out, cap)
+            peak = max(peak, below, _counted(out, cap))
             if not any(out):
                 break
     elif isinstance(node, Union):
         out = [Counter() for _ in range(maxlen + 1)]
         for p in node.parts:
-            for bucket, words in zip(out, _buckets(p, maxlen, cap, memo)):
-                _add(bucket, words)
-        _check_cap(out, cap)
+            words, below = _buckets(p, maxlen, cap, memo)
+            peak = max(peak, below)
+            for bucket, part in zip(out, words):
+                _add(bucket, part)
+        peak = max(peak, _counted(out, cap))
     elif isinstance(node, Star):
-        base = _buckets(node.inner, maxlen, cap, memo)
-        if base[0]:
-            raise StarOfUnit("empty word under a star makes enumeration diverge")
-        # a word of length n of the star is a word of length k >= 1 of the
-        # body followed by a word of length n - k of the star
-        out = [Counter({(): 1})]
-        for n in range(1, maxlen + 1):
-            bucket = Counter()
-            for k in range(1, n + 1):
-                _add(bucket, _joined(base[k], out[n - k]))
-            out.append(bucket)
-            _check_cap(out, cap)
+        if node._words is not None and node._words[0] == maxlen:
+            _, peak, out = node._words
+            _check_cap(peak, cap)
+        else:
+            known = len(memo)
+            base, peak = _buckets(node.inner, maxlen, cap, memo)
+            if base[0]:
+                raise StarOfUnit("empty word under a star makes enumeration diverge")
+            # a word of length n of the star is a word of length k >= 1 of
+            # the body followed by a word of length n - k of the star
+            out = [Counter({(): 1})]
+            for n in range(1, maxlen + 1):
+                bucket = Counter()
+                for k in range(1, n + 1):
+                    _add(bucket, _joined(base[k], out[n - k]))
+                out.append(bucket)
+                peak = max(peak, _counted(out, cap))
+            # kept when holding the words costs less than visiting again
+            # the nodes that built them
+            if sum(map(len, out)) < len(memo) - known:
+                object.__setattr__(node, "_words", (maxlen, peak, out))
     else:
         raise TypeError(f"cannot enumerate {node!r}; expand placeholders first")
-    memo[node] = out
-    return out
+    memo[id(node)] = out, peak
+    return out, peak
 
 
 def _enumerate(node: Kleene, maxlen: int, cap: int) -> Counter:
     """The words of node up to maxlen, each counted once per way the
     expression produces it."""
     words = Counter()
-    for bucket in _buckets(node, maxlen, cap, {}):
+    for bucket in _buckets(node, maxlen, cap, {})[0]:
         _add(words, bucket)
     return words
 

@@ -17,7 +17,8 @@ each S(v) is built once per run and shared by every terminal
 (:func:`~sgmc.loopkleene.loop_stars`).  A terminal's loop graph and Kleene
 expression, and the result's ``kleene`` texts, are built only when read
 (by ``report_dict`` and verification), and ``max_loop`` bounds only those
-trees.
+trees.  They are DAGs shared by all terminals of the run, and the texts
+print each shared node once.
 
 Path sums, per-element sums, box limits and the normalization check work on
 rational functions in factored form (:class:`~sgmc.algebra.RationalFunction`),
@@ -60,6 +61,7 @@ from .loopkleene import (
     enumerate_path_words,
     flatten,
     kleene_enumerate,
+    kleene_texts,
     loop_stars,
     nesting_cap,
     path_sum,
@@ -113,7 +115,8 @@ class StationaryResult:
     def kleene(self) -> dict:
         """Vertex word name -> expression text, built on first read."""
         with nesting_cap("kleene print"):
-            return {t.name: str(t.expression) for t in self.terminals}
+            texts = kleene_texts([t.expression for t in self.terminals])
+        return {t.name: text for t, text in zip(self.terminals, texts)}
 
 
 def _prune_ideal_sinks(kr, ideal_members):

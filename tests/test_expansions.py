@@ -422,3 +422,129 @@ class TestDotExport:
     def test_word_name(self):
         assert word_name(()) == IDENTITY_NAME
         assert word_name(("a", "b")) == "ab"
+
+
+# -- mc_expand against its earlier form ---------------------------------------
+
+
+def reference_mc_expand(kr, max_vertices=10**6):
+    """mc_expand as it was before each word was built with its vertex and
+    each back-edge target recorded during the DFS: words by walking the
+    parents, back edges through a table of each vertex's ancestors."""
+    succ = {}
+    for src, label, dst in kr.edges:
+        succ[(src, label)] = dst
+    parent = [None]
+    endpoint = [kr.root]
+    child = {}
+    on_path = {kr.root: 0}
+    stack = [(0, iter(kr.alphabet))]
+    while stack:
+        vid, labels = stack[-1]
+        advanced = False
+        for label in labels:
+            target = succ.get((endpoint[vid], label))
+            if target is None or target in on_path:
+                continue
+            if len(parent) >= max_vertices:
+                raise CapExceeded(f"Mc expansion exceeds {max_vertices} vertices")
+            nid = len(parent)
+            parent.append((vid, label))
+            endpoint.append(target)
+            child[(vid, label)] = nid
+            on_path[target] = nid
+            stack.append((nid, iter(kr.alphabet)))
+            advanced = True
+            break
+        if not advanced:
+            del on_path[endpoint[vid]]
+            stack.pop()
+
+    def word_of(vid):
+        out = []
+        while parent[vid] is not None:
+            vid, label = parent[vid]
+            out.append(label)
+        return tuple(reversed(out))
+
+    words = [word_of(v) for v in range(len(parent))]
+    edges = []
+    tree = set()
+    for vid in range(len(parent)):
+        ancestors = {}
+        walk_id = vid
+        while walk_id is not None:
+            ancestors[endpoint[walk_id]] = walk_id
+            walk_id = parent[walk_id][0] if parent[walk_id] else None
+        for label in kr.alphabet:
+            target = succ.get((endpoint[vid], label))
+            if target is None:
+                continue
+            nid = child.get((vid, label))
+            if nid is not None:
+                tree.add(len(edges))
+                edges.append((vid, label, nid))
+            else:
+                edges.append((vid, label, ancestors[target]))
+    payloads = [(words[v], endpoint[v]) for v in range(len(parent))]
+    names = [word_name(w) for w in words]
+    return payloads, names, edges, tree
+
+
+def mc_lists(kr, max_vertices=10**6):
+    mc, tree = mc_expand(kr, max_vertices)
+    payloads = [(p.word, p.kr_vertex) for p in mc.payloads]
+    assert (mc.root, mc.alphabet) == (0, list(kr.alphabet))
+    return payloads, mc.names, mc.edges, tree
+
+
+def pruned_krs(s):
+    """KR of s with its ideal's out-edges dropped, and KR of s with a zero
+    adjoined and the zero's out-edges dropped, as the pipeline builds them."""
+    out = []
+    for t, sinks in ((s, s.minimal_ideal().members), (s.adjoin_zero(), None)):
+        kr = kr_expand(t)
+        sinks = sinks if sinks is not None else {t.zero_id}
+        out.append(
+            kr.without_out_edges(
+                v for v in range(kr.n_vertices()) if kr.payloads[v].element in sinks
+            )
+        )
+    return out
+
+
+class TestMcExpandMatchesEarlierForm:
+    @pytest.mark.parametrize("name", ["d2", "d2c", "d2box", "example210"])
+    def test_bundled_chains(self, name):
+        from sgmc.cli import bundled_path, load_chain_file
+        from sgmc.pipeline import build_semigroup
+
+        s = build_semigroup(load_chain_file(bundled_path(f"{name}.json")).spec)
+        for kr in pruned_krs(s) + [kr_expand(s)]:
+            assert mc_lists(kr) == reference_mc_expand(kr)
+
+    def test_seeded_grid(self):
+        rnd = random.Random(29)
+        vertices = 0
+        for n in (2, 3, 4):
+            for k in (2, 3):
+                for _ in range(3):
+                    gens = [
+                        ("abc"[i], tuple(rnd.randrange(n) for _ in range(n)))
+                        for i in range(k)
+                    ]
+                    s = FiniteSemigroup.generate(gens)
+                    for kr in pruned_krs(s):
+                        want = reference_mc_expand(kr)
+                        assert mc_lists(kr) == want
+                        vertices += len(want[0])
+        assert vertices > 1000
+
+    def test_cap_at_the_same_size(self, d2_semigroup):
+        kr = pruned_krs(d2_semigroup)[1]
+        size = len(reference_mc_expand(kr)[0])
+        assert mc_lists(kr, size) == reference_mc_expand(kr, size)
+        with pytest.raises(CapExceeded):
+            mc_expand(kr, size - 1)
+        with pytest.raises(CapExceeded):
+            reference_mc_expand(kr, size - 1)

@@ -7,15 +7,17 @@ loop graph and expression only when they are read.
 """
 
 import hashlib
+import io
 import json
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from sgmc import loopkleene, pipeline
-from sgmc.cli import bundled_path, load_chain_file
+from sgmc.cli import bundled_path, load_chain_file, main
 from sgmc.errors import CapExceeded
 from sgmc.expansions import RootedGraph, simple_path_edges
 from sgmc.loopkleene import (
@@ -184,6 +186,24 @@ def test_slow_corpus_chains_keep_their_prints(name):
     assert report.normalization
     assert [rec["outcome"] for rec in report.verification] == ["pass"] * 3
     assert prints_digest(report.result) == PINNED_PRINTS[name]
+
+
+# sha256 (first 16 hex digits) of the ``kleene`` field of ``sgmc analyze``'s
+# report, recorded while every terminal's expression was an unshared tree.
+PINNED_KLEENE = {
+    "pinned2.json": "5af136e3f2f5c82a",
+    "grid4x3_3.json": "f04c229a2657cc34",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_KLEENE))
+def test_slow_corpus_chains_keep_their_kleene_print(name):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["analyze", str(CHAINS / name)]) == 0
+    kleene = json.loads(out.getvalue())["kleene"]
+    text = json.dumps(kleene, ensure_ascii=False, sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == PINNED_KLEENE[name]
 
 
 # -- loop graphs and expressions are built only when read -------------------

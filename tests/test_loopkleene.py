@@ -1,4 +1,3 @@
-import random
 from collections import Counter
 
 import pytest
@@ -20,7 +19,6 @@ from sgmc.loopkleene import (
     kleene_enumerate,
     kleene_to_rf,
     pict,
-    zimin_unionless,
 )
 from sgmc.pipeline import _prune_ideal_sinks
 
@@ -219,73 +217,6 @@ class TestAlgorithms:
         # same language to length 12 and same rational function
         assert kleene_enumerate(got, 12) == kleene_enumerate(printed, 12)
         assert kleene_to_rf(got).equals(kleene_to_rf(printed))
-
-
-class TestZimin:
-    def test_singleton(self):
-        assert zimin_unionless(st(un(L("a")))) == st(L("a"))
-
-    def test_pair(self):
-        got = zimin_unionless(st(un(L("a"), L("b"))))
-        assert got == cat(st(cat(st(L("a")), L("b"))), st(L("a")))
-
-    def test_triple_language_equal_to_brute_force(self):
-        expr = st(un(L("a"), L("b"), L("c")))
-        rewritten = zimin_unionless(expr)
-        words = kleene_enumerate(rewritten, 6)
-        brute = Counter()
-        import itertools
-
-        for length in range(7):
-            for w in itertools.product("abc", repeat=length):
-                brute[w] += 1
-        assert words == brute
-
-    def test_random_expressions_language_preserved(self):
-        rnd = random.Random(13)
-
-        def random_expr(depth):
-            if depth == 0:
-                return L(rnd.choice("ab"))
-            kind = rnd.randrange(3)
-            if kind == 0:
-                return cat(random_expr(depth - 1), random_expr(depth - 1))
-            if kind == 1:
-                return st(un(random_expr(depth - 1), random_expr(depth - 1)))
-            return st(un(L(rnd.choice("ab")),
-                         cat(random_expr(depth - 1), L(rnd.choice("ab")))))
-
-        checked = 0
-        while checked < 12:
-            expr = st(un(random_expr(1), random_expr(1)))
-            rewritten = zimin_unionless(expr)
-            try:
-                before = _language(expr, 8)
-                after = _language(rewritten, 8)
-            except StarOfUnit:
-                continue
-            assert before == after
-            checked += 1
-
-    def test_no_unions_left(self):
-        rewritten = zimin_unionless(st(un(L("a"), L("b"), L("c"))))
-
-        def has_union(e):
-            if isinstance(e, Union):
-                return True
-            if isinstance(e, Concat):
-                return any(has_union(p) for p in e.parts)
-            if isinstance(e, Star):
-                return has_union(e.inner)
-            return False
-
-        assert not has_union(rewritten)
-
-
-def _language(expr, maxlen):
-    from sgmc.loopkleene import _enumerate
-
-    return set(_enumerate(expr, maxlen, 10**6))
 
 
 class TestKleeneToRf:
