@@ -1,9 +1,14 @@
 """Exact sparse multivariate polynomials and rational functions.
 
-A monomial is a tuple of (variable, exponent) pairs, sorted by variable name,
-with no zero exponents stored.  A polynomial maps monomials to Fraction
-coefficients; zero coefficients are never stored, so equal polynomials have
-identical term dictionaries.
+A polynomial maps monomials to Fraction (or int) coefficients; zero
+coefficients are never stored, so equal polynomials have identical term
+dictionaries.  A monomial is one packed integer key.  Lane 0 (the low 20
+bits) holds its total degree, and each variable owns a 20-bit lane above it,
+assigned on first use by a module-wide table, so a key names the same
+monomial in every polynomial.  The product of two monomials is the sum of
+their keys, degree lane included.  Total degrees stay below 2^20, so no lane
+ever carries into the next.  A key is decoded to ``((variable, exponent),
+...)`` pairs only for printing, by :meth:`Polynomial.sorted_terms`.
 
 A :class:`RationalFunction` is a polynomial times a product of shared
 factors raised to integer exponents.  Products add exponents, sums pull out
@@ -14,9 +19,10 @@ computed: the only cancellation is of identical factors and, in
 :func:`limit_at_box_zero`, of powers of the box variable.
 
 Variables are plain strings (a generator label); they render as ``x_<label>``.
-Term order everywhere is graded lexicographic: lower total degree first, and
-within a degree the lexicographically larger exponent vector first, so that
-``x_a^2`` prints before ``x_a*x_b`` before ``x_b^2``.
+Term order everywhere is graded lexicographic over the variables in name
+order: lower total degree first, and within a degree the lexicographically
+larger exponent vector first, so that ``x_a^2`` prints before ``x_a*x_b``
+before ``x_b^2``.  Prints never depend on the order lanes were assigned in.
 """
 
 from __future__ import annotations
@@ -32,56 +38,19 @@ from .errors import (
     ZeroDenominator,
 )
 
-Monomial = tuple  # tuple[(str, int), ...] sorted by variable, exponents > 0
-
-_ONE_MONO: Monomial = ()
-
-# Exponent lane width for the packed-integer keys used inside multiplication.
-# Total degrees stay far below 2^20, so lane sums never carry.
 _LANE = 20
-_LANE_MASK = (1 << _LANE) - 1
+_MASK = (1 << _LANE) - 1
+
+# Variable -> bit offset of its lane; lane 0 is the total degree.
+_OFFSET = {}
 
 
-def _mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
-
-
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    exps = dict(m1)
-    for v, e in m2:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items()))
-
-
-def _pack(terms, var_slot):
-    """Terms as (packed key, total degree, coefficient) triples."""
-    packed = []
-    for m, c in terms.items():
-        key = 0
-        deg = 0
-        for v, e in m:
-            key += e << var_slot[v]
-            deg += e
-        packed.append((key, deg, c))
-    return packed
-
-
-def _unpack(out, variables):
-    terms = {}
-    for key, c in out.items():
-        mono = []
-        for i, v in enumerate(variables):
-            e = (key >> (_LANE * i)) & _LANE_MASK
-            if e:
-                mono.append((v, e))
-        terms[tuple(mono)] = c
-    return terms
-
-
-def mono_key(m: Monomial, variables) -> tuple:
-    """Graded-lex sort key for a monomial over an ordered variable list."""
-    vec = dict(m)
-    return (_mono_degree(m), tuple(-vec.get(v, 0) for v in variables))
+def _offset(var: str) -> int:
+    """The bit offset of var's lane, assigning the next lane on first use."""
+    offset = _OFFSET.get(var)
+    if offset is None:
+        offset = _OFFSET[var] = _LANE * (len(_OFFSET) + 1)
+    return offset
 
 
 class Polynomial:
@@ -95,15 +64,15 @@ class Polynomial:
     @classmethod
     def const(cls, value) -> "Polynomial":
         if type(value) is int:
-            return cls({_ONE_MONO: value} if value else {})
+            return cls({0: value} if value else {})
         c = Fraction(value)
         if c == 0:
             return cls({})
-        return cls({_ONE_MONO: int(c) if c.denominator == 1 else c})
+        return cls({0: int(c) if c.denominator == 1 else c})
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
-        return cls({((name, 1),): 1})
+        return cls({(1 << _offset(name)) + 1: 1})
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -113,17 +82,22 @@ class Polynomial:
         return not self.terms
 
     def constant_term(self):
-        return self.terms.get(_ONE_MONO, 0)
+        return self.terms.get(0, 0)
+
+    def _lanes(self) -> list:
+        """[(variable, lane offset)] of the variables that occur, by name."""
+        used = 0
+        for key in self.terms:
+            used |= key
+        return sorted(
+            (v, offset) for v, offset in _OFFSET.items() if (used >> offset) & _MASK
+        )
 
     def variables(self) -> list:
-        seen = set()
-        for m in self.terms:
-            for v, _ in m:
-                seen.add(v)
-        return sorted(seen)
+        return [v for v, _ in self._lanes()]
 
     def total_degree(self) -> int:
-        return max((_mono_degree(m) for m in self.terms), default=0)
+        return max((key & _MASK for key in self.terms), default=0)
 
     @staticmethod
     def _coerce(other):
@@ -180,43 +154,21 @@ class Polynomial:
     def mul_truncated(self, other: "Polynomial", bound: int = None) -> "Polynomial":
         """The product, keeping only terms of total degree < bound if given."""
         a, b = self.terms, other.terms
-        if not a or not b:
-            return Polynomial()
-        if len(a) == 1 and _ONE_MONO in a:
-            c = a[_ONE_MONO]
-            out = {m: c * v for m, v in b.items()}
-            return Polynomial(out if bound is None else {
-                m: v for m, v in out.items() if _mono_degree(m) < bound
-            })
-        if len(b) == 1 and _ONE_MONO in b:
-            return other.mul_truncated(self, bound)
         if len(a) > len(b):
             a, b = b, a
-        if len(a) == 1 and bound is None:
-            # one term times many: shift monomials, no packing needed
-            ((m1, c1),) = a.items()
-            return Polynomial({_mono_mul(m1, m2): c1 * c2 for m2, c2 in b.items()})
-        variables = sorted(
-            {v for m in a for v, _ in m} | {v for m in b for v, _ in m}
-        )
-        slot = {v: _LANE * i for i, v in enumerate(variables)}
-        pa = _pack(a, slot)
-        pb = _pack(b, slot)
-        if len(pa) > len(pb):
-            pa, pb = pb, pa
         out = {}
         get = out.get
-        for k1, d1, c1 in pa:
-            for k2, d2, c2 in pb:
-                if bound is not None and d1 + d2 >= bound:
-                    continue
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
                 k = k1 + k2
+                if bound is not None and k & _MASK >= bound:
+                    continue
                 s = get(k, 0) + c1 * c2
                 if s:
                     out[k] = s
                 else:
                     del out[k]
-        return Polynomial(_unpack(out, variables))
+        return Polynomial(out)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -233,68 +185,43 @@ class Polynomial:
     def truncate(self, bound: int) -> "Polynomial":
         """Keep only terms of total degree < bound."""
         return Polynomial(
-            {m: c for m, c in self.terms.items() if _mono_degree(m) < bound}
+            {m: c for m, c in self.terms.items() if m & _MASK < bound}
         )
 
     def evaluate(self, point: dict) -> Fraction:
+        lanes = [(offset, Fraction(point[v])) for v, offset in self._lanes()]
         total = Fraction(0)
         for m, c in self.terms.items():
             val = c
-            for v, e in m:
-                val *= Fraction(point[v]) ** e
+            for offset, x in lanes:
+                e = (m >> offset) & _MASK
+                if e:
+                    val *= x**e
             total += val
         return total
 
     def substitute(self, var: str, value: "Polynomial") -> "Polynomial":
         """Replace var by a polynomial value, expanding exactly.
 
-        Horner evaluation in var, carried out on packed exponent keys:
-        (((A_top * value) + A_top-1) * value + ...) + A_0.
+        Horner evaluation in var: (((A_top * value) + A_top-1) * value + ...)
+        + A_0, where A_e holds the terms with var^e, var^e divided out.
         """
-        top = max((dict(m).get(var, 0) for m in self.terms), default=0)
-        if top == 0:
-            return Polynomial(dict(self.terms))
-        variables = sorted(
-            (set(self.variables()) - {var}) | set(value.variables())
-        )
-        slot = {v: _LANE * i for i, v in enumerate(variables)}
-        packed_value = {}
-        for m, c in value.terms.items():
-            packed_value[sum(e << slot[v] for v, e in m)] = c
-        layers = [dict() for _ in range(top + 1)]
+        offset = _offset(var)
+        unit = (1 << offset) + 1
+        layers = {}
         for m, c in self.terms.items():
-            e = 0
-            key = 0
-            for v, k in m:
-                if v == var:
-                    e = k
-                else:
-                    key += k << slot[v]
-            layers[e][key] = c
-        acc = layers[top]
+            e = (m >> offset) & _MASK
+            layers.setdefault(e, {})[m - e * unit] = c
+        top = max(layers, default=0)
+        acc = Polynomial(layers.get(top))
         for e in range(top - 1, -1, -1):
-            nxt = {}
-            get = nxt.get
-            for k1, c1 in acc.items():
-                for k2, c2 in packed_value.items():
-                    k = k1 + k2
-                    s = get(k, 0) + c1 * c2
-                    if s:
-                        nxt[k] = s
-                    else:
-                        del nxt[k]
-            for k, c in layers[e].items():
-                s = nxt.get(k, 0) + c
-                if s:
-                    nxt[k] = s
-                else:
-                    nxt.pop(k, None)
-            acc = nxt
-        return Polynomial(_unpack(acc, variables))
+            acc = acc * value + Polynomial(layers.get(e))
+        return acc
 
     def set_var_zero(self, var: str) -> "Polynomial":
+        offset = _offset(var)
         return Polynomial(
-            {m: c for m, c in self.terms.items() if dict(m).get(var, 0) == 0}
+            {m: c for m, c in self.terms.items() if not (m >> offset) & _MASK}
         )
 
     def divide_out(self, var: str):
@@ -302,46 +229,48 @@ class Polynomial:
 
         Returns (k, rest); the zero polynomial returns (0, 0).
         """
-        if not self.terms:
-            return 0, self
-        k = min(dict(m).get(var, 0) for m in self.terms)
+        offset = _offset(var)
+        k = min(((m >> offset) & _MASK for m in self.terms), default=0)
         if k == 0:
             return 0, self
-        out = {}
-        for m, c in self.terms.items():
-            exps = dict(m)
-            exps[var] -= k
-            out[tuple(sorted((v, e) for v, e in exps.items() if e))] = c
-        return k, Polynomial(out)
+        shift = k * ((1 << offset) + 1)
+        return k, Polynomial({m - shift: c for m, c in self.terms.items()})
 
     def partial(self, var: str) -> "Polynomial":
+        offset = _offset(var)
+        unit = (1 << offset) + 1
         out = {}
         for m, c in self.terms.items():
-            e = dict(m).get(var, 0)
-            if not e:
-                continue
-            exps = dict(m)
-            exps[var] -= 1
-            mono = tuple(sorted((v, k) for v, k in exps.items() if k))
-            out[mono] = out.get(mono, 0) + c * e
-        return Polynomial({m: c for m, c in out.items() if c})
+            e = (m >> offset) & _MASK
+            if e:
+                out[m - unit] = c * e
+        return Polynomial(out)
 
     def euler(self) -> "Polynomial":
         """sum_i x_i d/dx_i: each term times its total degree."""
-        return Polynomial(
-            {m: c * _mono_degree(m) for m, c in self.terms.items() if m}
-        )
+        return Polynomial({m: c * (m & _MASK) for m, c in self.terms.items() if m})
 
     def degree_slices(self) -> dict:
         """Split into {total degree: polynomial of that degree}."""
         out = {}
         for m, c in self.terms.items():
-            out.setdefault(_mono_degree(m), {})[m] = c
+            out.setdefault(m & _MASK, {})[m] = c
         return {d: Polynomial(t) for d, t in sorted(out.items())}
 
-    def sorted_terms(self):
-        variables = self.variables()
-        return sorted(self.terms.items(), key=lambda mc: mono_key(mc[0], variables))
+    def sorted_terms(self) -> list:
+        """[(((variable, exponent), ...), coefficient)] in graded-lex order.
+
+        The one place a key is decoded; variables are in name order, and
+        only positive exponents are listed.
+        """
+        lanes = self._lanes()
+        rows = []
+        for m, c in self.terms.items():
+            exps = [(v, (m >> offset) & _MASK) for v, offset in lanes]
+            order = (m & _MASK, [-e for _, e in exps])
+            rows.append((order, tuple((v, e) for v, e in exps if e), c))
+        rows.sort(key=lambda row: row[0])
+        return [(mono, c) for _, mono, c in rows]
 
     def __str__(self):
         if not self.terms:
@@ -372,6 +301,20 @@ def point_str(point) -> str:
     return ", ".join(f"x_{k}={v}" for k, v in sorted(point.items()))
 
 
+def stochastic_complement(elim_var: str, generator_vars, box_var=None) -> Polynomial:
+    """elim_var under the stochastic constraint: 1 - (other generators) [- box].
+
+    The generators, plus the box variable when there is one, sum to 1.
+    """
+    value = Polynomial.const(1)
+    if box_var is not None:
+        value = value - Polynomial.variable(box_var)
+    for v in generator_vars:
+        if v != elim_var:
+            value = value - Polynomial.variable(v)
+    return value
+
+
 class _Factor:
     """A polynomial shared by every rational function that uses it.
 
@@ -395,10 +338,7 @@ def _factor(poly: Polynomial):
     The factor is poly / scale, scaled so that its first term in graded-lex
     order (the constant term, when there is one) has coefficient 1.
     """
-    scale = poly.terms.get(_ONE_MONO)
-    if scale is None:
-        variables = poly.variables()
-        scale = poly.terms[min(poly.terms, key=lambda m: mono_key(m, variables))]
+    scale = poly.constant_term() or poly.sorted_terms()[0][1]
     if scale != 1:
         poly = poly * Fraction(1, scale)
     key = frozenset(poly.terms.items())
@@ -459,7 +399,7 @@ class RationalFunction:
             if e < 0:
                 raise DivisionByZero("negative power of the zero polynomial")
             return cls.zero()
-        if not poly.terms.keys() - {_ONE_MONO}:
+        if poly.total_degree() == 0:
             return cls.const(Fraction(poly.constant_term()) ** e)
         scale, factor = _factor(poly)
         return cls._form(Polynomial.const(Fraction(scale) ** e), {factor: e})
@@ -721,10 +661,7 @@ def limit_at_box_zero(
     """
     if elim_var not in generator_vars:
         raise ValueError(f"{elim_var!r} is not a generator variable")
-    repl = Polynomial.const(1) - Polynomial.variable(box_var)
-    for v in generator_vars:
-        if v != elim_var:
-            repl = repl - Polynomial.variable(v)
+    repl = stochastic_complement(elim_var, generator_vars, box_var)
     order = 0
     at_zero = []
     for poly, e in r.substitute(elim_var, repl).pieces():

@@ -94,6 +94,9 @@ def load_chain_file(path: str) -> ChainFile:
         isinstance(s, str) for s in states
     ):
         raise ChainFileError(f"{path}: 'states' must be a nonempty list of names")
+    repeated = sorted({s for s in states if states.count(s) > 1})
+    if repeated:
+        raise ChainFileError(f"{path}: repeated state name {repeated[0]!r}")
     gens_raw = raw.get("generators")
     if not isinstance(gens_raw, list) or not gens_raw:
         raise ChainFileError(f"{path}: 'generators' must be a nonempty list")

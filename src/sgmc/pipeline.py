@@ -38,7 +38,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .algebra import Polynomial, RationalFunction, limit_at_box_zero, point_str
+from .algebra import (
+    RationalFunction,
+    limit_at_box_zero,
+    point_str,
+    stochastic_complement,
+)
 from .errors import (
     NotLeftZero,
     NotUsp,
@@ -107,9 +112,6 @@ class StationaryResult:
     semigroup: FiniteSemigroup = field(repr=False, default=None)
     mc: object = field(repr=False, default=None)
     terminals: list = field(repr=False, default_factory=list)
-
-    def stationary_value(self, element_name: str, point: dict) -> Fraction:
-        return self.per_element[element_name].evaluate(point)
 
     @cached_property
     def kleene(self) -> dict:
@@ -260,10 +262,7 @@ def normalization_holds(result: StationaryResult) -> bool:
     parts = [result.residual_mass, *result.per_element.values()]
     if result.case == "left_zero":
         elim = max(result.variables)
-        repl = Polynomial.const(1)
-        for v in result.variables:
-            if v != elim:
-                repl = repl - Polynomial.variable(v)
+        repl = stochastic_complement(elim, result.variables)
         parts = [part.substitute(elim, repl) for part in parts]
     return RationalFunction.sum(parts).equals(1)
 

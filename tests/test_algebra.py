@@ -1,9 +1,21 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from sgmc.algebra import Polynomial, RationalFunction, limit_at_box_zero
+import sgmc
+from sgmc import algebra
+from sgmc.algebra import (
+    Polynomial,
+    RationalFunction,
+    limit_at_box_zero,
+    stochastic_complement,
+)
+from sgmc.cli import bundled_path
 from sgmc.errors import (
     DivisionByZero,
     NonUnitDenominator,
@@ -37,7 +49,7 @@ def random_poly(rnd, variables, max_terms=5, max_exp=3):
 
 class TestPolynomial:
     def test_addition_of_variables(self):
-        assert xa + xb == Polynomial({(("a", 1),): 1, (("b", 1),): 1})
+        assert str(xa + xb) == "x_a + x_b"
 
     def test_difference_of_squares(self):
         assert (one - xa) * (one + xa) == one - xa * xa
@@ -182,7 +194,7 @@ class TestSubstituteAndEvaluate:
     def test_evaluate_against_naive_term_walk(self):
         def naive(poly, point):
             total = Fraction(0)
-            for mono, coeff in poly.terms.items():
+            for mono, coeff in poly.sorted_terms():
                 val = Fraction(coeff)
                 for var, exp in mono:
                     val *= Fraction(point[var]) ** exp
@@ -302,3 +314,256 @@ class TestBoxLimit:
             q = random_poly(rnd, ["a"], max_terms=3) + one
             r = RationalFunction(p, q) * rbox
             assert limit_at_box_zero(r, "□", "b", ["a", "b"]).equals(0)
+
+
+# -- a naive reference in tuple form ------------------------------------------
+#
+# A reference polynomial is a dict {monomial: nonzero Fraction}, a monomial
+# being a tuple of (variable, exponent > 0) pairs sorted by variable name.
+
+# First used in this order, which is not name order; some names are long.
+LABELS = ["z", "□", "b", "10", "2", "a", "zeta", "1000"]
+
+
+def ref_clean(terms):
+    return {m: Fraction(c) for m, c in terms.items() if c}
+
+
+def ref_degree(mono):
+    return sum(e for _, e in mono)
+
+
+def ref_mono(exps):
+    return tuple(sorted((v, e) for v, e in exps.items() if e))
+
+
+def ref_add(p, q):
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out.get(m, 0) + c
+    return ref_clean(out)
+
+
+def ref_mul(p, q, bound=None):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            exps = dict(m1)
+            for v, e in m2:
+                exps[v] = exps.get(v, 0) + e
+            m = ref_mono(exps)
+            if bound is None or ref_degree(m) < bound:
+                out[m] = out.get(m, 0) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_pow(p, n):
+    out = {(): Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, p)
+    return out
+
+
+def ref_exponent(mono, var):
+    return dict(mono).get(var, 0)
+
+
+def ref_without(mono, var, k):
+    exps = dict(mono)
+    exps[var] = exps.get(var, 0) - k
+    return ref_mono(exps)
+
+
+def ref_substitute(p, var, value):
+    out = {}
+    for m, c in p.items():
+        e = ref_exponent(m, var)
+        term = ref_mul({ref_without(m, var, e): c}, ref_pow(value, e))
+        out = ref_add(out, term)
+    return out
+
+
+def ref_divide_out(p, var):
+    if not p:
+        return 0, p
+    k = min(ref_exponent(m, var) for m in p)
+    return k, {ref_without(m, var, k): c for m, c in p.items()}
+
+
+def ref_partial(p, var):
+    return ref_clean({
+        ref_without(m, var, 1): c * ref_exponent(m, var)
+        for m, c in p.items()
+        if ref_exponent(m, var)
+    })
+
+
+def ref_variables(p):
+    return sorted({v for m in p for v, _ in m})
+
+
+def ref_order(p):
+    """The monomials of p in graded-lex order over its variables by name."""
+    variables = ref_variables(p)
+    return sorted(
+        p,
+        key=lambda m: (ref_degree(m), [-ref_exponent(m, v) for v in variables]),
+    )
+
+
+def ref_str(p):
+    if not p:
+        return "0"
+    text = ""
+    for m in ref_order(p):
+        c = p[m]
+        sign = "-" if c < 0 else "+"
+        powers = [f"x_{v}^{e}" if e > 1 else f"x_{v}" for v, e in m]
+        if abs(c) != 1 or not powers:
+            powers.insert(0, str(abs(c)))
+        body = "*".join(powers)
+        if not text:
+            text = body if c > 0 else "-" + body
+        else:
+            text += f" {sign} {body}"
+    return text
+
+
+def ref_evaluate(p, point):
+    total = Fraction(0)
+    for m, c in p.items():
+        for v, e in m:
+            c *= point[v] ** e
+        total += c
+    return total
+
+
+def ref_random(rnd, variables, max_terms=5, max_exp=3):
+    out = {}
+    for _ in range(rnd.randint(0, max_terms)):
+        exps = {v: rnd.randint(0, max_exp) for v in variables}
+        c = Fraction(rnd.randint(-6, 6), rnd.randint(1, 4))
+        out = ref_add(out, {ref_mono(exps): c})
+    return out
+
+
+def from_ref(p):
+    poly = Polynomial.zero()
+    for m, c in p.items():
+        term = Polynomial.const(c)
+        for v, e in m:
+            term = term * Polynomial.variable(v) ** e
+        poly = poly + term
+    return poly
+
+
+def as_ref(poly):
+    """poly in tuple form, and in the order sorted_terms lists it."""
+    terms = poly.sorted_terms()
+    return {m: Fraction(c) for m, c in terms}, [m for m, _ in terms]
+
+
+def check(poly, p):
+    """poly equals the reference p, lists it in graded-lex order and prints
+    as the reference does."""
+    terms, order = as_ref(poly)
+    assert terms == p
+    assert order == ref_order(p)
+    assert str(poly) == ref_str(p)
+    assert poly.variables() == ref_variables(p)
+    assert poly.total_degree() == max(map(ref_degree, p), default=0)
+
+
+class TestAgainstTupleReference:
+    @pytest.fixture(autouse=True)
+    def lanes_out_of_name_order(self):
+        for v in LABELS:
+            Polynomial.variable(v)
+        lanes = [algebra._OFFSET[v] for v in sorted(LABELS)]
+        assert lanes != sorted(lanes)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_operations_match(self, seed):
+        rnd = random.Random(seed)
+        p = ref_random(rnd, rnd.sample(LABELS, 3))
+        q = ref_random(rnd, rnd.sample(LABELS, 3))
+        value = ref_random(rnd, rnd.sample(LABELS, 2), max_terms=3, max_exp=2)
+        var = rnd.choice(LABELS)
+        bound = rnd.randint(0, 8)
+        n = rnd.randint(0, 3)
+        P, Q, V = from_ref(p), from_ref(q), from_ref(value)
+
+        check(P, p)
+        check(P + Q, ref_add(p, q))
+        check(P - Q, ref_add(p, {m: -c for m, c in q.items()}))
+        check(P * Q, ref_mul(p, q))
+        check(P.mul_truncated(Q, bound), ref_mul(p, q, bound))
+        check(P**n, ref_pow(p, n))
+        check(P.substitute(var, V), ref_substitute(p, var, value))
+        check(P.partial(var), ref_partial(p, var))
+        check(P.euler(), {m: c * ref_degree(m) for m, c in p.items() if m})
+        check(
+            P.set_var_zero(var),
+            {m: c for m, c in p.items() if not ref_exponent(m, var)},
+        )
+        check(P.truncate(bound), {m: c for m, c in p.items() if ref_degree(m) < bound})
+        k, rest = P.divide_out(var)
+        want_k, want_rest = ref_divide_out(p, var)
+        assert k == want_k
+        check(rest, want_rest)
+        slices = P.degree_slices()
+        want = {}
+        for m, c in p.items():
+            want.setdefault(ref_degree(m), {})[m] = c
+        assert list(slices) == sorted(want)
+        for d, piece in slices.items():
+            check(piece, want[d])
+        point = {v: Fraction(rnd.randint(-5, 5), rnd.randint(1, 7)) for v in LABELS}
+        assert P.evaluate(point) == ref_evaluate(p, point)
+
+    def test_substitute_into_itself(self):
+        rnd = random.Random(99)
+        for _ in range(10):
+            p = ref_random(rnd, ["z", "10", "a"])
+            value = ref_random(rnd, ["z", "□"], max_terms=3, max_exp=2)
+            check(
+                from_ref(p).substitute("z", from_ref(value)),
+                ref_substitute(p, "z", value),
+            )
+
+    def test_stochastic_complement(self):
+        check(
+            stochastic_complement("b", ["z", "b", "a"], "□"),
+            {(): 1, (("z", 1),): -1, (("a", 1),): -1, (("□", 1),): -1},
+        )
+        check(stochastic_complement("2", ["10", "2"]), {(): 1, (("10", 1),): -1})
+
+
+def test_lane_order_never_reaches_a_print():
+    """Lanes assigned in reverse name order leave sgmc analyze's output as pinned."""
+    from test_cli_pinned import PINNED, _digest
+
+    chain = bundled_path("d2c.json")
+    program = (
+        "import sys\n"
+        "from sgmc import algebra\n"
+        "from sgmc.cli import main\n"
+        "for v in sys.argv[2:]:\n"
+        "    algebra.Polynomial.variable(v)\n"
+        "assert list(algebra._OFFSET) == sys.argv[2:], algebra._OFFSET\n"
+        "sys.exit(main(['analyze', sys.argv[1]]))\n"
+    )
+    env = dict(os.environ, PYTHONIOENCODING="utf-8")
+    env.pop("SGMC_SEED", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(sgmc.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", program, chain, "□", "c", "b", "a"],
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    out = done.stdout.decode("utf-8")
+    err = done.stderr.decode("utf-8")
+    assert (done.returncode, _digest(out), _digest(err)) == PINNED["analyze d2c.json"]

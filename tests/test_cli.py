@@ -76,6 +76,29 @@ class TestChainFile:
         with pytest.raises(ChainFileError, match="line 2"):
             load_chain_file(str(path))
 
+    REPEATED_STATE = {
+        "states": ["x", "x"],
+        "generators": [
+            {"label": "a", "action": [0, 0], "prob": "1/2"},
+            {"label": "b", "action": [1, 1], "prob": "1/2"},
+        ],
+    }
+
+    def test_repeated_state_name_rejected(self, tmp_path):
+        path = write(tmp_path, "repeated.json", self.REPEATED_STATE)
+        with pytest.raises(ChainFileError, match="repeated state name 'x'"):
+            load_chain_file(path)
+
+    @pytest.mark.parametrize("command", ["analyze", "mixing"])
+    def test_repeated_state_name_is_an_input_error(self, command, tmp_path, capsys):
+        # with the states merged by name, analyze reported an oracle mismatch
+        # (exit 2) and mixing printed a distance of 1/4 at t = 0, not 1/2
+        path = write(tmp_path, "repeated.json", self.REPEATED_STATE)
+        assert run(command, path) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "repeated state name 'x'" in captured.err
+
 
 class TestAnalyze:
     def test_two_state_report(self, tmp_path):

@@ -106,15 +106,13 @@ def quotient_rule(num, den, var):
 def random_poly(rnd, variables, max_terms=3, max_degree=2, constant=None):
     terms = {}
     for _ in range(rnd.randint(1, max_terms)):
-        mono = tuple(
-            sorted(
-                (v, e)
-                for v in variables
-                if (e := rnd.randint(0, max_degree)) > 0
-            )
-        )
-        terms[mono] = rnd.choice([1, 2, -1, Fraction(1, 2), Fraction(-3, 2)])
-    p = Polynomial({m: c for m, c in terms.items() if c})
+        exps = tuple(rnd.randint(0, max_degree) for _ in variables)
+        c = rnd.choice([1, 2, -1, Fraction(1, 2), Fraction(-3, 2)])
+        term = Polynomial.const(c)
+        for v, e in zip(variables, exps):
+            term = term * Polynomial.variable(v) ** e
+        terms[exps] = term  # a repeated monomial replaces the earlier term
+    p = sum(terms.values(), Polynomial.zero())
     if constant is not None:
         p = p - Polynomial.const(p.constant_term()) + Polynomial.const(constant)
     return p
