@@ -426,6 +426,8 @@ def cmd_verify(args) -> int:
         nonlocal failures
         try:
             fn()
+        except CapExceeded:
+            raise
         except SgmcError as exc:
             failures += 1
             print(f"FAIL {name}: {exc}")

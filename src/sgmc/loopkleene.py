@@ -37,8 +37,9 @@ The enumeration oracles check those multisets up to a length:
 ``enumerate_path_words`` walks a graph's walks from the root, skipping every
 step after which no target is reachable in the length left, and one such
 walk serves all the targets of a graph; ``kleene_enumerate`` enumerates an
-expression's words one length at a time, once per distinct subtree, and a
-deep star with few words keeps them for the next call.
+expression's words one length at a time, once per distinct subtree and
+length, and each part of a concatenation only up to the length that the
+shortest words of the other parts leave.
 """
 
 from __future__ import annotations
@@ -314,8 +315,6 @@ class Union(Kleene):
 @dataclass(frozen=True, slots=True)
 class Star(Kleene):
     inner: Kleene
-    # (maxlen, peak, buckets) of its last enumeration; see _buckets
-    _words: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __str__(self):
         return _printed(self, {})
@@ -512,102 +511,133 @@ def _concat(a: list, b: list, maxlen: int) -> list:
     out = [Counter() for _ in range(maxlen + 1)]
     for la, words_a in enumerate(a):
         if words_a:
-            for lb in range(maxlen + 1 - la):
-                _add(out[la + lb], _joined(words_a, b[lb]))
+            for lb, words_b in enumerate(b[: maxlen + 1 - la]):
+                _add(out[la + lb], _joined(words_a, words_b))
     return out
 
 
-def _check_cap(count: int, cap: int) -> int:
-    if count > cap:
-        raise CapExceeded(f"more than {cap} words enumerated")
-    return count
+def _counted(buckets: list, cap: int):
+    """CapExceeded when buckets hold more than cap words."""
+    if sum(map(len, buckets)) > cap:
+        raise CapExceeded(f"kleene_enumerate: more than {cap} words enumerated")
 
 
-def _counted(buckets: list, cap: int) -> int:
-    """The number of words in buckets, which must not be over cap."""
-    return _check_cap(sum(map(len, buckets)), cap)
+def _minlen(node: Kleene, memo: dict) -> int:
+    """The length of node's shortest word, kept in memo by id."""
+    n = memo.get(id(node))
+    if n is None:
+        if isinstance(node, (Epsilon, Star)):
+            n = 0
+        elif isinstance(node, Letter):
+            n = 1
+        elif isinstance(node, Concat):
+            n = sum(map(_minlen, node.parts, repeat(memo)))
+        elif isinstance(node, Union):
+            n = min(map(_minlen, node.parts, repeat(memo)))
+        else:
+            raise TypeError(f"cannot enumerate {node!r}; expand placeholders first")
+        memo[id(node)] = n
+    return n
 
 
-def _buckets(node: Kleene, maxlen: int, cap: int, memo: dict) -> tuple:
-    """(buckets, peak): the words of node up to maxlen, with multiplicity,
-    one Counter per length 0..maxlen; and the largest word count checked
-    against the cap in node's subtree.
+def _check_stars(node: Kleene, maxlen: int, minlens: dict, checked: set) -> int:
+    """node's ``_minlen``, kept in minlens; and StarOfUnit at a star with a
+    nullable body that a walk meets which enters every union and star, and
+    each part of a concatenation while the shortest words of the parts
+    before it fit in maxlen."""
+    key = id(node)
+    if key in checked:
+        return minlens[key]
+    if isinstance(node, Concat):
+        n = 0
+        for p in node.parts:
+            if n > maxlen:
+                n += _minlen(p, minlens)
+            else:
+                n += _check_stars(p, maxlen, minlens, checked)
+    elif isinstance(node, Union):
+        n = min(_check_stars(p, maxlen, minlens, checked) for p in node.parts)
+    elif isinstance(node, Star):
+        if _check_stars(node.inner, maxlen, minlens, checked) == 0:
+            raise StarOfUnit("empty word under a star makes enumeration diverge")
+        n = 0
+    else:
+        n = _minlen(node, minlens)
+    checked.add(key)
+    minlens[key] = n
+    return n
 
-    memo maps the id of each node met in one enumeration to that pair, so
-    a shared subtree (algorithm2 shares the expansions of loops) is
-    enumerated once.  Keys are ids because a node's structural hash walks
-    its whole unfolded tree; the expression keeps every node, and so its id,
-    alive for the whole enumeration.  A stored list is shared by every
-    occurrence of its node, so no list or Counter is changed after it is
-    stored.
 
-    A Star also keeps (maxlen, peak, buckets) on itself across calls when
-    its words are fewer than the nodes its enumeration added to memo, so
-    the deep starred unions that algorithm2 shares among the terminals of a
-    graph are enumerated once over all their calls, while a star with many
-    words is rebuilt each call rather than held.  Which counts are checked
-    does not depend on the cap, so a later call raises CapExceeded exactly
-    when the kept peak is over its cap.
+def _buckets(node: Kleene, length: int, cap: int, memo: dict, minlens: dict) -> list:
+    """The words of node up to length, with multiplicity, one Counter per
+    length 0..length.
+
+    Part i of a concatenation is enumerated up to length minus the shortest
+    word lengths (``_minlen``) of the other parts, and the product of parts
+    0..i is kept up to length minus those of the later parts, so no word is
+    built that no word of the whole extends.  The cap counts the words kept.
+
+    memo maps (id of a node, length) to its buckets, so a shared subtree
+    (algorithm2 shares the expansions of loops) is enumerated once per
+    length.  Keys are ids because a node's structural hash walks its whole
+    unfolded tree; the expression keeps every node, and so its id, alive
+    for the whole enumeration.  A stored list is shared by every occurrence
+    of its node, so no list or Counter is changed after it is stored.
     """
-    hit = memo.get(id(node))
-    if hit is not None:
-        return hit
-    peak = 0
+    key = (id(node), length)
+    out = memo.get(key)
+    if out is not None:
+        return out
     if isinstance(node, Epsilon):
-        out = [Counter({(): 1})] + [Counter() for _ in range(maxlen)]
+        out = [Counter({(): 1})] + [Counter() for _ in range(length)]
     elif isinstance(node, Letter):
-        out = [Counter() for _ in range(maxlen + 1)]
-        if maxlen >= 1:
+        out = [Counter() for _ in range(length + 1)]
+        if length >= 1:
             out[1][(node.label,)] = 1
     elif isinstance(node, Concat):
-        out = None
-        for p in node.parts:
-            words, below = _buckets(p, maxlen, cap, memo)
-            out = words if out is None else _concat(out, words, maxlen)
-            peak = max(peak, below, _counted(out, cap))
-            if not any(out):
-                break
-    elif isinstance(node, Union):
-        out = [Counter() for _ in range(maxlen + 1)]
-        for p in node.parts:
-            words, below = _buckets(p, maxlen, cap, memo)
-            peak = max(peak, below)
-            for bucket, part in zip(out, words):
-                _add(bucket, part)
-        peak = max(peak, _counted(out, cap))
-    elif isinstance(node, Star):
-        if node._words is not None and node._words[0] == maxlen:
-            _, peak, out = node._words
-            _check_cap(peak, cap)
+        mins = [_minlen(p, minlens) for p in node.parts]
+        later = sum(mins)
+        slack = length - later
+        if slack < 0:
+            out = [Counter() for _ in range(length + 1)]
         else:
-            known = len(memo)
-            base, peak = _buckets(node.inner, maxlen, cap, memo)
-            if base[0]:
-                raise StarOfUnit("empty word under a star makes enumeration diverge")
-            # a word of length n of the star is a word of length k >= 1 of
-            # the body followed by a word of length n - k of the star
-            out = [Counter({(): 1})]
-            for n in range(1, maxlen + 1):
-                bucket = Counter()
-                for k in range(1, n + 1):
-                    _add(bucket, _joined(base[k], out[n - k]))
-                out.append(bucket)
-                peak = max(peak, _counted(out, cap))
-            # kept when holding the words costs less than visiting again
-            # the nodes that built them
-            if sum(map(len, out)) < len(memo) - known:
-                object.__setattr__(node, "_words", (maxlen, peak, out))
+            out = None
+            for p, m in zip(node.parts, mins):
+                words = _buckets(p, slack + m, cap, memo, minlens)
+                later -= m
+                out = words if out is None else _concat(out, words, length - later)
+                _counted(out, cap)
+    elif isinstance(node, Union):
+        out = [Counter() for _ in range(length + 1)]
+        for p in node.parts:
+            for bucket, part in zip(out, _buckets(p, length, cap, memo, minlens)):
+                _add(bucket, part)
+        _counted(out, cap)
+    elif isinstance(node, Star):
+        base = _buckets(node.inner, length, cap, memo, minlens)
+        # the body has no empty word (``_check_stars``), so a word of length
+        # n of the star is a word of length k >= 1 of the body followed by a
+        # word of length n - k of the star
+        out = [Counter({(): 1})]
+        for n in range(1, length + 1):
+            bucket = Counter()
+            for k in range(1, n + 1):
+                _add(bucket, _joined(base[k], out[n - k]))
+            out.append(bucket)
+            _counted(out, cap)
     else:
         raise TypeError(f"cannot enumerate {node!r}; expand placeholders first")
-    memo[id(node)] = out, peak
-    return out, peak
+    memo[key] = out
+    return out
 
 
 def _enumerate(node: Kleene, maxlen: int, cap: int) -> Counter:
     """The words of node up to maxlen, each counted once per way the
     expression produces it."""
+    minlens = {}
+    _check_stars(node, maxlen, minlens, set())
     words = Counter()
-    for bucket in _buckets(node, maxlen, cap, {})[0]:
+    for bucket in _buckets(node, maxlen, cap, {}, minlens):
         _add(words, bucket)
     return words
 
@@ -670,7 +700,9 @@ def _walk_words(g: RootedGraph, targets, maxlen: int, cap: int) -> dict:
         v, word = stack.pop()
         visited += 1
         if visited > cap:
-            raise CapExceeded(f"more than {cap} partial paths enumerated")
+            raise CapExceeded(
+                f"enumerate_path_words: more than {cap} partial walks enumerated"
+            )
         if v in words:
             words[v][word] += 1
         left = maxlen - len(word) - 1

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from sgmc import cli
 from sgmc.cli import bundled_path, load_chain_file, main
-from sgmc.errors import ChainFileError
+from sgmc.errors import CapExceeded, ChainFileError
 from sgmc.semigroup import FiniteSemigroup
 
 
@@ -339,6 +340,16 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "tail sums below expectation" in out
+
+    def test_cap_hit_exits_with_the_cap_code(self, monkeypatch, capsys):
+        def capped(result, maxlen):
+            raise CapExceeded("kleene_enumerate: more than 10 words enumerated")
+
+        monkeypatch.setattr(cli, "verify_language_and_series", capped)
+        assert run("verify", bundled_path("d2.json")) == 3
+        captured = capsys.readouterr()
+        assert "FAIL" not in captured.out
+        assert "error: kleene_enumerate: more than 10 words" in captured.err
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

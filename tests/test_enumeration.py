@@ -5,7 +5,10 @@ once per target; ``concatenated_words`` enumerates an expression by
 concatenating whole word Counters, with no length buckets and no memo.
 Both are kept here as references: the pruned, bucketed walk and the
 memoised, length-bucketed Kleene enumeration must give the same Counters,
-raise the same errors, and hit their caps no earlier.
+raise the same errors, and hit their caps no earlier.  ``budgeted_words``
+concatenates whole Counters too, but enumerates each part of a
+concatenation only up to the length its other parts leave, as the Kleene
+enumeration does: its cap must fire at exactly the same sizes.
 """
 
 import copy
@@ -14,6 +17,7 @@ from collections import Counter
 
 import pytest
 
+from sgmc import loopkleene
 from sgmc.cli import bundled_path, load_chain_file
 from sgmc.errors import AmbiguousExpression, CapExceeded, StarOfUnit
 from sgmc.expansions import RootedGraph, check_usp
@@ -104,6 +108,55 @@ def concatenated_words(node, maxlen, cap=10**6):
             if len(total) > cap:
                 raise CapExceeded(f"more than {cap} words enumerated")
     raise TypeError(node)
+
+
+def minimal_length(node):
+    if isinstance(node, (Epsilon, Star)):
+        return 0
+    if isinstance(node, Letter):
+        return 1
+    if isinstance(node, Concat):
+        return sum(minimal_length(p) for p in node.parts)
+    return min(minimal_length(p) for p in node.parts)
+
+
+def budgeted_words(node, maxlen, cap=10**6):
+    """Words of an expression with multiplicity, as concatenated_words,
+    except that part i of a concatenation is enumerated only up to maxlen
+    minus the other parts' minimal lengths, and the product of parts 0..i
+    is kept only up to maxlen minus the later parts' minimal lengths."""
+    if isinstance(node, Concat):
+        mins = [minimal_length(p) for p in node.parts]
+        if sum(mins) > maxlen:
+            return Counter()
+        out = Counter({(): 1})
+        for i, p in enumerate(node.parts):
+            part = budgeted_words(p, maxlen - sum(mins) + mins[i], cap)
+            out = _combine(out, part, maxlen - sum(mins[i + 1 :]))
+            if len(out) > cap:
+                raise CapExceeded(f"more than {cap} words enumerated")
+        return out
+    if isinstance(node, Union):
+        out = Counter()
+        for p in node.parts:
+            out += budgeted_words(p, maxlen, cap)
+        if len(out) > cap:
+            raise CapExceeded(f"more than {cap} words enumerated")
+        return out
+    if isinstance(node, Star):
+        base = budgeted_words(node.inner, maxlen, cap)
+        if () in base:
+            raise StarOfUnit("empty word under a star")
+        total = Counter({(): 1})
+        frontier = Counter({(): 1})
+        while True:
+            frontier = _combine(frontier, base, maxlen)
+            if not frontier:
+                return total
+            total += frontier
+            if len(total) > cap:
+                raise CapExceeded(f"more than {cap} words enumerated")
+    return concatenated_words(node, maxlen, cap)
 
 
 def outcome(enumerate_words, expr, maxlen, cap=10**6):
@@ -239,7 +292,7 @@ def test_walk_cap():
     g = RootedGraph(range(1), ["r"], [(0, "a", 0), (0, "b", 0)], 0, ["a", "b"])
     reference, visited = unpruned_path_words(g, 0, 6)
     assert enumerate_path_words(g, 0, 6, cap=visited) == reference
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="^enumerate_path_words: "):
         enumerate_path_words(g, 0, 6, cap=visited - 1)
     with pytest.raises(CapExceeded):
         _walk_words(g, [0], 6, 3)
@@ -274,22 +327,48 @@ def test_kleene_enumeration_matches_concatenation_on_random_expressions():
 def test_kleene_cap_fires_at_the_same_sizes():
     rnd = random.Random(53)
     checked = 0
+    later = 0
     while checked < 40:
         expr = random_expression(rnd, 3, [])
         reference = outcome(concatenated_words, expr, 6)
         if not isinstance(reference, Counter):
             continue
         for cap in range(len(reference) + 2):
-            assert outcome(_enumerate, expr, 6, cap) == outcome(
-                concatenated_words, expr, 6, cap
-            ), (str(expr), cap)
+            got = outcome(_enumerate, expr, 6, cap)
+            assert got == outcome(budgeted_words, expr, 6, cap), (str(expr), cap)
+            unbudgeted = outcome(concatenated_words, expr, 6, cap)
+            if got is CapExceeded:
+                assert unbudgeted is CapExceeded, (str(expr), cap)
+            else:
+                assert got == reference, (str(expr), cap)
+                later += unbudgeted is CapExceeded
         checked += 1
+    # the budgets keep fewer words than the whole enumeration somewhere
+    assert later
 
 
 def test_kleene_enumeration_matches_concatenation_on_bundled_terminals(bundled):
     for t in bundled.terminals:
         reference = concatenated_words(t.expression, 7)
         assert kleene_enumerate(t.expression, 7) == reference, t.name
+
+
+def test_kleene_budgets_bound_the_pairs_built_on_d2c(monkeypatch):
+    # the unbudgeted enumeration builds 1,388,121 word pairs here
+    pairs = [0]
+    joined = loopkleene._joined
+
+    def counted(a, b):
+        pairs[0] += len(a) * len(b)
+        return joined(a, b)
+
+    monkeypatch.setattr(loopkleene, "_joined", counted)
+    result = bundled_result("d2c")
+    mc_words = _walk_words(result.mc, [t.vertex for t in result.terminals], 10, 10**7)
+    for t in result.terminals:
+        words = kleene_enumerate(t.expression, 10)
+        assert words and words == mc_words[t.vertex], t.name
+    assert pairs[0] < 200_000
 
 
 @pytest.mark.parametrize(
@@ -307,10 +386,25 @@ def test_nullable_star_body_is_rejected(body):
         kleene_enumerate(Concat((Letter("a"), Star(body))), 3)
 
 
+def test_nullable_star_is_rejected_where_the_walk_reaches_it():
+    a = Letter("a")
+    # inside the outer star's body the prefix aaa fits in 5 letters, so the
+    # inner star is reached, though no word through it fits after the
+    # leading aaa
+    expr = Concat((a, a, a, Star(Concat((a, a, a, Star(Epsilon()))))))
+    assert outcome(concatenated_words, expr, 5) is StarOfUnit
+    with pytest.raises(StarOfUnit):
+        kleene_enumerate(expr, 5)
+    # after six letters nothing fits, and the star is not reached
+    expr = Concat((a,) * 6 + (Star(Epsilon()),))
+    assert outcome(concatenated_words, expr, 5) == Counter()
+    assert kleene_enumerate(expr, 5) == Counter()
+
+
 def test_kleene_cap():
     expr = Star(Union((Letter("a"), Letter("b"))))
     assert len(kleene_enumerate(expr, 6, cap=127)) == 127
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="^kleene_enumerate: "):
         kleene_enumerate(expr, 6, cap=126)
 
 
