@@ -39,7 +39,8 @@ step after which no target is reachable in the length left, and one such
 walk serves all the targets of a graph; ``kleene_enumerate`` enumerates an
 expression's words one length at a time, once per distinct subtree and
 length, and each part of a concatenation only up to the length that the
-shortest words of the other parts leave.
+shortest words of the other parts leave.  A nullable star body raises
+StarOfUnit exactly where a word of length <= maxlen passes through the star.
 """
 
 from __future__ import annotations
@@ -540,34 +541,6 @@ def _minlen(node: Kleene, memo: dict) -> int:
     return n
 
 
-def _check_stars(node: Kleene, maxlen: int, minlens: dict, checked: set) -> int:
-    """node's ``_minlen``, kept in minlens; and StarOfUnit at a star with a
-    nullable body that a walk meets which enters every union and star, and
-    each part of a concatenation while the shortest words of the parts
-    before it fit in maxlen."""
-    key = id(node)
-    if key in checked:
-        return minlens[key]
-    if isinstance(node, Concat):
-        n = 0
-        for p in node.parts:
-            if n > maxlen:
-                n += _minlen(p, minlens)
-            else:
-                n += _check_stars(p, maxlen, minlens, checked)
-    elif isinstance(node, Union):
-        n = min(_check_stars(p, maxlen, minlens, checked) for p in node.parts)
-    elif isinstance(node, Star):
-        if _check_stars(node.inner, maxlen, minlens, checked) == 0:
-            raise StarOfUnit("empty word under a star makes enumeration diverge")
-        n = 0
-    else:
-        n = _minlen(node, minlens)
-    checked.add(key)
-    minlens[key] = n
-    return n
-
-
 def _buckets(node: Kleene, length: int, cap: int, memo: dict, minlens: dict) -> list:
     """The words of node up to length, with multiplicity, one Counter per
     length 0..length.
@@ -575,7 +548,8 @@ def _buckets(node: Kleene, length: int, cap: int, memo: dict, minlens: dict) -> 
     Part i of a concatenation is enumerated up to length minus the shortest
     word lengths (``_minlen``) of the other parts, and the product of parts
     0..i is kept up to length minus those of the later parts, so no word is
-    built that no word of the whole extends.  The cap counts the words kept.
+    built that no word of the whole extends, and no star is met that no word
+    of the whole passes through.  The cap counts the words kept.
 
     memo maps (id of a node, length) to its buckets, so a shared subtree
     (algorithm2 shares the expansions of loops) is enumerated once per
@@ -615,9 +589,10 @@ def _buckets(node: Kleene, length: int, cap: int, memo: dict, minlens: dict) -> 
         _counted(out, cap)
     elif isinstance(node, Star):
         base = _buckets(node.inner, length, cap, memo, minlens)
-        # the body has no empty word (``_check_stars``), so a word of length
-        # n of the star is a word of length k >= 1 of the body followed by a
-        # word of length n - k of the star
+        if base[0]:
+            raise StarOfUnit("empty word under a star makes enumeration diverge")
+        # a word of length n of the star is a word of length k >= 1 of the
+        # body followed by a word of length n - k of the star
         out = [Counter({(): 1})]
         for n in range(1, length + 1):
             bucket = Counter()
@@ -634,10 +609,8 @@ def _buckets(node: Kleene, length: int, cap: int, memo: dict, minlens: dict) -> 
 def _enumerate(node: Kleene, maxlen: int, cap: int) -> Counter:
     """The words of node up to maxlen, each counted once per way the
     expression produces it."""
-    minlens = {}
-    _check_stars(node, maxlen, minlens, set())
     words = Counter()
-    for bucket in _buckets(node, maxlen, cap, {}, minlens):
+    for bucket in _buckets(node, maxlen, cap, {}, {}):
         _add(words, bucket)
     return words
 
@@ -647,6 +620,8 @@ def kleene_enumerate(
     expr: Kleene, maxlen: int, cap: int = DEFAULT_MAX_PATHS
 ) -> Counter:
     """All words of length <= maxlen; raises if any word is produced twice."""
+    if maxlen < 0:
+        raise ValueError(f"maxlen must be at least 0, got {maxlen}")
     words = _enumerate(expr, maxlen, cap)
     duplicates = sorted(w for w, c in words.items() if c > 1)
     if duplicates:
@@ -671,8 +646,6 @@ def _distances_to(g: RootedGraph, targets, maxlen: int) -> list:
                 if dist[src] is None:
                     dist[src] = d
                     reached.append(src)
-        if not reached:
-            break
         frontier = reached
     return dist
 
@@ -686,6 +659,8 @@ def _walk_words(g: RootedGraph, targets, maxlen: int, cap: int) -> dict:
     one, and no more are visited than by the walk over all length <= maxlen
     walks; more than cap visits raise CapExceeded.
     """
+    if maxlen < 0:
+        raise ValueError(f"maxlen must be at least 0, got {maxlen}")
     words = {t: Counter() for t in targets}
     dist = _distances_to(g, words, maxlen)
     if dist[g.root] is None:

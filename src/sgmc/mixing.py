@@ -23,6 +23,7 @@ from .markov import (
     tv_distance,
 )
 from .pipeline import StationaryResult, build_semigroup, stationary_left_zero
+from .semigroup import DEFAULT_MAX_ELEMENTS
 
 
 def hitting_tail(psi: RationalFunction, t: int, point: dict) -> Fraction:
@@ -119,7 +120,7 @@ def tv_bound_check(
 
 def _left_zero_result(spec, result, caps) -> StationaryResult:
     if result is None:
-        s = build_semigroup(spec, caps.pop("max_elements", 10**5))
+        s = build_semigroup(spec, caps.pop("max_elements", DEFAULT_MAX_ELEMENTS))
         result = stationary_left_zero(s, **caps)
     if result.case != "left_zero":
         raise NotLeftZero("the TV bound applies to left-zero chains only")
@@ -128,10 +129,12 @@ def _left_zero_result(spec, result, caps) -> StationaryResult:
 
 def _tv_rows(spec, point, tmax, start_state, tail) -> list:
     """TV rows for t = 0..tmax against a tail table reaching t = tmax + 1."""
+    n = len(spec.states)
+    if not 0 <= start_state < n:
+        raise ValueError(f"start_state must be in 0..{n - 1}, got {start_state}")
     tm = transition_matrix(spec)
     matrix = tm.evaluate(point)
     psi = stationary_oracle(tm, point)
-    n = len(spec.states)
     nu = [Fraction(1) if i == start_state else Fraction(0) for i in range(n)]
     rows = []
     for t in range(tmax + 1):

@@ -392,6 +392,7 @@ class TestNumericOptions:
             (("analyze", "example210.json", "--points", "0"), "--points"),
             (("verify", "example210.json", "--points", "0"), "--points"),
             (("verify", "d2.json", "--points", "0"), "--points"),
+            (("verify", "example210.json", "--maxlen", "-1"), "--maxlen"),
             (("analyze", "example210.json", "--max-kr", "0"), "--max-kr"),
             (("analyze", "example210.json", "--max-kr", "-3"), "--max-kr"),
         ],
@@ -401,6 +402,7 @@ class TestNumericOptions:
             "analyze-points-0",
             "verify-points-0-left-zero",
             "verify-points-0-general",
+            "verify-maxlen-neg",
             "max-kr-0",
             "max-kr-neg",
         ],

@@ -4,16 +4,21 @@
 once per target; ``concatenated_words`` enumerates an expression by
 concatenating whole word Counters, with no length buckets and no memo.
 Both are kept here as references: the pruned, bucketed walk and the
-memoised, length-bucketed Kleene enumeration must give the same Counters,
-raise the same errors, and hit their caps no earlier.  ``budgeted_words``
-concatenates whole Counters too, but enumerates each part of a
-concatenation only up to the length its other parts leave, as the Kleene
-enumeration does: its cap must fire at exactly the same sizes.
+memoised, length-bucketed Kleene enumeration must give the same Counters
+and hit their caps no earlier.  ``budgeted_words`` concatenates whole
+Counters too, but enumerates each part of a concatenation only up to the
+length its other parts leave, as the Kleene enumeration does: it must give
+the same outcome at every cap, StarOfUnit included.  ``concatenated_words``
+meets more stars, so it also raises StarOfUnit where no word passes through
+a nullable star; ``bounded_words`` iterates each star a bounded number of
+times, and shows where a count is really infinite.
 """
 
 import copy
 import random
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -33,9 +38,10 @@ from sgmc.loopkleene import (
     flatten,
     kleene_enumerate,
 )
-from sgmc.pipeline import build_semigroup, stationary
+from sgmc.pipeline import build_semigroup, stationary, verify_language_and_series
 
 BUNDLED = ("d2", "d2c", "d2box", "example210")
+CHAINS = Path(__file__).with_name("chains")
 
 
 # -- references ---------------------------------------------------------------
@@ -157,6 +163,28 @@ def budgeted_words(node, maxlen, cap=10**6):
             if len(total) > cap:
                 raise CapExceeded(f"more than {cap} words enumerated")
     return concatenated_words(node, maxlen, cap)
+
+
+def bounded_words(node, maxlen, iterations):
+    """Words of an expression with multiplicity, each star taken at most
+    iterations times; a nullable star body is allowed."""
+    if isinstance(node, (Epsilon, Letter)):
+        return concatenated_words(node, maxlen)
+    if isinstance(node, Concat):
+        out = Counter({(): 1})
+        for p in node.parts:
+            out = _combine(out, bounded_words(p, maxlen, iterations), maxlen)
+        return out
+    if isinstance(node, Union):
+        parts = (bounded_words(p, maxlen, iterations) for p in node.parts)
+        return sum(parts, Counter())
+    base = bounded_words(node.inner, maxlen, iterations)
+    total = Counter({(): 1})
+    power = Counter({(): 1})
+    for _ in range(iterations):
+        power = _combine(power, base, maxlen)
+        total.update(power)
+    return total
 
 
 def outcome(enumerate_words, expr, maxlen, cap=10**6):
@@ -307,8 +335,17 @@ def test_kleene_enumeration_matches_concatenation_on_random_expressions():
     for _ in range(300):
         expr = random_expression(rnd, rnd.randint(1, 4), [])
         maxlen = rnd.randint(0, 7)
-        reference = outcome(concatenated_words, expr, maxlen)
+        reference = outcome(budgeted_words, expr, maxlen)
         assert outcome(_enumerate, expr, maxlen) == reference, str(expr)
+        unbudgeted = outcome(concatenated_words, expr, maxlen)
+        if isinstance(unbudgeted, Counter):
+            assert reference == unbudgeted, str(expr)
+        elif reference != unbudgeted:
+            # the whole-Counter enumeration meets a nullable star that no
+            # word of length <= maxlen passes through
+            assert unbudgeted is StarOfUnit, str(expr)
+            assert isinstance(reference, Counter), str(expr)
+            seen["unreached nullable star"] += 1
         if not isinstance(reference, Counter):
             seen[reference.__name__] += 1
             with pytest.raises(reference):
@@ -322,16 +359,37 @@ def test_kleene_enumeration_matches_concatenation_on_random_expressions():
             assert kleene_enumerate(expr, maxlen) == reference, str(expr)
     # every kind of outcome is exercised
     assert seen["StarOfUnit"] and seen["ambiguous"] and seen["unambiguous"] > 50
+    assert seen["unreached nullable star"]
+
+
+def smallest_cap(expr, maxlen):
+    """The least cap at which ``_enumerate`` does not raise CapExceeded."""
+    cap = 0
+    while outcome(_enumerate, expr, maxlen, cap) is CapExceeded:
+        cap += 1
+    return cap
 
 
 def test_kleene_cap_fires_at_the_same_sizes():
     rnd = random.Random(53)
     checked = 0
     later = 0
+    rejected = 0
     while checked < 40:
         expr = random_expression(rnd, 3, [])
         reference = outcome(concatenated_words, expr, 6)
         if not isinstance(reference, Counter):
+            # a nullable star: the budgeted outcome, StarOfUnit or a Counter,
+            # and the caps below it agree with budgeted_words
+            budgeted = outcome(budgeted_words, expr, 6)
+            caps = smallest_cap(expr, 6) + 2
+            if isinstance(budgeted, Counter):
+                caps = max(caps, len(budgeted) + 2)
+            for cap in range(caps):
+                got = outcome(_enumerate, expr, 6, cap)
+                assert got == outcome(budgeted_words, expr, 6, cap), (str(expr), cap)
+                assert got in (CapExceeded, budgeted), (str(expr), cap)
+            rejected += budgeted is StarOfUnit
             continue
         for cap in range(len(reference) + 2):
             got = outcome(_enumerate, expr, 6, cap)
@@ -345,6 +403,7 @@ def test_kleene_cap_fires_at_the_same_sizes():
         checked += 1
     # the budgets keep fewer words than the whole enumeration somewhere
     assert later
+    assert rejected
 
 
 def test_kleene_enumeration_matches_concatenation_on_bundled_terminals(bundled):
@@ -386,19 +445,83 @@ def test_nullable_star_body_is_rejected(body):
         kleene_enumerate(Concat((Letter("a"), Star(body))), 3)
 
 
-def test_nullable_star_is_rejected_where_the_walk_reaches_it():
+def test_nullable_star_is_rejected_where_a_word_passes_through_it():
     a = Letter("a")
-    # inside the outer star's body the prefix aaa fits in 5 letters, so the
-    # inner star is reached, though no word through it fits after the
-    # leading aaa
+    # the outer star's body needs three letters after the leading aaa, so at
+    # 5 no word passes through the inner star, and at 6 aaaaaa does, once
+    # per number of its ε iterations
     expr = Concat((a, a, a, Star(Concat((a, a, a, Star(Epsilon()))))))
     assert outcome(concatenated_words, expr, 5) is StarOfUnit
+    assert kleene_enumerate(expr, 5) == Counter({("a",) * 3: 1})
     with pytest.raises(StarOfUnit):
-        kleene_enumerate(expr, 5)
-    # after six letters nothing fits, and the star is not reached
+        kleene_enumerate(expr, 6)
+    # after six letters nothing fits at 5; at 6 the star is reached
     expr = Concat((a,) * 6 + (Star(Epsilon()),))
     assert outcome(concatenated_words, expr, 5) == Counter()
     assert kleene_enumerate(expr, 5) == Counter()
+    with pytest.raises(StarOfUnit):
+        kleene_enumerate(expr, 6)
+
+
+def test_star_of_unit_exactly_where_a_count_is_infinite():
+    # without a nullable star body reached, a star takes at most maxlen
+    # iterations in a word of length <= maxlen, so the bounded counts are
+    # final; with one, every extra iteration allowed counts a word again
+    rnd = random.Random(59)
+    seen = Counter()
+    for _ in range(400):
+        expr = random_expression(rnd, rnd.randint(1, 3), [])
+        maxlen = rnd.randint(0, 5)
+        bounded = bounded_words(expr, maxlen, maxlen + 3)
+        infinite = bounded_words(expr, maxlen, maxlen + 4) != bounded
+        got = outcome(_enumerate, expr, maxlen)
+        if infinite:
+            assert got is StarOfUnit, (str(expr), maxlen)
+            with pytest.raises(StarOfUnit):
+                kleene_enumerate(expr, maxlen)
+        else:
+            assert got == bounded, (str(expr), maxlen)
+        seen[infinite] += 1
+    assert seen[True] and seen[False]
+
+
+def test_kleene_enumeration_work_on_grid4x3_3():
+    # Python calls into loopkleene while every terminal is enumerated at
+    # length 5: about 16,500, where a walk over each whole expression to
+    # find its nullable stars takes about 143,000
+    chain = load_chain_file(str(CHAINS / "grid4x3_3.json"))
+    result = stationary(build_semigroup(chain.spec), box_label=chain.box_label or "□")
+    expressions = [t.expression for t in result.terminals]
+    calls = [0]
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == loopkleene.__file__:
+            calls[0] += 1
+
+    sys.setprofile(count)
+    try:
+        for expr in expressions:
+            kleene_enumerate(expr, 5)
+    finally:
+        sys.setprofile(None)
+    assert len(expressions) == 288
+    assert calls[0] < 40_000
+
+
+@pytest.mark.parametrize(
+    "enumerate_words",
+    [
+        lambda: kleene_enumerate(Star(Letter("a")), -1),
+        lambda: enumerate_path_words(
+            RootedGraph(range(1), ["r"], [(0, "a", 0)], 0, ["a"]), 0, -1
+        ),
+        lambda: verify_language_and_series(bundled_result("example210"), -1),
+    ],
+    ids=["kleene_enumerate", "enumerate_path_words", "verify_language_and_series"],
+)
+def test_negative_maxlen_is_rejected(enumerate_words):
+    with pytest.raises(ValueError, match="maxlen"):
+        enumerate_words()
 
 
 def test_kleene_cap():

@@ -160,6 +160,26 @@ class TestTvBound:
                 result=d2_result,
             )
 
+    @pytest.mark.parametrize("start_state", [7, 2, -1])
+    def test_rejects_a_start_that_is_not_a_state(self, two_state_result, start_state):
+        with pytest.raises(ValueError, match="start_state"):
+            tv_bound_check(
+                two_state_chain_spec(),
+                UNIFORM,
+                5,
+                start_state=start_state,
+                result=two_state_result,
+            )
+        with pytest.raises(ValueError, match="start_state"):
+            mixing_report(
+                two_state_chain_spec(),
+                UNIFORM,
+                Fraction(1, 2),
+                5,
+                start_state=start_state,
+                result=two_state_result,
+            )
+
     def test_report_bundle(self, two_state_result):
         rep = mixing_report(
             two_state_chain_spec(),
