@@ -147,12 +147,6 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.mul_truncated(other)
-
-    __rmul__ = __mul__
-
-    def mul_truncated(self, other: "Polynomial", bound: int = None) -> "Polynomial":
-        """The product, keeping only terms of total degree < bound if given."""
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
@@ -161,14 +155,14 @@ class Polynomial:
         for k1, c1 in a.items():
             for k2, c2 in b.items():
                 k = k1 + k2
-                if bound is not None and k & _MASK >= bound:
-                    continue
                 s = get(k, 0) + c1 * c2
                 if s:
                     out[k] = s
                 else:
                     del out[k]
         return Polynomial(out)
+
+    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
@@ -182,12 +176,6 @@ class Polynomial:
             n >>= 1
         return result
 
-    def truncate(self, bound: int) -> "Polynomial":
-        """Keep only terms of total degree < bound."""
-        return Polynomial(
-            {m: c for m, c in self.terms.items() if m & _MASK < bound}
-        )
-
     def evaluate(self, point: dict) -> Fraction:
         lanes = [(offset, Fraction(point[v])) for v, offset in self._lanes()]
         total = Fraction(0)
@@ -199,6 +187,23 @@ class Polynomial:
                     val *= x**e
             total += val
         return total
+
+    def degree_values(self, point: dict, bound: int) -> list:
+        """[value at point of the terms of total degree k, for k < bound].
+
+        Coordinates are used as given, so integer ones keep the sums integer.
+        """
+        lanes = [(offset, point[v]) for v, offset in self._lanes()]
+        values = [0] * max(bound, 0)
+        for m, c in self.terms.items():
+            degree = m & _MASK
+            if degree < bound:
+                for offset, x in lanes:
+                    e = (m >> offset) & _MASK
+                    if e:
+                        c *= x**e
+                values[degree] += c
+        return values
 
     def substitute(self, var: str, value: "Polynomial") -> "Polynomial":
         """Replace var by a polynomial value, expanding exactly.
@@ -249,13 +254,6 @@ class Polynomial:
     def euler(self) -> "Polynomial":
         """sum_i x_i d/dx_i: each term times its total degree."""
         return Polynomial({m: c * (m & _MASK) for m, c in self.terms.items() if m})
-
-    def degree_slices(self) -> dict:
-        """Split into {total degree: polynomial of that degree}."""
-        out = {}
-        for m, c in self.terms.items():
-            out.setdefault(m & _MASK, {})[m] = c
-        return {d: Polynomial(t) for d, t in sorted(out.items())}
 
     def sorted_terms(self) -> list:
         """[(((variable, exponent), ...), coefficient)] in graded-lex order.
@@ -616,29 +614,28 @@ class RationalFunction:
         )
         return top * RationalFunction.power(q - p, -1)
 
-    def series(self, bound: int) -> Polynomial:
-        """Power-series coefficients of total degree < bound.
+    def series_at(self, point: dict, bound: int) -> list:
+        """[s_k at point, for k < bound], s_k the power-series terms of total
+        degree k.
 
-        Works by iterated truncated multiplication with u = 1 - den/c, which
-        has zero constant term, so u^k only contributes degrees >= k.
+        From num = den * s degree by degree: with N_k and D_k the degree-k
+        parts of num and den at point, s_k = (N_k - sum_{i>=1} D_i s_{k-i}) / D_0.
+        D_0 is den's constant term: 1, as every factor is scaled to a constant
+        term of 1 when it has one, or 0.  So integer coordinates give integers.
         """
         num, den = self._num_den()
-        c = den.constant_term()
-        if c == 0:
+        if den.constant_term() == 0:
             raise NonUnitDenominator(
                 "series requires a denominator with nonzero constant term"
             )
-        if bound <= 0:
-            return Polynomial.zero()
-        u = (Polynomial.const(1) - den * Fraction(1, c)).truncate(bound)
-        inv = Polynomial.const(1)
-        acc = Polynomial.const(1)
-        for _ in range(1, bound):
-            acc = acc.mul_truncated(u, bound)
-            if acc.is_zero():
-                break
-            inv = inv + acc
-        return num.truncate(bound).mul_truncated(inv, bound) * Fraction(1, c)
+        d = den.degree_values(point, bound)
+        s = []
+        for k, value in enumerate(num.degree_values(point, bound)):
+            for i in range(1, k + 1):
+                if d[i]:
+                    value -= d[i] * s[k - i]
+            s.append(value)
+        return s
 
     def __str__(self):
         return f"({self.num})/({self.den})"

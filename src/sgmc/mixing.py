@@ -2,11 +2,12 @@
 
 All quantities here assume the left-zero setting: the pipeline's rational
 functions count ideal-hitting paths by length, term degree equals path
-length, so the truncated series divided by the full value is the hitting
-probability before time t.  The expected hitting time comes from the Euler
-operator D = sum(x_i d/dx_i): E[tau] is the sum over the elements of
-(D Psi)(point), and E[tau | element] is the log-derivative D Psi / Psi, one
-factor of Psi at a time.
+length, so the series terms of degree below t, summed at the point and
+divided by the full value, give the hitting probability before time t.
+The expected hitting time comes from the Euler operator
+D = sum(x_i d/dx_i): E[tau] is the sum over the elements of (D Psi)(point),
+and E[tau | element] is the log-derivative D Psi / Psi, one factor of Psi
+at a time.
 """
 
 from __future__ import annotations
@@ -28,24 +29,26 @@ from .semigroup import DEFAULT_MAX_ELEMENTS
 
 def hitting_tail(psi: RationalFunction, t: int, point: dict) -> Fraction:
     """Pr(tau >= t) = 1 - Psi^{<t}(point) / Psi(point)."""
+    if t < 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
     return tail_table([psi], point, t)[t]
 
 
 def tail_table(psis, point, tmax: int) -> list:
     """Pr(tau >= t) for t = 0..tmax, aggregating a list of path functions.
 
-    Truncations are additive, so the series is taken per contributing
-    function; this avoids multiplying all the unreduced denominators
-    together.
+    The mass of each path length is the sum over the functions of their
+    series terms of that degree at the point, read one function at a time;
+    this avoids multiplying all the unreduced denominators together.
     """
+    if tmax < 0:
+        raise ValueError(f"tmax must be nonnegative, got {tmax}")
     psis = list(psis)
     total = sum((psi.evaluate(point) for psi in psis), Fraction(0))
     mass_by_degree = [Fraction(0)] * (tmax + 1)
     for psi in psis:
-        slices = psi.series(tmax + 1).degree_slices()
-        for degree, poly in slices.items():
-            if degree <= tmax:
-                mass_by_degree[degree] += poly.evaluate(point)
+        for degree, value in enumerate(psi.series_at(point, tmax + 1)):
+            mass_by_degree[degree] += value
     tail = []
     below = Fraction(0)
     for t in range(tmax + 1):

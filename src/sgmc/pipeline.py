@@ -46,14 +46,12 @@ from .algebra import (
 )
 from .errors import (
     NotLeftZero,
-    NotUsp,
     ResidualMassNonzero,
     VerificationFailed,
 )
 from .expansions import (
     DEFAULT_MAX_KR,
     DEFAULT_MAX_MC,
-    check_usp,
     kr_expand,
     mc_expand,
     simple_path_edges,
@@ -141,8 +139,7 @@ def _expand(s, ideal_members, max_kr, max_mc):
     kr = kr_expand(s, max_kr)
     pruned = _prune_ideal_sinks(kr, ideal_members)
     mc, tree = mc_expand(pruned, max_mc)
-    if not check_usp(mc, max_paths=10 * max(mc.n_vertices(), 1)):
-        raise NotUsp("McCammond expansion failed the unique simple path check")
+    simple_path_edges(mc)  # raises NotUsp unless every vertex has one simple path
     sizes = {
         "semigroup": s.size(),
         "kr_vertices": kr.n_vertices(),
@@ -335,11 +332,8 @@ def verify_language_and_series(
         by_degree = {}
         for word in expr_words:
             by_degree[len(word)] = by_degree.get(len(word), 0) + 1
-        slices = t.psi.series(maxlen + 1).degree_slices()
-        for degree in range(maxlen + 1):
-            coeff_sum = sum(
-                slices[degree].terms.values(), Fraction(0)
-            ) if degree in slices else Fraction(0)
+        ones = dict.fromkeys(t.psi.variables(), 1)
+        for degree, coeff_sum in enumerate(t.psi.series_at(ones, maxlen + 1)):
             if coeff_sum != by_degree.get(degree, 0):
                 raise VerificationFailed(
                     f"series degree {degree} of {t.name} counts "

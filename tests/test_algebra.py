@@ -15,13 +15,14 @@ from sgmc.algebra import (
     limit_at_box_zero,
     stochastic_complement,
 )
-from sgmc.cli import bundled_path
+from sgmc.cli import bundled_path, load_chain_file
 from sgmc.errors import (
     DivisionByZero,
     NonUnitDenominator,
     PoleAtLimit,
     ZeroDenominator,
 )
+from sgmc.pipeline import build_semigroup, stationary
 
 xa = Polynomial.variable("a")
 xb = Polynomial.variable("b")
@@ -264,16 +265,18 @@ class TestPartial:
 
 class TestSeries:
     def test_geometric(self):
-        s = (rone / (rone - ra)).series(4)
-        assert s == one + xa + xa**2 + xa**3
+        x = Fraction(2, 7)
+        s = (rone / (rone - ra)).series_at({"a": x}, 4)
+        assert s == [1, x, x**2, x**3]
 
     def test_two_state_component_series(self):
         x2, x3 = (RationalFunction.variable(v) for v in "23")
-        p2, p3 = (Polynomial.variable(v) for v in "23")
+        p2, p3 = Fraction(1, 3), Fraction(-2, 5)
+        pt = {"2": p2, "3": p3}
         r = x2 * x3 / (rone - x3 * x3)
         # strict truncation: x_2*x_3^5 has total degree 6, so it needs bound 7
-        assert r.series(6) == p2 * p3 + p2 * p3**3
-        assert r.series(7) == p2 * p3 + p2 * p3**3 + p2 * p3**5
+        assert r.series_at(pt, 6) == [0, 0, p2 * p3, 0, p2 * p3**3, 0]
+        assert r.series_at(pt, 7) == [0, 0, p2 * p3, 0, p2 * p3**3, 0, p2 * p3**5]
 
     def test_truncation_consistency(self):
         rnd = random.Random(23)
@@ -281,11 +284,14 @@ class TestSeries:
             p = random_poly(rnd, ["a", "b"], max_terms=3)
             q = random_poly(rnd, ["a", "b"], max_terms=3) + one
             r = RationalFunction(p, q)
-            assert r.series(9).truncate(5) == r.series(5)
+            pt = {v: Fraction(rnd.randint(-5, 5), rnd.randint(1, 7)) for v in "ab"}
+            assert r.series_at(pt, 9)[:5] == r.series_at(pt, 5)
+            assert r.series_at(pt, 0) == r.series_at(pt, -2) == []
 
     def test_non_unit_denominator(self):
-        with pytest.raises(NonUnitDenominator):
-            (rone / ra).series(4)
+        for bound in (4, 0):
+            with pytest.raises(NonUnitDenominator):
+                (rone / ra).series_at({"a": Fraction(1, 2)}, bound)
 
 
 class TestBoxLimit:
@@ -438,6 +444,39 @@ def ref_evaluate(p, point):
     return total
 
 
+def ref_degree_values(p, point, bound):
+    """[value at point of the terms of p of total degree k, for k < bound]."""
+    values = [Fraction(0)] * max(bound, 0)
+    for m, c in p.items():
+        if ref_degree(m) < bound:
+            values[ref_degree(m)] += ref_evaluate({m: c}, point)
+    return values
+
+
+def ref_series(num, den, bound, inverses):
+    """The power series of num/den to total degree < bound, as a polynomial.
+
+    num * (1/c) * sum_k u^k with c the constant term of den and u = 1 - den/c,
+    which has no constant term, so u^k has no term of degree below k: the
+    sum is taken by iterated products truncated at bound.  The inverse is
+    kept in inverses per (den, bound), since many path sums share a
+    denominator.
+    """
+    key = (frozenset(den.items()), bound)
+    inv = inverses.get(key)
+    if inv is None:
+        c = den[()]
+        u = {m: -x / c for m, x in den.items() if m and ref_degree(m) < bound}
+        total = power = {(): Fraction(1)} if bound > 0 else {}
+        for _ in range(1, bound):
+            power = ref_mul(power, u, bound)
+            if not power:
+                break
+            total = ref_add(total, power)
+        inv = inverses[key] = ref_mul(total, {(): 1 / c})
+    return ref_mul(num, inv, bound)
+
+
 def ref_random(rnd, variables, max_terms=5, max_exp=3):
     out = {}
     for _ in range(rnd.randint(0, max_terms)):
@@ -497,7 +536,6 @@ class TestAgainstTupleReference:
         check(P + Q, ref_add(p, q))
         check(P - Q, ref_add(p, {m: -c for m, c in q.items()}))
         check(P * Q, ref_mul(p, q))
-        check(P.mul_truncated(Q, bound), ref_mul(p, q, bound))
         check(P**n, ref_pow(p, n))
         check(P.substitute(var, V), ref_substitute(p, var, value))
         check(P.partial(var), ref_partial(p, var))
@@ -506,20 +544,14 @@ class TestAgainstTupleReference:
             P.set_var_zero(var),
             {m: c for m, c in p.items() if not ref_exponent(m, var)},
         )
-        check(P.truncate(bound), {m: c for m, c in p.items() if ref_degree(m) < bound})
         k, rest = P.divide_out(var)
         want_k, want_rest = ref_divide_out(p, var)
         assert k == want_k
         check(rest, want_rest)
-        slices = P.degree_slices()
-        want = {}
-        for m, c in p.items():
-            want.setdefault(ref_degree(m), {})[m] = c
-        assert list(slices) == sorted(want)
-        for d, piece in slices.items():
-            check(piece, want[d])
         point = {v: Fraction(rnd.randint(-5, 5), rnd.randint(1, 7)) for v in LABELS}
         assert P.evaluate(point) == ref_evaluate(p, point)
+        for b in (bound, 10):
+            assert P.degree_values(point, b) == ref_degree_values(p, point, b)
 
     def test_substitute_into_itself(self):
         rnd = random.Random(99)
@@ -537,6 +569,62 @@ class TestAgainstTupleReference:
             {(): 1, (("z", 1),): -1, (("a", 1),): -1, (("□", 1),): -1},
         )
         check(stochastic_complement("2", ["10", "2"]), {(): 1, (("10", 1),): -1})
+
+
+CORPUS = [bundled_path(f"{name}.json") for name in ("example210", "d2", "d2c", "d2box")]
+CORPUS += sorted(str(p) for p in (Path(__file__).parent / "chains").glob("*.json"))
+
+
+def series_points(rnd, variables):
+    """A seeded rational point, the same point with one coordinate 0, all ones."""
+    point = {v: Fraction(rnd.randint(-5, 5), rnd.randint(1, 7)) for v in variables}
+    zeroed = {**point, rnd.choice(variables): 0}
+    return [point, zeroed, dict.fromkeys(variables, 1)]
+
+
+def check_series_at(rf, num, den, rnd, bound, inverses):
+    """rf = num/den reads at seeded points as the reference series does."""
+    points = series_points(rnd, sorted({*LABELS, *rf.variables()}))
+    if not den.get(()):
+        with pytest.raises(NonUnitDenominator):
+            rf.series_at(points[0], bound)
+        return
+    series = ref_series(num, den, bound, inverses)
+    for point in points:
+        assert rf.series_at(point, bound) == ref_degree_values(series, point, bound)
+
+
+class TestSeriesAtAgainstReference:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_forms(self, seed):
+        rnd = random.Random(seed)
+        bound = rnd.randint(0, 8)
+        parts = []
+        for _ in range(2):
+            num = ref_random(rnd, rnd.sample(LABELS, 2), max_terms=3, max_exp=2)
+            den = ref_random(rnd, rnd.sample(LABELS, 2), max_terms=3, max_exp=2)
+            den[()] = Fraction(rnd.choice([-3, -1, 1, 2]), rnd.randint(1, 4))
+            parts.append((num, den))
+            rf = RationalFunction(from_ref(num), from_ref(den))
+            check_series_at(rf, num, den, rnd, bound, {})
+        (n1, d1), (n2, d2) = parts
+        product = RationalFunction(from_ref(n1), from_ref(d1)) * RationalFunction(
+            from_ref(n2), from_ref(d2)
+        )
+        check_series_at(product, ref_mul(n1, n2), ref_mul(d1, d2), rnd, bound, {})
+
+    @pytest.mark.parametrize("path", CORPUS, ids=lambda p: Path(p).stem)
+    def test_corpus_path_sums_and_masses(self, path):
+        chain = load_chain_file(path)
+        result = stationary(
+            build_semigroup(chain.spec), box_label=chain.box_label or "□"
+        )
+        rnd = random.Random(71)
+        rfs = [t.psi for t in result.terminals] + list(result.per_element.values())
+        inverses = {}
+        for rf in rfs:
+            num, den = as_ref(rf.num)[0], as_ref(rf.den)[0]
+            check_series_at(rf, num, den, rnd, 7, inverses)
 
 
 def test_lane_order_never_reaches_a_print():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -99,6 +100,29 @@ class TestChainFile:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "repeated state name 'x'" in captured.err
+
+    @pytest.mark.parametrize(
+        "label",
+        ["", "a,c", "a=", " a", "a\t"],
+        ids=["empty", "comma", "equals", "leading-space", "trailing-space"],
+    )
+    def test_label_the_command_line_cannot_name(self, label, tmp_path, capsys):
+        # --eval splits on ',' and '=' and strips, loop:<w> splits on ','
+        path = write(
+            tmp_path,
+            "label.json",
+            {
+                "states": ["x", "y"],
+                "generators": [
+                    {"label": label, "action": [0, 0], "prob": "sym"},
+                    {"label": "b", "action": [1, 0], "prob": "sym"},
+                ],
+            },
+        )
+        with pytest.raises(ChainFileError, match=re.escape(f"generator {label!r}")):
+            load_chain_file(path)
+        assert run("mixing", path, "--eval", "b=1") == 1
+        assert f"generator {label!r}" in capsys.readouterr().err
 
 
 class TestAnalyze:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,14 @@ class TestHittingTail:
         assert all(a >= b for a, b in zip(tails, tails[1:]))
         assert tails[0] == 1
 
+    def test_negative_time_is_refused(self, two_state_psis):
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            hitting_tail(two_state_psis[0], -1, UNIFORM)
+
+    def test_negative_tmax_is_refused(self, two_state_psis):
+        with pytest.raises(ValueError, match="tmax must be nonnegative"):
+            tail_table(two_state_psis, UNIFORM, -2)
+
     def test_off_balance_point(self, two_state_semigroup, two_state_psis):
         point = {"1": Fraction(1, 2), "2": Fraction(1, 4), "3": Fraction(1, 4)}
         tails = tail_table(two_state_psis, point, 10)
@@ -99,19 +108,23 @@ class TestExpectedTau:
         assert Fraction(3, 2) - partial < Fraction(1, 10**6)
 
     def test_degree_weighted_series_identity(self, two_state_result):
-        # sum_i x_i dPsi/dx_i has series slices equal to degree * Psi slices
+        # sum_i x_i dPsi/dx_i has series terms of degree k equal to k times
+        # those of Psi, at every point
         psi = two_state_result.per_element["1"]
         euler = RationalFunction.zero()
         for v in psi.variables():
             euler = euler + RationalFunction.variable(v) * psi.partial(v)
-        left = euler.series(40).degree_slices()
-        right = psi.series(40).degree_slices()
-        for degree in range(40):
-            want = right.get(degree)
-            if want is None:
-                assert degree not in left
-                continue
-            assert left.get(degree, want * 0) == want * degree
+        rnd = random.Random(5)
+        points = [UNIFORM] + [
+            {v: Fraction(rnd.randint(1, 9), rnd.randint(1, 9)) for v in "123"}
+            for _ in range(2)
+        ]
+        for pt in points:
+            left = euler.series_at(pt, 40)
+            right = psi.series_at(pt, 40)
+            assert len(left) == len(right) == 40
+            for k in range(40):
+                assert left[k] == k * right[k]
 
 
 class TestMarkovBound:

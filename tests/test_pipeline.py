@@ -81,16 +81,13 @@ class TestLeftZeroCase:
         assert two_state_result.residual_mass.is_zero()
 
     def test_series_counts_are_path_counts(self, two_state_result):
-        # with every probability set to the same variable, series coefficients
-        # count paths by length
+        # with every probability set to 1, the series terms of each degree
+        # sum to the number of paths of that length
         res = two_state_result
         for name, psi in res.per_vertex.items():
-            collapsed = psi
-            for v in res.variables:
-                collapsed = collapsed.substitute(v, Polynomial.variable("t"))
-            series = collapsed.series(10)
-            for mono, coeff in series.terms.items():
-                assert coeff == int(coeff) and coeff >= 0
+            ones = dict.fromkeys(psi.variables(), 1)
+            for count in psi.series_at(ones, 10):
+                assert count == int(count) and count >= 0
 
 
 class TestGeneralCase:
