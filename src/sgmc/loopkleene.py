@@ -34,12 +34,13 @@ are those of the unfolded trees, and callers must not change them.  A print
 renders each shared node once (``kleene_texts`` for several expressions).
 
 The enumeration oracles check those multisets up to a length:
-``enumerate_path_words`` walks a graph's walks from the root, skipping every
-step after which no target is reachable in the length left, and one such
-walk serves all the targets of a graph; ``kleene_enumerate`` enumerates an
-expression's words one length at a time, once per distinct subtree and
-length, and each part of a concatenation only up to the length that the
-shortest words of the other parts leave.  A nullable star body raises
+``enumerate_path_words`` walks a graph's walks from the root one length at a
+time, each step extending the whole list of words that reach its source,
+and skips every step after which no target is reachable in the length
+left; one such walk serves all the targets of a graph.  ``kleene_enumerate``
+enumerates an expression's words one length at a time, once per distinct
+subtree and length, and each part of a concatenation only up to the length
+that the shortest words of the other parts leave.  A nullable star body raises
 StarOfUnit exactly where a word of length <= maxlen passes through the star.
 """
 
@@ -652,12 +653,16 @@ def _distances_to(g: RootedGraph, targets, maxlen: int) -> list:
 
 def _walk_words(g: RootedGraph, targets, maxlen: int, cap: int) -> dict:
     """Label words (with multiplicity) of all length <= maxlen walks from the
-    root to each target, by one depth-first walk: target -> Counter.
+    root to each target, one length at a time: target -> Counter.
 
-    A step is taken only if some target can still be reached in the length
-    left after it, so every partial walk visited is a prefix of a counted
-    one, and no more are visited than by the walk over all length <= maxlen
-    walks; more than cap visits raise CapExceeded.
+    Layer n maps each vertex to the words of the length-n walks that reach
+    it; a step extends a vertex's whole list at once, and a target counts
+    its list in one Counter.update.  A step is taken only if some target can
+    still be reached in the length left after it, so every partial walk in
+    a layer is a prefix of a counted one: the layers hold exactly the walks
+    a depth-first walk with this pruning visits, and no more than the walk
+    over all length <= maxlen walks.  More than cap partial walks raise
+    CapExceeded before the layer that would hold them is built.
     """
     if maxlen < 0:
         raise ValueError(f"maxlen must be at least 0, got {maxlen}")
@@ -665,26 +670,35 @@ def _walk_words(g: RootedGraph, targets, maxlen: int, cap: int) -> dict:
     dist = _distances_to(g, words, maxlen)
     if dist[g.root] is None:
         return words
-    steps = [
-        [(g.edges[eid][1], g.edges[eid][2]) for eid in reversed(g.out_edges(v))]
-        for v in range(g.n_vertices())
-    ]
+    steps = {}  # (dist, label suffix, dst) for each step towards a target
+    for v, d in enumerate(dist):
+        if d is not None:
+            out = (g.edges[eid] for eid in g.out_edges(v))
+            steps[v] = [(dist[t], (a,), t) for _, a, t in out if dist[t] is not None]
+    # (a layer's words at one vertex, the steps they take); the root's empty
+    # word comes from one step with the empty suffix
+    moves = [([()], [((), g.root)])]
     visited = 0
-    stack = [(g.root, ())]
-    while stack:
-        v, word = stack.pop()
-        visited += 1
+    for left in range(maxlen, -1, -1):
+        visited += sum(len(ws) * len(to) for ws, to in moves)
         if visited > cap:
             raise CapExceeded(
                 f"enumerate_path_words: more than {cap} partial walks enumerated"
             )
-        if v in words:
-            words[v][word] += 1
-        left = maxlen - len(word) - 1
-        for label, dst in steps[v]:
-            d = dist[dst]
-            if d is not None and d <= left:
-                stack.append((dst, word + (label,)))
+        layer = {}
+        while moves:  # each list of the last layer goes once it is extended
+            ws, to = moves.pop()
+            for suffix, dst in to:
+                extended = [w + suffix for w in ws]
+                if dst in layer:
+                    layer[dst] += extended
+                else:
+                    layer[dst] = extended
+        for v, ws in layer.items():
+            if v in words:
+                words[v].update(ws)
+            moves.append((ws, [(sfx, t) for d, sfx, t in steps[v] if d < left]))
+        del layer
     return words
 
 

@@ -45,15 +45,16 @@ def tail_table(psis, point, tmax: int) -> list:
         raise ValueError(f"tmax must be nonnegative, got {tmax}")
     psis = list(psis)
     total = sum((psi.evaluate(point) for psi in psis), Fraction(0))
-    mass_by_degree = [Fraction(0)] * (tmax + 1)
+    # tail[t] reads the masses of the lengths below t only
+    mass_by_degree = [Fraction(0)] * tmax
     for psi in psis:
-        for degree, value in enumerate(psi.series_at(point, tmax + 1)):
+        for degree, value in enumerate(psi.series_at(point, tmax)):
             mass_by_degree[degree] += value
-    tail = []
     below = Fraction(0)
-    for t in range(tmax + 1):
+    tail = [1 - below / total]
+    for mass in mass_by_degree:
+        below += mass
         tail.append(1 - below / total)
-        below += mass_by_degree[t]
     return tail
 
 

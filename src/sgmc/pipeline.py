@@ -311,6 +311,22 @@ def verify_oracle(
     return outcomes
 
 
+def _same_words(vertex: str, first, second):
+    """VerificationFailed naming the two oracles and the least word they
+    count differently, unless their word multisets are equal.
+
+    The Counters hold no zero count, so dict equality is multiset equality;
+    Counter's own runs a Python generator over every key."""
+    (a_name, a), (b_name, b) = first, second
+    if dict.__eq__(a, b):
+        return
+    word = min(w for w in a.keys() | b.keys() if a.get(w, 0) != b.get(w, 0))
+    raise VerificationFailed(
+        f"path/word multisets disagree for vertex {vertex}: {a_name} vs "
+        f"{b_name} at {''.join(word)!r}, counted {a.get(word, 0)} vs {b.get(word, 0)}"
+    )
+
+
 def verify_language_and_series(
     result: StationaryResult, maxlen: int, cap: int = 10**7
 ) -> int:
@@ -325,10 +341,8 @@ def verify_language_and_series(
         flat, end = flatten(t.loop_graph)
         lg_words = enumerate_path_words(flat, end, maxlen, cap)
         expr_words = kleene_enumerate(t.expression, maxlen, cap)
-        if not (mc_words == lg_words == expr_words):
-            raise VerificationFailed(
-                f"path/word multisets disagree for vertex {t.name}"
-            )
+        _same_words(t.name, ("Mc", mc_words), ("loop graph", lg_words))
+        _same_words(t.name, ("loop graph", lg_words), ("expression", expr_words))
         by_degree = {}
         for word in expr_words:
             by_degree[len(word)] = by_degree.get(len(word), 0) + 1

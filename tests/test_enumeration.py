@@ -3,9 +3,11 @@
 ``unpruned_path_words`` walks every walk of length <= maxlen from the root
 once per target; ``concatenated_words`` enumerates an expression by
 concatenating whole word Counters, with no length buckets and no memo.
-Both are kept here as references: the pruned, bucketed walk and the
+Both are kept here as references: the pruned, layered walk and the
 memoised, length-bucketed Kleene enumeration must give the same Counters
-and hit their caps no earlier.  ``budgeted_words`` concatenates whole
+and hit their caps no earlier.  ``pruned_walk_visits`` counts the partial
+walks of a depth-first walk with the same pruning as the layered one, whose
+cap must fire exactly above that count.  ``budgeted_words`` concatenates whole
 Counters too, but enumerates each part of a concatenation only up to the
 length its other parts leave, as the Kleene enumeration does: it must give
 the same outcome at every cap, StarOfUnit included.  ``concatenated_words``
@@ -18,13 +20,20 @@ import copy
 import random
 import sys
 from collections import Counter
+from itertools import count, product
 from pathlib import Path
 
 import pytest
 
-from sgmc import loopkleene
+from sgmc import loopkleene, pipeline
+from sgmc.algebra import RationalFunction
 from sgmc.cli import bundled_path, load_chain_file
-from sgmc.errors import AmbiguousExpression, CapExceeded, StarOfUnit
+from sgmc.errors import (
+    AmbiguousExpression,
+    CapExceeded,
+    StarOfUnit,
+    VerificationFailed,
+)
 from sgmc.expansions import RootedGraph, check_usp
 from sgmc.loopkleene import (
     Concat,
@@ -66,6 +75,33 @@ def unpruned_path_words(g, target, maxlen, cap=10**6):
             _, label, dst = g.edges[eid]
             stack.append((dst, word + (label,)))
     return words, visited
+
+
+def pruned_walk_visits(g, targets, maxlen):
+    """Partial walks that a depth-first walk from the root visits when it
+    takes a step only if some target can be reached in the length left
+    after it; none when no target can be reached from the root."""
+    dist = dict.fromkeys(targets, 0)
+    queue = list(dist)
+    for v in queue:
+        for eid in g.in_edges(v):
+            src = g.edges[eid][0]
+            if src not in dist:
+                dist[src] = dist[v] + 1
+                queue.append(src)
+    far = maxlen + 1
+    if dist.get(g.root, far) > maxlen:
+        return 0
+    visited = 0
+    stack = [(g.root, 0)]
+    while stack:
+        v, length = stack.pop()
+        visited += 1
+        for eid in g.out_edges(v):
+            dst = g.edges[eid][2]
+            if dist.get(dst, far) <= maxlen - length - 1:
+                stack.append((dst, length + 1))
+    return visited
 
 
 def _combine(a, b, maxlen):
@@ -326,6 +362,38 @@ def test_walk_cap():
         _walk_words(g, [0], 6, 3)
 
 
+def assert_cap_is_exact(g, targets, maxlen):
+    """The walk passes at a cap of the pruned depth-first walk's visits and
+    raises one below; where nothing is visited no cap fires."""
+    visits = pruned_walk_visits(g, targets, maxlen)
+    _walk_words(g, targets, maxlen, visits)
+    if visits:
+        with pytest.raises(CapExceeded, match="^enumerate_path_words: "):
+            _walk_words(g, targets, maxlen, visits - 1)
+    return visits
+
+
+@pytest.mark.parametrize("usp", [True, False], ids=["usp", "any"])
+def test_walk_cap_is_the_pruned_walk_count_on_random_graphs(usp):
+    # the graphs, lengths and targets of
+    # test_walk_matches_unpruned_walk_on_random_graphs
+    rnd = random.Random(41 if usp else 43)
+    counted = 0
+    for _ in range(40):
+        n = rnd.randint(2, 9)
+        g = random_usp_graph(rnd, n) if usp else random_graph(rnd, n)
+        maxlen = rnd.randint(0, 8)
+        targets = rnd.sample(range(n), rnd.randint(1, n))
+        counted += assert_cap_is_exact(g, targets, maxlen) > 0
+    assert counted > 30
+
+
+def test_walk_cap_is_the_pruned_walk_count_on_d2c(d2c_result):
+    mc = d2c_result.mc
+    visits = assert_cap_is_exact(mc, [t.vertex for t in d2c_result.terminals], 10)
+    assert visits > 10_000
+
+
 # -- the Kleene enumeration -------------------------------------------------------
 
 
@@ -535,3 +603,113 @@ def test_kleene_maxlen_zero():
     expr = Concat((Star(Letter("a")), Star(Letter("b"))))
     assert kleene_enumerate(expr, 0) == Counter({(): 1})
     assert kleene_enumerate(Letter("a"), 0) == Counter()
+
+
+# -- verify_language_and_series fails on a wrong oracle ---------------------------
+
+
+def absent_word(words, alphabet, maxlen):
+    """The first word of length <= maxlen over alphabet, shortest first,
+    that words does not count."""
+    for length in range(maxlen + 1):
+        for word in product(sorted(alphabet), repeat=length):
+            if word not in words:
+                return word
+    raise AssertionError("every word is counted")
+
+
+def mutate(words, how, alphabet, maxlen):
+    """A copy of words with one word dropped, added, or counted twice;
+    returns (copy, the word, its count before, its count after)."""
+    words = Counter(words)
+    word = absent_word(words, alphabet, maxlen) if how == "add" else min(words)
+    before = words[word]
+    if how == "drop":
+        del words[word]
+    else:
+        words[word] = {"add": 1, "double": 2}[how]
+    return words, word, before, words[word]
+
+
+@pytest.mark.parametrize("how", ["drop", "add", "double"])
+@pytest.mark.parametrize("oracle", ["mc", "loop graph", "expression"])
+def test_verification_fails_on_a_wrong_word_multiset(
+    d2_result, monkeypatch, oracle, how
+):
+    maxlen = 6
+    victim_at = 5
+    victim = d2_result.terminals[victim_at]
+    alphabet = set(d2_result.mc.alphabet)
+    seen = {}
+
+    def wrong(words):
+        words, word, before, after = mutate(words, how, alphabet, maxlen)
+        seen.update(word=word, before=before, after=after)
+        return words
+
+    if oracle == "mc":
+        walk = pipeline._walk_words
+
+        def patched(g, targets, maxlen, cap):
+            words = walk(g, targets, maxlen, cap)
+            words[victim.vertex] = wrong(words[victim.vertex])
+            return words
+
+        monkeypatch.setattr(pipeline, "_walk_words", patched)
+    elif oracle == "loop graph":
+        calls = count()
+        enumerate_words = pipeline.enumerate_path_words
+
+        def patched(g, target, maxlen, cap):
+            # called once per terminal, in the order of the terminals
+            words = enumerate_words(g, target, maxlen, cap)
+            return wrong(words) if next(calls) == victim_at else words
+
+        monkeypatch.setattr(pipeline, "enumerate_path_words", patched)
+    else:
+        enumerate_words = pipeline.kleene_enumerate
+
+        def patched(expr, maxlen, cap):
+            words = enumerate_words(expr, maxlen, cap)
+            return wrong(words) if expr is victim.expression else words
+
+        monkeypatch.setattr(pipeline, "kleene_enumerate", patched)
+    pair = "loop graph vs expression" if oracle == "expression" else "Mc vs loop graph"
+    with pytest.raises(VerificationFailed) as failed:
+        verify_language_and_series(d2_result, maxlen)
+    word = "".join(seen["word"])
+    before, after = seen["before"], seen["after"]
+    counts = f"{after} vs {before}" if oracle == "mc" else f"{before} vs {after}"
+    assert str(failed.value) == (
+        f"path/word multisets disagree for vertex {victim.name}: {pair} at "
+        f"{word!r}, counted {counts}"
+    )
+
+
+def test_verification_names_the_least_differing_word():
+    a = Counter({("a",): 1, ("b", "a"): 2, ("b", "b"): 1})
+    b = Counter({("a",): 1, ("b", "a"): 1})
+    with pytest.raises(
+        VerificationFailed,
+        match="^path/word multisets disagree for vertex v: A vs B at 'ba', "
+        "counted 2 vs 1$",
+    ):
+        pipeline._same_words("v", ("A", a), ("B", b))
+    pipeline._same_words("v", ("A", b), ("B", Counter(b)))
+
+
+def test_verification_fails_on_a_wrong_series_term(d2_result, monkeypatch):
+    series_at = RationalFunction.series_at
+    victim = d2_result.terminals[5]
+
+    def tampered(self, point, bound):
+        terms = series_at(self, point, bound)
+        if self is victim.psi:
+            terms[3] += 1
+        return terms
+
+    monkeypatch.setattr(RationalFunction, "series_at", tampered)
+    with pytest.raises(
+        VerificationFailed, match=f"^series degree 3 of {victim.name} counts "
+    ):
+        verify_language_and_series(d2_result, 6)

@@ -70,6 +70,23 @@ class TestHittingTail:
         assert all(a >= b for a, b in zip(tails, tails[1:]))
         assert tails[0] == 1
 
+    @pytest.mark.parametrize("tmax", [0, 1, 12])
+    def test_series_read_only_below_tmax(
+        self, two_state_semigroup, two_state_psis, monkeypatch, tmax
+    ):
+        # tail[tmax] needs the masses of the lengths below tmax only
+        bounds = []
+        series_at = RationalFunction.series_at
+
+        def recorded(self, point, bound):
+            bounds.append(bound)
+            return series_at(self, point, bound)
+
+        monkeypatch.setattr(RationalFunction, "series_at", recorded)
+        tails = tail_table(two_state_psis, UNIFORM, tmax)
+        assert tails == absorption_tail_by_walk(two_state_semigroup, UNIFORM, tmax)
+        assert bounds == [tmax] * len(two_state_psis)
+
     def test_negative_time_is_refused(self, two_state_psis):
         with pytest.raises(ValueError, match="t must be nonnegative"):
             hitting_tail(two_state_psis[0], -1, UNIFORM)
