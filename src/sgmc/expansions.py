@@ -52,7 +52,7 @@ class RootedGraph:
         self._out = None
         self._in = None
         self._simple_paths = None
-        self._loop_vertices = None    # kept by loopkleene.pict
+        self._loop_vertices = None    # one LoopVertex per vertex, by loopkleene.pict
 
     def n_vertices(self):
         return len(self.payloads)

@@ -21,17 +21,20 @@ A copy of v carries the loops of v and nothing else, so the starred union
 hung at it depends only on v.  ``loop_stars`` builds its rational function
 S(v) once per vertex, and ``path_sum`` reads a path sum off the spine as
 S(root) x_e1 S(v1) ..., in the order ``kleene_to_rf`` multiplies the
-expanded tree, so no tree is needed for the rational functions.  The
-recursive tree walks raise CapExceeded, naming the stage, when the nesting
-outruns Python's recursion limit.
+expanded tree, so no tree is needed for the rational functions.
 
 For the same reason loop graphs and expressions are DAGs owned by their
-graph: ``pict`` keeps one LoopVertex per vertex on the graph, and every copy
-of v in every loop graph of that graph is that object; ``algorithm2`` keeps
-each loop's expansion and each vertex's starred union on the loops, and
-Letters are interned.  Their size is linear in the graph's, their prints
-are those of the unfolded trees, and callers must not change them.  A print
-renders each shared node once (``kleene_texts`` for several expressions).
+graph.  The first ``pict`` on a graph builds, in one pass deepest first as
+``loop_stars`` does, each vertex's LoopVertex with its loops, their
+expansions, its starred union and its copy count, and keeps them on the
+graph; every copy of v in every loop graph of that graph is that object,
+``algorithm2`` reads the expansions and starred unions, and Letters are
+interned.  Their size is linear in the graph's, their prints are those of
+the unfolded trees, and callers must not change them.  A print renders each
+shared node once (``kleene_texts`` for several expressions).  The walks
+that recurse over an expression or an unfolding (``flatten``,
+``kleene_to_rf``, the print, the enumeration) raise CapExceeded, naming
+the stage, when the nesting outruns Python's recursion limit.
 
 The enumeration oracles check those multisets up to a length:
 ``enumerate_path_words`` walks a graph's walks from the root one length at a
@@ -79,8 +82,14 @@ def nesting_cap(stage: str):
 
 @dataclass(slots=True)
 class LoopVertex:
+    """A vertex of a loop graph and the loops hung at it.  ``pict`` also
+    gives it the star of its loops' expansions (None without loops) and the
+    number of loop-vertex copies the unfolding hangs below one copy of it."""
+
     name: str
     loops: list = field(default_factory=list)
+    star: Kleene = field(default=None, repr=False, compare=False)
+    copies: int = field(default=0, repr=False, compare=False)
 
 
 @dataclass(slots=True)
@@ -90,14 +99,13 @@ class Loop:
     labels[j] is the j-th cycle edge; the last edge returns to the attachment
     vertex.  inner[j] is the copy of the vertex entered by labels[j], so there
     are len(labels) - 1 inner vertices, each possibly carrying nested loops.
+    ``pict`` also gives it its expansion and the star of the vertex it hangs at.
     """
 
     labels: list
     inner: list
-    # built by algorithm2 on first use: the loop's expression, and, on the
-    # first loop of a vertex, (the vertex's loops, their starred union)
-    _expansion: object = field(default=None, init=False, repr=False, compare=False)
-    _star: tuple = field(default=None, init=False, repr=False, compare=False)
+    expansion: Kleene = field(default=None, repr=False, compare=False)
+    star: Kleene = field(default=None, repr=False, compare=False)
 
     def size(self):
         return len(self.labels)
@@ -112,7 +120,6 @@ class LoopGraph:
 # -- Pict ------------------------------------------------------------------
 
 
-@nesting_cap("pict")
 def pict(
     g: RootedGraph,
     path_edges,
@@ -122,17 +129,18 @@ def pict(
 ) -> LoopGraph:
     """Unfold a USP graph along a simple path into a loop graph.
 
-    A copy of an Mc vertex carries the loops of that vertex and nothing else,
-    so each Mc vertex has one LoopVertex, built on first use and kept on the
-    graph; the spine and every inner copy are those shared objects, and the
-    loop graph is a DAG whose size is linear in the graph's.  Callers must not
-    change it.  The unfolding it stands for can grow exponentially in the
-    size of the input graph; max_vertices bounds the number of loop-vertex
-    copies in it (CapExceeded beyond it).
+    The spine and every inner copy are the LoopVertex objects the first call
+    builds for the graph (``_loop_vertices``), so the loop graph is a DAG
+    whose size is linear in the graph's; callers must not change it.  The
+    unfolding it stands for can grow exponentially in the size of the input
+    graph; max_vertices bounds the number of loop-vertex copies in it
+    (CapExceeded beyond it).
     """
     if verify_usp and not check_usp(g, max_paths):
         raise NotUsp("pict requires the unique simple path property")
     unique = simple_path_edges(g)
+    if path_edges and not 0 <= path_edges[-1] < len(g.edges):
+        raise PathNotInGraph(f"edge {path_edges[-1]} is not an edge of the graph")
     end = g.edges[path_edges[-1]][2] if path_edges else g.root
     # a prefix of a unique simple path is the unique simple path to its end
     if tuple(path_edges) != unique[end]:
@@ -140,13 +148,16 @@ def pict(
             f"given path to {g.names[end]} is not its unique simple path"
         )
     if g._loop_vertices is None:
-        g._loop_vertices = ([None] * g.n_vertices(), [0] * g.n_vertices())
-    spine_vertices = [g.root] + [g.edges[e][2] for e in path_edges]
-    spine = [_loop_vertex(g, unique, sv) for sv in spine_vertices]
-    copies = g._loop_vertices[1]
+        g._loop_vertices = _loop_vertices(g, unique)
+    spine = [g._loop_vertices[g.root]]
+    spine += [g._loop_vertices[g.edges[e][2]] for e in path_edges]
     # the spine counts against the cap too, but with no copy nothing is over
-    if sum(copies[sv] for sv in spine_vertices) > max(max_vertices - len(spine), 0):
-        raise CapExceeded("loop graph exceeds the vertex cap")
+    total = len(spine) + sum(lv.copies for lv in spine)
+    if total > max(max_vertices, len(spine)):
+        raise CapExceeded(
+            f"pict: loop graph to {g.names[end]} holds {total} vertices,"
+            f" above the cap {max_vertices}"
+        )
     return LoopGraph([g.edges[e][1] for e in path_edges], spine)
 
 
@@ -166,31 +177,40 @@ def _loops(g, unique, v):
         yield unique[src][len(base):], closing_label
 
 
-def _loop_vertex(g, unique, v):
-    """The LoopVertex of v, built once per graph, with copies(v) kept beside it.
+def _loop_vertices(g: RootedGraph, unique) -> list:
+    """The LoopVertex of every vertex of a USP graph, complete.
 
-    copies(v) is the number of loop-vertex copies the unfolding hangs below
-    one copy of v: 1 + copies(dst) for every body edge of every loop of v.
-    Body edges lead deeper into the tree, so the recursion ends.
+    A loop's expansion is each body label, followed by the star of the copy
+    that label enters, then the closing label; a vertex's star is the Star
+    of its loops' expansions, a Union if there are several; its copies are
+    1 + copies(dst) for every body edge of every loop.  Body edges lead
+    deeper into the tree, so, with the vertices taken deepest first as in
+    ``loop_stars``, everything a vertex reads is already built.
     """
-    vertices, copies = g._loop_vertices
-    if vertices[v] is not None:
-        return vertices[v]
-    lvertex = LoopVertex(g.names[v])
-    below = 0
-    for body, closing_label in _loops(g, unique, v):
-        labels = []
-        inner = []
-        for beid in body:
-            _, blabel, bdst = g.edges[beid]
-            labels.append(blabel)
-            inner.append(_loop_vertex(g, unique, bdst))
-            below += 1 + copies[bdst]
-        labels.append(closing_label)
-        lvertex.loops.append(Loop(labels, inner))
-    vertices[v] = lvertex
-    copies[v] = below
-    return lvertex
+    vertices = [None] * g.n_vertices()
+    for v in sorted(range(g.n_vertices()), key=lambda v: -len(unique[v])):
+        built = []
+        copies = 0
+        for body, closing_label in _loops(g, unique, v):
+            labels = []
+            inner = []
+            parts = []
+            for eid in body:
+                _, label, dst = g.edges[eid]
+                copy = vertices[dst]
+                labels.append(label)
+                inner.append(copy)
+                parts.append(_letter(label))
+                if copy.star is not None:
+                    parts.append(copy.star)
+                copies += 1 + copy.copies
+            labels.append(closing_label)
+            parts.append(_letter(closing_label))
+            built.append((labels, inner, concat(parts)))
+        star = _star_of([expansion for _, _, expansion in built]) if built else None
+        loops = [Loop(*cycle, star) for cycle in built]
+        vertices[v] = LoopVertex(g.names[v], loops, star, copies)
+    return vertices
 
 
 def _product(g, stars, first, edges, last) -> RationalFunction:
@@ -299,7 +319,7 @@ class Concat(Kleene):
             raise ValueError("empty concatenation")
 
     def __str__(self):
-        return _printed(self, {})
+        return kleene_texts([self])[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -311,7 +331,7 @@ class Union(Kleene):
             raise ValueError("empty union")
 
     def __str__(self):
-        return _printed(self, {})
+        return kleene_texts([self])[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -319,7 +339,7 @@ class Star(Kleene):
     inner: Kleene
 
     def __str__(self):
-        return _printed(self, {})
+        return kleene_texts([self])[0]
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -352,6 +372,7 @@ def _printed(node: Kleene, memo: dict) -> str:
     return text
 
 
+@nesting_cap("kleene print")
 def kleene_texts(exprs) -> list:
     """str of each expression, every node they share printed once."""
     memo = {}
@@ -370,6 +391,11 @@ def concat(parts) -> Kleene:
 _letter = cache(Letter)  # one Letter per label, shared by every expression
 
 
+def _star_of(parts) -> Star:
+    """Star over the parts, a union if several."""
+    return Star(parts[0] if len(parts) == 1 else Union(tuple(parts)))
+
+
 def _loop_star(lvertex, counter):
     """Star over fresh placeholders for the loops at a vertex, or None."""
     if not lvertex.loops:
@@ -378,7 +404,7 @@ def _loop_star(lvertex, counter):
     for loop in lvertex.loops:
         counter[0] += 1
         symbols.append(LoopSymbol(loop, counter[0]))
-    return Star(symbols[0] if len(symbols) == 1 else Union(tuple(symbols)))
+    return _star_of(symbols)
 
 
 def algorithm1(lg: LoopGraph) -> Kleene:
@@ -392,13 +418,14 @@ def algorithm1(lg: LoopGraph) -> Kleene:
 
 @nesting_cap("algorithm2")
 def algorithm2(expr: Kleene, lg: LoopGraph = None) -> Kleene:
-    """Expand every loop placeholder by re-rooting its cycle as a loop graph.
+    """Expand every placeholder of a loop ``pict`` built into the loop's
+    expansion.
 
-    A loop's expression is its labels with the starred union of the loops
-    at each inner copy after the label entering it.  Both are built once and
-    kept on the loops, which ``pict`` shares among all the loop graphs of
-    one Mc graph, so expressions are DAGs that share their sub-expressions;
-    callers must not change them.
+    A star over exactly the placeholders of one vertex's loops, in
+    ``algorithm1``'s form, becomes the star ``pict`` built for that vertex;
+    any other star over placeholders is a fresh Star.  ``pict`` shares loops
+    and stars among all the loop graphs of one Mc graph, so expressions are
+    DAGs that share their sub-expressions; callers must not change them.
     """
 
     def rewrite(node):
@@ -411,52 +438,22 @@ def algorithm2(expr: Kleene, lg: LoopGraph = None) -> Kleene:
         if isinstance(node, Star):
             inner = node.inner
             parts = inner.parts if isinstance(inner, Union) else (inner,)
-            # a star in algorithm1's form, over one placeholder or a union of
-            # several, is the loops' shared one
-            if all(isinstance(p, LoopSymbol) for p in parts) and (
-                len(parts) > 1 or parts[0] is inner
-            ):
-                return _starred([p.loop for p in parts])
+            star = parts[0].loop.star if isinstance(parts[0], LoopSymbol) else None
+            if star is not None and all(isinstance(p, LoopSymbol) for p in parts):
+                own = star.inner
+                own = own.parts if isinstance(own, Union) else (own,)
+                # a union of one placeholder is not pict's form: it prints in braces
+                if (len(parts) > 1 or parts[0] is inner) and len(own) == len(parts):
+                    if all(e is p.loop.expansion for e, p in zip(own, parts)):
+                        return star
             return Star(rewrite(inner))
         if isinstance(node, LoopSymbol):
-            return _expansion(node.loop)
+            if node.loop.expansion is None:
+                raise ValueError(f"placeholder {node} is of a loop pict did not build")
+            return node.loop.expansion
         raise TypeError(f"unknown Kleene node {node!r}")
 
     return rewrite(expr)
-
-
-def _expansion(loop: Loop) -> Kleene:
-    """The loop's labels, each followed by the starred union of the loops at
-    the copy it enters; built once.
-
-    A nesting level costs two frames, of this and ``_starred``, and no
-    comprehension, so that deep nests reach the recursion limit late.
-    """
-    if loop._expansion is None:
-        parts = []
-        for label, copy in zip(loop.labels, loop.inner):
-            parts.append(_letter(label))
-            if copy.loops:
-                parts.append(_starred(copy.loops))
-        parts.append(_letter(loop.labels[-1]))
-        loop._expansion = concat(parts)
-    return loop._expansion
-
-
-def _starred(loops) -> Kleene:
-    """Star over the expansions of a vertex's loops, a union if several;
-    kept on the first loop and reused for the same loops."""
-    kept = loops[0]._star
-    if kept is not None and len(kept[0]) == len(loops):
-        if all(a is b for a, b in zip(kept[0], loops)):
-            return kept[1]
-    expansions = []
-    for loop in loops:
-        expansions.append(_expansion(loop))
-    inner = expansions[0] if len(expansions) == 1 else Union(tuple(expansions))
-    star = Star(inner)
-    loops[0]._star = (loops, star)
-    return star
 
 
 @nesting_cap("kleene_to_rf")

@@ -66,7 +66,6 @@ from .loopkleene import (
     kleene_enumerate,
     kleene_texts,
     loop_stars,
-    nesting_cap,
     path_sum,
     pict,
 )
@@ -114,8 +113,7 @@ class StationaryResult:
     @cached_property
     def kleene(self) -> dict:
         """Vertex word name -> expression text, built on first read."""
-        with nesting_cap("kleene print"):
-            texts = kleene_texts([t.expression for t in self.terminals])
+        texts = kleene_texts([t.expression for t in self.terminals])
         return {t.name: text for t, text in zip(self.terminals, texts)}
 
 

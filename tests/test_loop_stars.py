@@ -23,6 +23,8 @@ from sgmc.expansions import RootedGraph, simple_path_edges
 from sgmc.loopkleene import (
     algorithm1,
     algorithm2,
+    flatten,
+    kleene_texts,
     kleene_to_rf,
     loop_stars,
     path_sum,
@@ -143,13 +145,26 @@ def test_loop_stars_print_as_the_tree_when_deep():
 
 
 def test_deep_trees_raise_cap_exceeded_naming_the_stage():
+    # pict and Algorithms 1-2 build the shared forms without recursion; the
+    # walks over the unfolded tree recurse, and name their stage
     g = ladder(2000)
-    with pytest.raises(CapExceeded, match="^pict: "):
-        pict(g, simple_path_edges(g)[1], verify_usp=False)
-    g = ladder(900)
-    lg = pict(g, simple_path_edges(g)[1], verify_usp=False)
-    with pytest.raises(CapExceeded, match="^algorithm2: "):
-        algorithm2(algorithm1(lg))
+    path = simple_path_edges(g)[1]
+    lg = pict(g, path, verify_usp=False)
+    expr = algorithm2(algorithm1(lg))
+    # 2000 copies hang below v_0 and 1999 below v_1, beside the 2 spine vertices
+    pict(g, path, verify_usp=False, max_vertices=4001)
+    with pytest.raises(
+        CapExceeded, match="^pict: loop graph to v1 holds 4001 vertices, above the cap 4000$"
+    ):
+        pict(g, path, verify_usp=False, max_vertices=4000)
+    with pytest.raises(CapExceeded, match="^flatten: "):
+        flatten(lg)
+    with pytest.raises(CapExceeded, match="^kleene_to_rf: "):
+        kleene_to_rf(expr)
+    with pytest.raises(CapExceeded, match="^kleene print: "):
+        kleene_texts([expr])
+    with pytest.raises(CapExceeded, match="^kleene print: "):
+        str(expr)
 
 
 # -- the two slowest analyze chains of the benchmark corpus -----------------
@@ -251,5 +266,7 @@ def test_max_loop_bounds_only_the_trees():
     chain = load_chain_file(bundled_path("d2.json"))
     report = full_report(chain.spec, points=1, seed=1, max_loop=1)
     assert report.normalization
-    with pytest.raises(CapExceeded, match="vertex cap"):
+    with pytest.raises(
+        CapExceeded, match=r"^pict: loop graph to \S+ holds \d+ vertices, above the cap 1$"
+    ):
         report_dict(report)

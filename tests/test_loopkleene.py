@@ -3,13 +3,21 @@ from collections import Counter
 import pytest
 
 from sgmc.algebra import RationalFunction
-from sgmc.errors import AmbiguousExpression, NotUsp, PathNotInGraph, StarOfUnit
+from sgmc.errors import (
+    AmbiguousExpression,
+    CapExceeded,
+    NotUsp,
+    PathNotInGraph,
+    StarOfUnit,
+)
 from sgmc.expansions import RootedGraph, kr_expand, mc_expand, simple_path_edges
 from sgmc.loopkleene import (
     Concat,
     Epsilon,
     Letter,
+    Loop,
     LoopSymbol,
+    LoopVertex,
     Star,
     Union,
     algorithm1,
@@ -17,6 +25,7 @@ from sgmc.loopkleene import (
     enumerate_path_words,
     flatten,
     kleene_enumerate,
+    kleene_texts,
     kleene_to_rf,
     pict,
 )
@@ -123,7 +132,7 @@ class TestPict:
 
     @pytest.mark.parametrize(
         "path",
-        [[1], [2], [0, 2], [0, 1, 2], [0, 3], [0, 1, 2, 1], [0, 0]],
+        [[1], [2], [0, 2], [0, 1, 2], [0, 3], [0, 1, 2, 1], [0, 0], [5]],
         ids=[
             "starts-off-root",
             "starts-at-back-edge",
@@ -132,6 +141,7 @@ class TestPict:
             "returns-to-root",
             "ends-right-through-a-loop",
             "repeats-an-edge",
+            "edge-outside-graph",
         ],
     )
     def test_rejects_path_that_is_not_the_unique_one(self, path):
@@ -186,6 +196,12 @@ class TestAlgorithms:
         second_star = expr.parts[3]
         assert isinstance(second_star.inner, LoopSymbol)
 
+    def test_placeholder_of_a_loop_pict_did_not_build_is_refused(self):
+        loop = Loop(["a", "b"], [LoopVertex("u")])
+        for expr in (LoopSymbol(loop, 1), st(LoopSymbol(loop, 1))):
+            with pytest.raises(ValueError, match="^placeholder l1 is of a loop pict"):
+                algorithm2(expr)
+
     def test_loopless_spine(self):
         g = straight_graph()
         lg = pict(g, [0, 1, 2])
@@ -217,6 +233,17 @@ class TestAlgorithms:
         # same language to length 12 and same rational function
         assert kleene_enumerate(got, 12) == kleene_enumerate(printed, 12)
         assert kleene_to_rf(got).equals(kleene_to_rf(printed))
+
+
+class TestPrint:
+    def test_deep_nesting_raises_cap_exceeded_naming_the_stage(self):
+        node = L("a")
+        for _ in range(3000):
+            node = st(cat(L("b"), node))
+        with pytest.raises(CapExceeded, match="^kleene print: "):
+            str(node)
+        with pytest.raises(CapExceeded, match="^kleene print: "):
+            kleene_texts([node])
 
 
 class TestKleeneToRf:

@@ -1,15 +1,17 @@
 """The Pict unfolding shared per McCammond graph, against the unshared trees.
 
-``pict`` keeps one LoopVertex per Mc vertex on the graph, and ``algorithm2``
-keeps each loop's expansion and each vertex's starred union on the loops,
-so loop graphs and expressions are DAGs.  The references below are the
-unshared builders: every copy of a vertex gets fresh loops, every loop is
-expanded afresh (through placeholders created mid-expansion), and every
-Letter is a new object.  The shared forms must flatten and print exactly as
-they do, and the vertex cap must fire at the same threshold.
+``pict`` builds, once per Mc graph, one LoopVertex per Mc vertex with its
+loops, each loop's expansion and the vertex's starred union, and
+``algorithm2`` reads them, so loop graphs and expressions are DAGs.  The
+references below are the unshared builders: every copy of a vertex gets
+fresh loops, every loop is expanded afresh (through placeholders created
+mid-expansion), and every Letter is a new object.  The shared forms must
+flatten and print exactly as they do, and the vertex cap must fire at the
+same threshold.
 """
 
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ from sgmc.expansions import (
     DEFAULT_MAX_KR,
     DEFAULT_MAX_MC,
     RootedGraph,
+    check_usp,
     simple_path_edges,
 )
 from sgmc.loopkleene import (
@@ -36,6 +39,7 @@ from sgmc.loopkleene import (
     algorithm1,
     algorithm2,
     concat,
+    enumerate_path_words,
     flatten,
     kleene_enumerate,
     kleene_texts,
@@ -210,6 +214,22 @@ def test_grid4x3_3_prints_as_the_tree_on_a_sample():
     assert_same_as_reference(mc, terminals[::50])
 
 
+# -- the benchmark's calls ---------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["d2c", "example210"])
+def test_expand_workload_call_shapes(name):
+    # the calls perfbench's expand workload makes, written as it writes them,
+    # so that a change of signature fails here and not only in the benchmark
+    mc, terminals = chain_mc(bundled_path(f"{name}.json"))
+    assert check_usp(mc, max_paths=10 * max(mc.n_vertices(), 1))
+    unique = simple_path_edges(mc)
+    for v in terminals:
+        lg = pict(mc, unique[v], False, max_vertices=10**6)
+        expr = algorithm2(algorithm1(lg), lg)
+        assert kleene_enumerate(expr, 5) == enumerate_path_words(mc, v, 5), mc.names[v]
+
+
 # -- the vertex cap -------------------------------------------------------------
 
 
@@ -247,7 +267,11 @@ def test_vertex_cap_fires_at_the_same_threshold(name):
         assert first_failing_cap(shared, 10**6) == threshold, mc.names[t]
         if threshold >= 0:
             thresholds.append(threshold)
-            with pytest.raises(CapExceeded, match="^loop graph exceeds the vertex cap$"):
+            want = (
+                f"^pict: loop graph to {re.escape(mc.names[t])} holds"
+                f" {threshold + 1} vertices, above the cap {threshold}$"
+            )
+            with pytest.raises(CapExceeded, match=want):
                 shared(threshold)
         shared(threshold + 1)
     assert len(thresholds) >= 3
@@ -368,7 +392,10 @@ def test_placeholders_outside_algorithm1_still_expand():
     )
     loops = lg.spine[1].loops
     assert len(loops) >= 3
+    # the only loop of a vertex, under a star as a union of one: braces
+    single = next(lv.loops[0] for lv in lg.spine if len(lv.loops) == 1)
     exprs = [
+        Star(Union((LoopSymbol(single, 1),))),
         Star(Union((LoopSymbol(loops[1], 1), LoopSymbol(loops[2], 2)))),
         Star(Union((LoopSymbol(loops[0], 1), LoopSymbol(loops[1], 2)))),
         Star(Union((LoopSymbol(loops[0], 1), LoopSymbol(loops[2], 2)))),
@@ -378,8 +405,10 @@ def test_placeholders_outside_algorithm1_still_expand():
     ]
     for expr in exprs * 2:
         assert str(algorithm2(expr)) == str(reference_algorithm2(expr))
-    full = Star(Union(tuple(LoopSymbol(loop, i) for i, loop in enumerate(loops))))
-    assert str(algorithm2(full)) == str(reference_algorithm2(full))
+    # all of the vertex's loops, in their order and reversed
+    for order in (loops, loops[::-1]):
+        full = Star(Union(tuple(LoopSymbol(loop, i) for i, loop in enumerate(order))))
+        assert str(algorithm2(full)) == str(reference_algorithm2(full))
 
 
 # -- deep nests -----------------------------------------------------------------
