@@ -9,10 +9,18 @@ monomial in every polynomial.  The product of two monomials is the sum of
 their keys, degree lane included.  Total degrees stay below 2^20, so no lane
 ever carries into the next.  A key is decoded to ``((variable, exponent),
 ...)`` pairs only for printing, by :meth:`Polynomial.sorted_terms`.
+A polynomial is evaluated at a point in Python integers: each coordinate is
+a_v / L over one common denominator L, the powers of the a_v and of L are
+made once, the terms c * prod a_v^e_v * L^(D - deg) are summed by the
+denominator of c, and one Fraction, over L^D, is made at the end.
 
 A :class:`RationalFunction` is a polynomial times a product of shared
-factors raised to integer exponents.  Products add exponents, sums pull out
-each factor's smallest exponent and expand only the leftover powers, so
+factors raised to integer exponents.  A product of several functions is
+made in one pass: the constants and monomials of one-term polys multiply
+as numbers and keys, and the factor exponents add up in one dict.  A sum
+first adds, as polynomials, the addends that carry the same factors to the
+same exponents (one signature); it then pulls out each factor's smallest
+exponent and expands only the leftover powers, once per signature, so
 identical factors are never multiplied out; the numerator/denominator pair
 is multiplied out only when it is read.  No multivariate gcd is ever
 computed: the only cancellation is of identical factors and, in
@@ -29,6 +37,10 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate, repeat
+from math import lcm
+from operator import mul
 
 from .errors import (
     DivisionByZero,
@@ -51,6 +63,27 @@ def _offset(var: str) -> int:
     if offset is None:
         offset = _OFFSET[var] = _LANE * (len(_OFFSET) + 1)
     return offset
+
+
+def _fraction(x) -> Fraction:
+    """x as a Fraction, without a copy when it is one."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def _powers(base: int, top: int) -> list:
+    """[base^0, base^1, ..., base^top]."""
+    return list(accumulate(repeat(base, top), mul, initial=1))
+
+
+def _add_terms(out: dict, terms: dict):
+    """Add the terms of one polynomial to the term dict out, in place."""
+    get = out.get
+    for m, c in terms.items():
+        total = get(m, 0) + c
+        if total:
+            out[m] = total
+        else:
+            del out[m]
 
 
 class Polynomial:
@@ -121,12 +154,7 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+        _add_terms(out, other.terms)
         return Polynomial(out)
 
     __radd__ = __add__
@@ -177,16 +205,40 @@ class Polynomial:
         return result
 
     def evaluate(self, point: dict) -> Fraction:
-        lanes = [(offset, Fraction(point[v])) for v, offset in self._lanes()]
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            val = c
-            for offset, x in lanes:
+        """The value at point, summed in integers over one common denominator.
+
+        With every coordinate written a_v / L over the lcm L of their
+        denominators and D the total degree, the value is
+        sum c * prod a_v^e_v * L^(D - deg) over L^D.  The powers of the a_v
+        and of L are made once; the integer sums are kept by the denominator
+        of c, and one Fraction is made at the end.
+        """
+        terms = self.terms
+        if not terms:
+            return Fraction(0)
+        coords = [(offset, _fraction(point[v])) for v, offset in self._lanes()]
+        common = lcm(*(x.denominator for _, x in coords))
+        top = self.total_degree()
+        lanes = [
+            (offset, _powers(x.numerator * (common // x.denominator), top))
+            for offset, x in coords
+        ]
+        scale = _powers(common, top)
+        sums = {}  # denominator of c -> sum of its terms, in integers
+        for m, c in terms.items():
+            value = scale[top - (m & _MASK)]
+            for offset, powers in lanes:
                 e = (m >> offset) & _MASK
                 if e:
-                    val *= x**e
-            total += val
-        return total
+                    value *= powers[e]
+            if type(c) is int:
+                sums[1] = sums.get(1, 0) + c * value
+            else:
+                d = c.denominator
+                sums[d] = sums.get(d, 0) + c.numerator * value
+        den = lcm(*sums)
+        num = sum(total * (den // d) for d, total in sums.items())
+        return Fraction(num, den * scale[top])
 
     def degree_values(self, point: dict, bound: int) -> list:
         """[value at point of the terms of total degree k, for k < bound].
@@ -406,31 +458,84 @@ class RationalFunction:
     def sum(cls, parts) -> "RationalFunction":
         """Exact sum that multiplies out only the factors addends do not share.
 
-        Each factor keeps its smallest exponent over the addends; every
-        addend is expanded against the rest, so a factor all addends carry
-        to the same power is never expanded.
+        Addends with the same factors to the same exponents (one signature)
+        are added as polynomials first, with no product.  Each factor then
+        keeps its smallest exponent, if negative, over the signatures, and
+        each signature's sum is multiplied by the powers its factors carry
+        above that, so a factor every addend carries to the same negative
+        power is never expanded.  A signature whose sum cancels still counts
+        for the smallest exponents, so the form does not depend on the order
+        or grouping of the addends.
         """
-        parts = [p for p in parts if not p.is_zero()]
+        parts = [p for p in parts if p.poly.terms]
         if len(parts) < 2:
             return parts[0] if parts else cls.zero()
+        groups = {}  # signature -> (factors, summed terms)
+        for p in parts:
+            signature = frozenset(p.factors.items())
+            group = groups.get(signature)
+            if group is None:
+                groups[signature] = (p.factors, dict(p.poly.terms))
+            else:
+                _add_terms(group[1], p.poly.terms)
         lowest = {}
-        for p in parts:
-            for f in p.factors:
-                lowest[f] = 0
-        for p in parts:
-            for f in lowest:
-                e = p.factors.get(f, 0)
-                if e < lowest[f]:
+        for factors, _ in groups.values():
+            for f, e in factors.items():
+                if e < lowest.get(f, 0):
                     lowest[f] = e
-        total = Polynomial.zero()
+        powers = {}  # (factor, exponent) -> factor.poly ** exponent
+        total = {}
+        for factors, terms in groups.values():
+            if not terms:
+                continue
+            lifts = [(f, e - lowest.get(f, 0)) for f, e in factors.items()]
+            lifts += [(f, -low) for f, low in lowest.items() if f not in factors]
+            lift = []
+            for f, e in lifts:
+                if e:
+                    power = powers.get((f, e))
+                    if power is None:
+                        power = powers[f, e] = f.poly**e
+                    lift.append(power)
+            # the powers are multiplied together first, the largest first,
+            # and then the sum; that costs less than multiplying the sum by
+            # one power after another
+            term = Polynomial(terms)
+            if lift:
+                lift.sort(key=lambda power: len(power.terms), reverse=True)
+                term = term * reduce(mul, lift)
+            _add_terms(total, term.terms)
+        return cls._form(Polynomial(total), lowest)
+
+    @classmethod
+    def product(cls, parts) -> "RationalFunction":
+        """The product of parts in one pass, left to right.
+
+        The constants and monomials of single-term polys are multiplied as
+        numbers and keys, the factor exponents are added in one dict, and
+        a poly of several terms is multiplied in as a polynomial; the result
+        is made once, at the end.
+        """
+        key, coeff = 0, 1
+        poly = None  # the product of the polys of several terms
+        factors = {}
+        get = factors.get
         for p in parts:
-            term = p.poly
-            for f, low in lowest.items():
-                extra = p.factors.get(f, 0) - low
-                if extra:
-                    term = term * f.poly**extra
-            total = total + term
-        return cls._form(total, {f: e for f, e in lowest.items() if e})
+            terms = p.poly.terms
+            if len(terms) == 1:
+                for k, c in terms.items():
+                    key += k
+                    coeff *= c
+            elif not terms:
+                return cls.zero()
+            else:
+                poly = p.poly if poly is None else poly * p.poly
+            for f, e in p.factors.items():
+                factors[f] = get(f, 0) + e
+        out = Polynomial({key: coeff})
+        if poly is not None:
+            out = out * poly
+        return cls._form(out, {f: e for f, e in factors.items() if e})
 
     @staticmethod
     def _coerce(other):
@@ -521,10 +626,7 @@ class RationalFunction:
 
     @staticmethod
     def _product(pieces) -> "RationalFunction":
-        out = RationalFunction.const(1)
-        for poly, e in pieces:
-            out = out * RationalFunction.power(poly, e)
-        return out
+        return RationalFunction.product(RationalFunction.power(p, e) for p, e in pieces)
 
     def equals(self, other) -> bool:
         """True iff self - other is the zero function."""

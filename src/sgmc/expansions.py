@@ -52,7 +52,10 @@ class RootedGraph:
         self._out = None
         self._in = None
         self._simple_paths = None
-        self._loop_vertices = None    # one LoopVertex per vertex, by loopkleene.pict
+        # by loopkleene.pict: loop-vertex copies, loops, LoopVertex per vertex
+        self._loop_copies = None
+        self._loop_cycles = None
+        self._loop_vertices = None
 
     def n_vertices(self):
         return len(self.payloads)

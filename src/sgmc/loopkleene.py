@@ -24,10 +24,13 @@ S(root) x_e1 S(v1) ..., in the order ``kleene_to_rf`` multiplies the
 expanded tree, so no tree is needed for the rational functions.
 
 For the same reason loop graphs and expressions are DAGs owned by their
-graph.  The first ``pict`` on a graph builds, in one pass deepest first as
-``loop_stars`` does, each vertex's LoopVertex with its loops, their
-expansions, its starred union and its copy count, and keeps them on the
-graph; every copy of v in every loop graph of that graph is that object,
+graph.  The first ``pict`` on a graph counts, in one pass deepest first as
+``loop_stars`` does, each vertex's loop-vertex copies, in integers, so the
+cap is checked before anything is built.  A ``pict`` within the cap then
+builds, from the loops that pass found, the LoopVertex of each vertex its
+loop graph holds that has none yet, with its loops, their expansions and
+its starred union, and keeps them on the graph; every copy of v in every
+loop graph of that graph is that object,
 ``algorithm2`` reads the expansions and starred unions, and Letters are
 interned.  Their size is linear in the graph's, their prints are those of
 the unfolded trees, and callers must not change them.  A print renders each
@@ -129,12 +132,14 @@ def pict(
 ) -> LoopGraph:
     """Unfold a USP graph along a simple path into a loop graph.
 
-    The spine and every inner copy are the LoopVertex objects the first call
-    builds for the graph (``_loop_vertices``), so the loop graph is a DAG
-    whose size is linear in the graph's; callers must not change it.  The
-    unfolding it stands for can grow exponentially in the size of the input
-    graph; max_vertices bounds the number of loop-vertex copies in it
-    (CapExceeded beyond it).
+    The spine and every inner copy are the LoopVertex objects built once
+    per vertex of the graph (``_build_loop_vertices``), so the loop graph is
+    a DAG whose size is linear in the graph's; callers must not change it.
+    The unfolding it stands for can grow exponentially in the size of the
+    input graph; max_vertices bounds the number of loop-vertex copies in it
+    (CapExceeded beyond it).  The first call counts the copies of every
+    vertex in integers (``_loop_copies``); a LoopVertex is built only for a
+    loop graph within the cap, when it first holds the vertex.
     """
     if verify_usp and not check_usp(g, max_paths):
         raise NotUsp("pict requires the unique simple path property")
@@ -147,17 +152,18 @@ def pict(
         raise PathNotInGraph(
             f"given path to {g.names[end]} is not its unique simple path"
         )
-    if g._loop_vertices is None:
-        g._loop_vertices = _loop_vertices(g, unique)
-    spine = [g._loop_vertices[g.root]]
-    spine += [g._loop_vertices[g.edges[e][2]] for e in path_edges]
+    if g._loop_copies is None:
+        g._loop_copies, g._loop_cycles = _loop_copies(g, unique)
+    spine_ids = [g.root] + [g.edges[e][2] for e in path_edges]
     # the spine counts against the cap too, but with no copy nothing is over
-    total = len(spine) + sum(lv.copies for lv in spine)
-    if total > max(max_vertices, len(spine)):
+    total = len(spine_ids) + sum(g._loop_copies[v] for v in spine_ids)
+    if total > max(max_vertices, len(spine_ids)):
         raise CapExceeded(
             f"pict: loop graph to {g.names[end]} holds {total} vertices,"
             f" above the cap {max_vertices}"
         )
+    _build_loop_vertices(g, unique, spine_ids)
+    spine = [g._loop_vertices[v] for v in spine_ids]
     return LoopGraph([g.edges[e][1] for e in path_edges], spine)
 
 
@@ -177,21 +183,60 @@ def _loops(g, unique, v):
         yield unique[src][len(base):], closing_label
 
 
-def _loop_vertices(g: RootedGraph, unique) -> list:
-    """The LoopVertex of every vertex of a USP graph, complete.
+def _loop_copies(g: RootedGraph, unique):
+    """(copies, cycles) of every vertex of a USP graph: the number of
+    loop-vertex copies the unfolding hangs below one copy of it, and its
+    loops (``_loops``).
+
+    A vertex's copies are 1 + copies(dst) for every body edge of every loop.
+    Body edges lead deeper into the tree, so, with the vertices taken
+    deepest first as in ``loop_stars``, every count a vertex reads is
+    already made.
+    """
+    copies = [0] * g.n_vertices()
+    cycles = [None] * g.n_vertices()
+    for v in sorted(range(g.n_vertices()), key=lambda v: -len(unique[v])):
+        loops = cycles[v] = tuple(_loops(g, unique, v))
+        count = 0
+        for body, _ in loops:
+            for eid in body:
+                count += 1 + copies[g.edges[eid][2]]
+        copies[v] = count
+    return copies, cycles
+
+
+def _build_loop_vertices(g: RootedGraph, unique, spine_ids):
+    """Build the LoopVertex, complete, of each spine vertex and of each
+    vertex its loops reach, where not built yet, from the cycles of
+    ``_loop_copies``, which it drops once read.
 
     A loop's expansion is each body label, followed by the star of the copy
     that label enters, then the closing label; a vertex's star is the Star
-    of its loops' expansions, a Union if there are several; its copies are
-    1 + copies(dst) for every body edge of every loop.  Body edges lead
-    deeper into the tree, so, with the vertices taken deepest first as in
-    ``loop_stars``, everything a vertex reads is already built.
+    of its loops' expansions, a Union if there are several.  Everything a
+    vertex reads is deeper, so the vertices are built deepest first.
+
+    A loop's body is the tree path down from the vertex it hangs at to the
+    source of its closing edge, and the spine is a whole tree path, so the
+    vertices built, and those to build, are closed under tree parents: the
+    body of a loop is found by walking up from its source to the first
+    vertex that is built or to build.
     """
-    vertices = [None] * g.n_vertices()
-    for v in sorted(range(g.n_vertices()), key=lambda v: -len(unique[v])):
+    if g._loop_vertices is None:
+        g._loop_vertices = [None] * g.n_vertices()
+    vertices, cycles = g._loop_vertices, g._loop_cycles
+    todo = [v for v in spine_ids if vertices[v] is None]
+    seen = set(todo)
+    for v in todo:  # grows as it goes
+        for body, _ in cycles[v]:
+            u = g.edges[body[-1]][2] if body else v
+            while vertices[u] is None and u not in seen:
+                seen.add(u)
+                todo.append(u)
+                u = g.edges[unique[u][-1]][0]
+    todo.sort(key=lambda v: -len(unique[v]))
+    for v in todo:
         built = []
-        copies = 0
-        for body, closing_label in _loops(g, unique, v):
+        for body, closing_label in cycles[v]:
             labels = []
             inner = []
             parts = []
@@ -203,29 +248,29 @@ def _loop_vertices(g: RootedGraph, unique) -> list:
                 parts.append(_letter(label))
                 if copy.star is not None:
                     parts.append(copy.star)
-                copies += 1 + copy.copies
             labels.append(closing_label)
             parts.append(_letter(closing_label))
             built.append((labels, inner, concat(parts)))
+        cycles[v] = None
         star = _star_of([expansion for _, _, expansion in built]) if built else None
         loops = [Loop(*cycle, star) for cycle in built]
-        vertices[v] = LoopVertex(g.names[v], loops, star, copies)
-    return vertices
+        vertices[v] = LoopVertex(g.names[v], loops, star, g._loop_copies[v])
 
 
 def _product(g, stars, first, edges, last) -> RationalFunction:
     """first, x_e and S(dst e) for each edge, then last, without the Nones,
-    multiplied left to right as ``kleene_to_rf`` multiplies a
-    concatenation; 1 when nothing is left."""
+    multiplied in one pass (``RationalFunction.product``); the form is that
+    of ``kleene_to_rf``'s product of the concatenation, and 1 when nothing
+    is left."""
     parts = [first]
     for eid in edges:
         _, label, dst = g.edges[eid]
-        parts += [RationalFunction.variable(label), stars[dst]]
-    parts = [p for p in parts + [last] if p is not None]
-    out = parts[0] if parts else RationalFunction.const(1)
-    for p in parts[1:]:
-        out = out * p
-    return out
+        parts += [_variable(label), stars[dst]]
+    parts.append(last)
+    return RationalFunction.product(p for p in parts if p is not None)
+
+
+_variable = cache(RationalFunction.variable)  # one x_a per label
 
 
 def loop_stars(g: RootedGraph, unique) -> list:
@@ -239,7 +284,7 @@ def loop_stars(g: RootedGraph, unique) -> list:
     stars = [None] * g.n_vertices()
     for v in sorted(range(g.n_vertices()), key=lambda v: -len(unique[v])):
         products = [
-            _product(g, stars, None, body, RationalFunction.variable(closing))
+            _product(g, stars, None, body, _variable(closing))
             for body, closing in _loops(g, unique, v)
         ]
         if len(products) == 1:

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-
 from .algebra import Polynomial
 from .errors import NotIrreducible, NotStochastic
 from .expansions import RootedGraph, scc
@@ -24,6 +22,7 @@ from .expansions import RootedGraph, scc
 # so the sampler is exact to 2^-64 and reproducible across platforms.  When
 # splitting trials across workers, derive child seeds with
 # numpy.random.SeedSequence(seed).spawn(n); this module runs single-threaded.
+# numpy is imported by simulate alone, so importing sgmc does not load it.
 
 
 @dataclass(frozen=True)
@@ -156,6 +155,8 @@ def simulate(
 
     Returns exact Fractions count/trials per state; deterministic in seed.
     """
+    import numpy as np
+
     labels = spec.labels()
     probs = [Fraction(point[label]) for label in labels]
     if any(p < 0 for p in probs) or sum(probs) != 1:

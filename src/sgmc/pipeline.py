@@ -148,6 +148,12 @@ def _expand(s, ideal_members, max_kr, max_mc):
     return kr, mc, tree, sizes
 
 
+def _element_of(kr, mc, vid) -> int:
+    """The element of S^1 that Mc vertex vid's word evaluates to: the
+    element of its KR vertex, as KR follows the right walk s -> s a."""
+    return kr.payloads[mc.payloads[vid].kr_vertex].element
+
+
 def stationary_left_zero(
     s: FiniteSemigroup,
     max_kr: int = DEFAULT_MAX_KR,
@@ -181,7 +187,9 @@ def _stationary(s, box_label, max_kr, max_mc, max_loop) -> StationaryResult:
     names its element, and its path sum is its mass.  Otherwise: Mc is built
     on S with a zero adjoined, the word before the box letter names the
     element, and the mass is the path sum's limit box -> 0; masses outside
-    K(S) form the residual, which must vanish.
+    K(S) form the residual, which must vanish.  A word's element is read off
+    the KR vertex (``_element_of``): the terminal's own, or that of its tree
+    parent before the box letter, as adjoining the zero keeps the ids of S^1.
     """
     ideal = s.minimal_ideal()
     variables = list(s.labels)
@@ -198,10 +206,12 @@ def _stationary(s, box_label, max_kr, max_mc, max_loop) -> StationaryResult:
     residual_parts = []
     terminals = []
     for vid in range(mc.n_vertices()):
-        if kr.payloads[mc.payloads[vid].kr_vertex].element not in sinks:
+        group = _element_of(kr, mc, vid)
+        if group not in sinks:
             continue
+        if box_label is not None:
+            group = _element_of(kr, mc, mc.edges[unique[vid][-1]][0])
         word = mc.payloads[vid].word
-        group = s.eval_word(word if box_label is None else word[:-1])
         element = group if group in ideal.members else None
         psi = path_sum(mc, stars, unique[vid])
         terminals.append(

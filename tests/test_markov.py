@@ -258,3 +258,23 @@ class TestTvDistance:
                 )
             u, v, w = dists
             assert tv_distance(u, w) <= tv_distance(u, v) + tv_distance(v, w)
+
+
+def test_importing_sgmc_does_not_import_numpy():
+    # numpy serves only simulate, which imports it when called
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import sgmc
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(sgmc.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    program = "import sys, sgmc, sgmc.cli\nprint('numpy' in sys.modules)\n"
+    done = subprocess.run(
+        [sys.executable, "-c", program], capture_output=True, env=env, timeout=120
+    )
+    assert (done.returncode, done.stdout.strip()) == (0, b"False"), done.stderr

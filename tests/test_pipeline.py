@@ -1,10 +1,12 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from sgmc.algebra import Polynomial, RationalFunction, limit_at_box_zero
+from sgmc.cli import bundled_path, load_chain_file
 from sgmc.errors import CapExceeded, NotLeftZero, VerificationFailed
 from sgmc.markov import ChainGenerator, MarkovChainSpec
 from sgmc.pipeline import (
@@ -254,3 +256,34 @@ class TestRandomChains:
                     continue
                 raise
             checked += 1
+
+
+ELEMENT_CHAINS = [
+    bundled_path(f"{name}.json") for name in ("d2", "d2c", "d2box", "example210")
+] + [
+    str(Path(__file__).with_name("chains") / f"{name}.json")
+    for name in ("general4", "grid4x3_3", "left_zero3", "mixing3", "pinned2")
+]
+
+
+@pytest.mark.parametrize(
+    "path", ELEMENT_CHAINS, ids=[Path(p).stem for p in ELEMENT_CHAINS]
+)
+def test_terminal_elements_are_their_words_evaluated(path):
+    # the pipeline reads a terminal's element off its KR vertex, or off its
+    # tree parent's before the box letter; both must be eval_word's element
+    chain = load_chain_file(path)
+    s = build_semigroup(chain.spec)
+    ideal = s.minimal_ideal()
+    runs = []
+    if ideal.is_left_zero:
+        runs.append(stationary_left_zero(s))
+    # the box limits of the two larger left-zero chains take seconds
+    if Path(path).stem not in ("grid4x3_3", "pinned2"):
+        runs.append(stationary_general(s, box_label=chain.box_label or "□"))
+    for result in runs:
+        assert result.terminals
+        for t in result.terminals:
+            word = t.word if result.case == "left_zero" else t.word[:-1]
+            group = s.eval_word(word)
+            assert t.element == (group if group in ideal.members else None), t.name

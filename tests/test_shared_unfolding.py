@@ -2,7 +2,9 @@
 
 ``pict`` builds, once per Mc graph, one LoopVertex per Mc vertex with its
 loops, each loop's expansion and the vertex's starred union, and
-``algorithm2`` reads them, so loop graphs and expressions are DAGs.  The
+``algorithm2`` reads them, so loop graphs and expressions are DAGs.  A
+vertex's LoopVertex is built when a loop graph within the vertex cap first
+holds it.  The
 references below are the unshared builders: every copy of a vertex gets
 fresh loops, every loop is expanded afresh (through placeholders created
 mid-expansion), and every Letter is a new object.  The shared forms must
@@ -294,6 +296,32 @@ def test_cap_needs_a_copy_to_fire():
             else:
                 with pytest.raises(CapExceeded):
                     build(g, [0], max_vertices=cap)
+
+
+def test_cap_fires_before_any_table_is_built():
+    # expand's grid-5x3-2: the loop graph to abbaa would hold 17,289,656
+    # vertices; the copy counts are folded in integers, so the cap fires
+    # with no LoopVertex built
+    actions = [[3, 3, 0, 1, 0], [1, 3, 1, 0, 2], [4, 0, 0, 0, 4]]
+    s = FiniteSemigroup.generate([(a, tuple(t)) for a, t in zip("abc", actions)])
+    mc, terminals = mc_and_terminals(s)
+    assert mc.n_vertices() == 26175
+    unique = simple_path_edges(mc)
+    abbaa = mc.names.index("abbaa")
+    want = "^pict: loop graph to abbaa holds 17289656 vertices, above the cap 1000000$"
+    with pytest.raises(CapExceeded, match=want):
+        pict(mc, unique[abbaa], verify_usp=False)
+    assert mc._loop_vertices is None
+    # a loop graph within the cap builds the vertices it holds, and no other
+    def copies(t):
+        return sum(mc._loop_copies[mc.edges[e][2]] for e in unique[t])
+
+    small = min((t for t in terminals if copies(t)), key=copies)
+    lg = pict(mc, unique[small], verify_usp=False)
+    built = {mc.names[v] for v, lv in enumerate(mc._loop_vertices) if lv is not None}
+    assert built == set(flat_key(lg)[0])
+    with pytest.raises(CapExceeded, match=want):
+        pict(mc, unique[abbaa], verify_usp=False)
 
 
 # -- sharing ------------------------------------------------------------------
