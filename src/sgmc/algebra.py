@@ -15,7 +15,7 @@ made once, the terms c * prod a_v^e_v * L^(D - deg) are summed by the
 denominator of c, and one Fraction, over L^D, is made at the end.
 
 A :class:`RationalFunction` is a polynomial times a product of shared
-factors raised to integer exponents.  A product of several functions is
+factors raised to integer exponents.  Every product of functions is
 made in one pass: the constants and monomials of one-term polys multiply
 as numbers and keys, and the factor exponents add up in one dict.  A sum
 first adds, as polynomials, the addends that carry the same factors to the
@@ -571,18 +571,7 @@ class RationalFunction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return RationalFunction.zero()
-        if not other.factors:
-            return RationalFunction._form(self.poly * other.poly, self.factors)
-        factors = dict(self.factors)
-        for f, e in other.factors.items():
-            total = factors.get(f, 0) + e
-            if total:
-                factors[f] = total
-            else:
-                del factors[f]
-        return RationalFunction._form(self.poly * other.poly, factors)
+        return RationalFunction.product((self, other))
 
     __rmul__ = __mul__
 

@@ -14,6 +14,7 @@ The McCammond expansion enumerates the simple paths of its input by DFS,
 labels each vertex by the word of its unique simple path, and adds an edge
 per (vertex, label): forward to the extended word when it is still simple,
 otherwise back to the unique initial segment ending at the revisited vertex.
+Its simple-path table is read off the tree of forward edges.
 """
 
 from __future__ import annotations
@@ -51,10 +52,9 @@ class RootedGraph:
         self.alphabet = list(alphabet)
         self._out = None
         self._in = None
-        self._simple_paths = None
-        # by loopkleene.pict: loop-vertex copies, loops, LoopVertex per vertex
-        self._loop_copies = None
-        self._loop_cycles = None
+        self._simple_paths = None     # simple_path_edges, or mc_expand's tree
+        # by loopkleene: the loop table (_loop_table), LoopVertex per vertex
+        self._loop_table = None
         self._loop_vertices = None
 
     def n_vertices(self):
@@ -217,7 +217,8 @@ def mc_expand(kr: RootedGraph, max_vertices: int = DEFAULT_MAX_MC):
 
     Vertices are the simple paths of kr from the root, discovered in DFS
     preorder with labels in alphabet order.  Requires kr to be
-    label-deterministic (true for every Karnofsky-Rhodes expansion).
+    label-deterministic (true for every Karnofsky-Rhodes expansion).  The
+    graph keeps its tree paths as its ``simple_path_edges`` table.
     """
     targets = [{} for _ in range(kr.n_vertices())]
     for src, label, dst in kr.edges:
@@ -264,13 +265,16 @@ def mc_expand(kr: RootedGraph, max_vertices: int = DEFAULT_MAX_MC):
     payloads = [McVertex(word, kr_vertex) for word, kr_vertex in zip(words, endpoint)]
     edges = []
     tree = set()
+    paths = [()] * len(words)  # a parent's id is below its child's
     for vid, out in enumerate(steps):
         for label, dst, is_tree in out:
             if is_tree:
                 tree.add(len(edges))
+                paths[dst] = paths[vid] + (len(edges),)
             edges.append((vid, label, dst))
     names = [word_name(w) for w in words]
     graph = RootedGraph(payloads, names, edges, 0, kr.alphabet)
+    graph._simple_paths = paths
     return graph, tree
 
 
@@ -279,7 +283,8 @@ def check_usp(g: RootedGraph, max_paths: int = DEFAULT_MAX_PATHS) -> bool:
 
     The check is :func:`simple_path_edges`, which stops at a vertex's second
     simple path and so extends at most |V| - 1 paths; on success the table
-    stays on the graph.  max_paths caps the number of vertices (CapExceeded).
+    stays on the graph (from :func:`mc_expand`, it is the tree's).
+    max_paths caps the number of vertices (CapExceeded).
     """
     if g.n_vertices() > max_paths:
         raise CapExceeded(
@@ -295,9 +300,9 @@ def check_usp(g: RootedGraph, max_paths: int = DEFAULT_MAX_PATHS) -> bool:
 def simple_path_edges(g: RootedGraph) -> list:
     """For a USP graph: vertex id -> edge-id tuple of its unique simple path.
 
-    The table is found once per graph and kept on it, like its edge lists.
-    Raises NotUsp, on every call, if some vertex has zero or several simple
-    paths.
+    The table is found once per graph by a DFS and kept on it, like its edge
+    lists; ``mc_expand`` sets its graph's from its tree.  Raises NotUsp, on
+    every call, if the DFS finds a vertex with zero or several simple paths.
     """
     if g._simple_paths is not None:
         return g._simple_paths

@@ -18,19 +18,19 @@ spine label, then a starred union over the loops hanging at the vertex just
 entered; loops are expanded recursively the same way.
 
 A copy of v carries the loops of v and nothing else, so the starred union
-hung at it depends only on v.  ``loop_stars`` builds its rational function
-S(v) once per vertex, and ``path_sum`` reads a path sum off the spine as
-S(root) x_e1 S(v1) ..., in the order ``kleene_to_rf`` multiplies the
-expanded tree, so no tree is needed for the rational functions.
+hung at it depends only on v.  One loop table per graph (``_loop_table``)
+holds each vertex's loops and copy count, and two folds read it.
+``loop_stars`` builds each S(v), a rational function, once, and
+``path_sum`` reads a path sum off the spine as S(root) x_e1 S(v1) ..., in
+the order ``kleene_to_rf`` multiplies the expanded tree, so no tree is
+needed for the rational functions.
 
 For the same reason loop graphs and expressions are DAGs owned by their
-graph.  The first ``pict`` on a graph counts, in one pass deepest first as
-``loop_stars`` does, each vertex's loop-vertex copies, in integers, so the
-cap is checked before anything is built.  A ``pict`` within the cap then
-builds, from the loops that pass found, the LoopVertex of each vertex its
-loop graph holds that has none yet, with its loops, their expansions and
-its starred union, and keeps them on the graph; every copy of v in every
-loop graph of that graph is that object,
+graph.  ``pict`` checks its cap on the table's copy counts before anything
+is built.  A ``pict`` within the cap then builds, from the table's loops,
+the LoopVertex of each vertex its loop graph holds that has none yet, with
+its loops, their expansions and its starred union, and keeps them on the
+graph; every copy of v in every loop graph of that graph is that object,
 ``algorithm2`` reads the expansions and starred unions, and Letters are
 interned.  Their size is linear in the graph's, their prints are those of
 the unfolded trees, and callers must not change them.  A print renders each
@@ -124,11 +124,7 @@ class LoopGraph:
 
 
 def pict(
-    g: RootedGraph,
-    path_edges,
-    verify_usp: bool = True,
-    max_paths: int = DEFAULT_MAX_PATHS,
-    max_vertices: int = 10**6,
+    g: RootedGraph, path_edges, verify_usp: bool = True, max_vertices: int = 10**6
 ) -> LoopGraph:
     """Unfold a USP graph along a simple path into a loop graph.
 
@@ -137,11 +133,11 @@ def pict(
     a DAG whose size is linear in the graph's; callers must not change it.
     The unfolding it stands for can grow exponentially in the size of the
     input graph; max_vertices bounds the number of loop-vertex copies in it
-    (CapExceeded beyond it).  The first call counts the copies of every
-    vertex in integers (``_loop_copies``); a LoopVertex is built only for a
-    loop graph within the cap, when it first holds the vertex.
+    (CapExceeded beyond it), counted on the graph's loop table
+    (``_loop_table``); a LoopVertex is built only for a loop graph within
+    the cap, when it first holds the vertex.
     """
-    if verify_usp and not check_usp(g, max_paths):
+    if verify_usp and not check_usp(g):
         raise NotUsp("pict requires the unique simple path property")
     unique = simple_path_edges(g)
     if path_edges and not 0 <= path_edges[-1] < len(g.edges):
@@ -152,11 +148,10 @@ def pict(
         raise PathNotInGraph(
             f"given path to {g.names[end]} is not its unique simple path"
         )
-    if g._loop_copies is None:
-        g._loop_copies, g._loop_cycles = _loop_copies(g, unique)
+    copies = _loop_table(g)[2]
     spine_ids = [g.root] + [g.edges[e][2] for e in path_edges]
     # the spine counts against the cap too, but with no copy nothing is over
-    total = len(spine_ids) + sum(g._loop_copies[v] for v in spine_ids)
+    total = len(spine_ids) + sum(copies[v] for v in spine_ids)
     if total > max(max_vertices, len(spine_ids)):
         raise CapExceeded(
             f"pict: loop graph to {g.names[end]} holds {total} vertices,"
@@ -183,32 +178,40 @@ def _loops(g, unique, v):
         yield unique[src][len(base):], closing_label
 
 
-def _loop_copies(g: RootedGraph, unique):
-    """(copies, cycles) of every vertex of a USP graph: the number of
-    loop-vertex copies the unfolding hangs below one copy of it, and its
-    loops (``_loops``).
+def _loop_table(g: RootedGraph):
+    """(order, cycles, copies) of a USP graph, found once and kept on it
+    for ``loop_stars`` and ``pict``: its vertices deepest first, each one's
+    loops (``_loops``), and the number of loop-vertex copies the unfolding
+    hangs below one copy of it, 1 + copies(dst) summed over the body edges
+    of its loops, whose ends dst are deeper.
 
-    A vertex's copies are 1 + copies(dst) for every body edge of every loop.
-    Body edges lead deeper into the tree, so, with the vertices taken
-    deepest first as in ``loop_stars``, every count a vertex reads is
-    already made.
+    It also checks a simple-path table read off a spanning tree, as
+    ``mc_expand``'s is.  The graph is USP exactly when every non-tree edge
+    ends at an ancestor of its source or at the source: then the first
+    non-tree edge of a path from the root returns onto the path; otherwise
+    it extends the tree path to its source into a second simple path to its
+    end.  ``_loops`` checks every such edge and raises NotUsp; ``mc_expand``
+    adds only tree edges and edges back onto the DFS path.
     """
-    copies = [0] * g.n_vertices()
-    cycles = [None] * g.n_vertices()
-    for v in sorted(range(g.n_vertices()), key=lambda v: -len(unique[v])):
-        loops = cycles[v] = tuple(_loops(g, unique, v))
-        count = 0
-        for body, _ in loops:
-            for eid in body:
-                count += 1 + copies[g.edges[eid][2]]
-        copies[v] = count
-    return copies, cycles
+    if g._loop_table is None:
+        unique = simple_path_edges(g)
+        order = sorted(range(g.n_vertices()), key=lambda v: -len(unique[v]))
+        cycles = [None] * g.n_vertices()
+        copies = [0] * g.n_vertices()
+        for v in order:
+            loops = cycles[v] = tuple(_loops(g, unique, v))
+            count = 0
+            for body, _ in loops:
+                for eid in body:
+                    count += 1 + copies[g.edges[eid][2]]
+            copies[v] = count
+        g._loop_table = order, cycles, copies
+    return g._loop_table
 
 
 def _build_loop_vertices(g: RootedGraph, unique, spine_ids):
     """Build the LoopVertex, complete, of each spine vertex and of each
-    vertex its loops reach, where not built yet, from the cycles of
-    ``_loop_copies``, which it drops once read.
+    vertex its loops reach, where not built yet, from the loop table.
 
     A loop's expansion is each body label, followed by the star of the copy
     that label enters, then the closing label; a vertex's star is the Star
@@ -223,7 +226,8 @@ def _build_loop_vertices(g: RootedGraph, unique, spine_ids):
     """
     if g._loop_vertices is None:
         g._loop_vertices = [None] * g.n_vertices()
-    vertices, cycles = g._loop_vertices, g._loop_cycles
+    vertices = g._loop_vertices
+    _, cycles, copies = _loop_table(g)
     todo = [v for v in spine_ids if vertices[v] is None]
     seen = set(todo)
     for v in todo:  # grows as it goes
@@ -251,10 +255,9 @@ def _build_loop_vertices(g: RootedGraph, unique, spine_ids):
             labels.append(closing_label)
             parts.append(_letter(closing_label))
             built.append((labels, inner, concat(parts)))
-        cycles[v] = None
         star = _star_of([expansion for _, _, expansion in built]) if built else None
         loops = [Loop(*cycle, star) for cycle in built]
-        vertices[v] = LoopVertex(g.names[v], loops, star, g._loop_copies[v])
+        vertices[v] = LoopVertex(g.names[v], loops, star, copies[v])
 
 
 def _product(g, stars, first, edges, last) -> RationalFunction:
@@ -273,19 +276,20 @@ def _product(g, stars, first, edges, last) -> RationalFunction:
 _variable = cache(RationalFunction.variable)  # one x_a per label
 
 
-def loop_stars(g: RootedGraph, unique) -> list:
+def loop_stars(g: RootedGraph) -> list:
     """S(v) for every vertex v of a USP graph, or None where v has no loops.
 
     S(v) is the star of the sum of v's loop products x_b1 S(dst b1) ... x_c,
-    one per cycle of ``_loops``; a single loop is starred without a sum.
-    Each S(v) uses only the S of vertices deeper on the tree, so the
-    vertices are taken deepest first.
+    one per cycle of the loop table (``_loop_table``); a single loop is
+    starred without a sum.  Each S(v) uses only the S of vertices deeper on
+    the tree, so the vertices are taken in the table's order, deepest first.
     """
+    order, cycles, _ = _loop_table(g)
     stars = [None] * g.n_vertices()
-    for v in sorted(range(g.n_vertices()), key=lambda v: -len(unique[v])):
+    for v in order:
         products = [
             _product(g, stars, None, body, _variable(closing))
-            for body, closing in _loops(g, unique, v)
+            for body, closing in cycles[v]
         ]
         if len(products) == 1:
             stars[v] = products[0].star()

@@ -14,11 +14,12 @@ The limit is taken per vertex (limits pass through the finite group sums).
 A path sum is S(root) x_e1 S(v1) ... along the terminal's unique simple
 path, where S(v) is the starred union of the loops a Pict copy of v carries;
 each S(v) is built once per run and shared by every terminal
-(:func:`~sgmc.loopkleene.loop_stars`).  A terminal's loop graph and Kleene
-expression, and the result's ``kleene`` texts, are built only when read
-(by ``report_dict`` and verification), and ``max_loop`` bounds only those
-trees.  They are DAGs shared by all terminals of the run, and the texts
-print each shared node once.
+(:func:`~sgmc.loopkleene.loop_stars`), from a loop table that checks Mc's
+tree paths and that the Pict unfoldings read too.  A terminal's loop graph
+and Kleene expression, and the result's ``kleene`` texts, are built only
+when read (by ``report_dict`` and verification), and ``max_loop`` bounds
+only those trees.  They are DAGs shared by all terminals of the run, and
+the texts print each shared node once.
 
 Path sums, per-element sums, box limits and the normalization check work on
 rational functions in factored form (:class:`~sgmc.algebra.RationalFunction`),
@@ -137,7 +138,6 @@ def _expand(s, ideal_members, max_kr, max_mc):
     kr = kr_expand(s, max_kr)
     pruned = _prune_ideal_sinks(kr, ideal_members)
     mc, tree = mc_expand(pruned, max_mc)
-    simple_path_edges(mc)  # raises NotUsp unless every vertex has one simple path
     sizes = {
         "semigroup": s.size(),
         "kr_vertices": kr.n_vertices(),
@@ -200,7 +200,7 @@ def _stationary(s, box_label, max_kr, max_mc, max_loop) -> StationaryResult:
         sinks, elim = {expanded.zero_id}, max(s.labels)
     kr, mc, _, sizes = _expand(expanded, sinks, max_kr, max_mc)
     unique = simple_path_edges(mc)
-    stars = loop_stars(mc, unique)
+    stars = loop_stars(mc)
     element_ids = {s.name(k): k for k in sorted(ideal.members)}
     groups = {name: [] for name in element_ids}
     residual_parts = []

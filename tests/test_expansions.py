@@ -17,6 +17,7 @@ from sgmc.expansions import (
     transition_edges,
     word_name,
 )
+from sgmc.loopkleene import loop_stars
 from sgmc.semigroup import FiniteSemigroup, IDENTITY_NAME
 
 TWO_STATE_GENS = [("1", (0, 0)), ("2", (1, 1)), ("3", (1, 0))]
@@ -319,6 +320,24 @@ class TestCheckUsp:
                 with pytest.raises(NotUsp):
                     simple_path_edges(g)
 
+    @pytest.mark.parametrize("kind", ["usp", "two_paths"])
+    def test_loop_table_checks_a_spanning_tree_table(self, kind):
+        # a table set from a spanning tree, as mc_expand sets it, is checked
+        # by the loop pass: every non-tree edge must end at an ancestor
+        rnd = random.Random(f"tree-{kind}")
+        for _ in range(40):
+            n = rnd.randint(1 if kind == "usp" else 2, 6)
+            edges = random_graph_edges(rnd, n, kind)
+            g = labelled_graph(n, edges)
+            g._simple_paths = spanning_tree_paths(g, rnd)
+            if kind == "usp":
+                assert g._simple_paths == simple_path_edges(labelled_graph(n, edges))
+                assert len(loop_stars(g)) == n
+            else:
+                for _ in range(2):
+                    with pytest.raises(NotUsp):
+                        loop_stars(g)
+
     def test_vertex_count_over_cap(self):
         chain = labelled_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         with pytest.raises(CapExceeded):
@@ -337,6 +356,21 @@ def labelled_graph(n, edges):
         list(range(n)), [f"v{v}" for v in range(n)], labelled, 0,
         [label for _, label, _ in labelled],
     )
+
+
+def spanning_tree_paths(g, rnd):
+    """Edge-id paths from the root on a spanning tree that a breadth-first
+    search finds, taking each vertex's out-edges in a random order."""
+    paths = [None] * g.n_vertices()
+    paths[g.root] = ()
+    frontier = [g.root]
+    for v in frontier:  # grows as it goes
+        for eid in rnd.sample(g.out_edges(v), len(g.out_edges(v))):
+            dst = g.edges[eid][2]
+            if paths[dst] is None:
+                paths[dst] = paths[v] + (eid,)
+                frontier.append(dst)
+    return paths
 
 
 def random_graph_edges(rnd, n, kind):

@@ -128,7 +128,7 @@ def ladder_psi(depth, point):
 def test_loop_stars_need_no_recursion():
     g = ladder(2000)
     unique = simple_path_edges(g)
-    psi = path_sum(g, loop_stars(g, unique), unique[2000])
+    psi = path_sum(g, loop_stars(g), unique[2000])
     point = {"a": Fraction(1, 3), "b": Fraction(1, 2)}
     assert psi.evaluate(point) == ladder_psi(2000, point)
 
@@ -138,7 +138,7 @@ def test_loop_stars_print_as_the_tree_when_deep():
     # about 300 copies per spine vertex
     g = ladder(300)
     unique = simple_path_edges(g)
-    stars = loop_stars(g, unique)
+    stars = loop_stars(g)
     for target in (0, 1, 2):
         psi = path_sum(g, stars, unique[target])
         assert prints(psi) == prints(reference_psi(g, target)), target

@@ -103,11 +103,17 @@ def test_evaluate_rational_function_raises_at_a_pole():
 
 
 def chained(parts):
-    """Left-to-right multiplication, as RationalFunction.__mul__ gives it."""
-    out = RationalFunction.const(1)
+    """Left-to-right multiplication, one part at a time: the polys
+    multiplied, the factor exponents added, and a factor dropped whenever
+    its exponent reaches 0."""
+    poly, factors = Polynomial.const(1), {}
     for p in parts:
-        out = out * p
-    return out
+        poly = poly * p.poly
+        for f, e in p.factors.items():
+            factors[f] = factors.get(f, 0) + e
+            if not factors[f]:
+                del factors[f]
+    return RationalFunction._form(poly, factors)
 
 
 def assert_same_form(rf, ref):
@@ -129,7 +135,7 @@ def test_path_and_loop_products_match_chained_multiplication(path):
     _, result = chain_result(path)
     mc = result.mc
     unique = simple_path_edges(mc)
-    stars = loopkleene.loop_stars(mc, unique)
+    stars = loopkleene.loop_stars(mc)
     # a first part of several terms takes the general route
     several = RationalFunction(Polynomial.variable("a") + Fraction(1, 2))
     for t in result.terminals:

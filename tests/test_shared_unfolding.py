@@ -18,12 +18,13 @@ from pathlib import Path
 
 import pytest
 
-from sgmc import loopkleene
+from sgmc import expansions, loopkleene, pipeline
 from sgmc.cli import bundled_path, load_chain_file
 from sgmc.errors import AmbiguousExpression, CapExceeded, StarOfUnit
 from sgmc.expansions import (
     DEFAULT_MAX_KR,
     DEFAULT_MAX_MC,
+    McVertex,
     RootedGraph,
     check_usp,
     simple_path_edges,
@@ -313,8 +314,10 @@ def test_cap_fires_before_any_table_is_built():
         pict(mc, unique[abbaa], verify_usp=False)
     assert mc._loop_vertices is None
     # a loop graph within the cap builds the vertices it holds, and no other
+    table_copies = loopkleene._loop_table(mc)[2]
+
     def copies(t):
-        return sum(mc._loop_copies[mc.edges[e][2]] for e in unique[t])
+        return sum(table_copies[mc.edges[e][2]] for e in unique[t])
 
     small = min((t for t in terminals if copies(t)), key=copies)
     lg = pict(mc, unique[small], verify_usp=False)
@@ -365,20 +368,76 @@ def test_expressions_share_their_loop_expansions():
 
 
 def test_loops_are_found_once_per_vertex(monkeypatch):
-    calls = {}
-    original = loopkleene._loops
+    # the rational stars, the kleene texts, verification and later loop
+    # graphs read one loop table per graph, and Mc's simple paths are its
+    # tree's: simple_path_edges never finds an Mc with no table kept
+    calls, searched = {}, []
+    loops, paths = loopkleene._loops, expansions.simple_path_edges
 
-    def counted(g, unique, v):
-        calls[v] = calls.get(v, 0) + 1
-        return original(g, unique, v)
+    def counted_loops(g, unique, v):
+        calls[id(g), v] = calls.get((id(g), v), 0) + 1
+        return loops(g, unique, v)
 
-    monkeypatch.setattr(loopkleene, "_loops", counted)
-    mc, terminals = chain_mc(bundled_path("d2c.json"))
-    unique = simple_path_edges(mc)
-    for _ in range(2):
-        for t in terminals:
-            algorithm2(algorithm1(pict(mc, unique[t], verify_usp=False)))
-    assert calls and max(calls.values()) == 1
+    def counted_paths(g):
+        if g._simple_paths is None and isinstance(g.payloads[0], McVertex):
+            searched.append(g)
+        return paths(g)
+
+    monkeypatch.setattr(loopkleene, "_loops", counted_loops)
+    for module in (expansions, loopkleene, pipeline):
+        monkeypatch.setattr(module, "simple_path_edges", counted_paths)
+    results = []  # kept alive, so no two graphs share an id
+    for path in (bundled_path("d2c.json"), str(CHAINS / "pinned2.json")):
+        chain = load_chain_file(path)
+        result = pipeline.stationary(
+            build_semigroup(chain.spec), box_label=chain.box_label or "□"
+        )
+        results.append(result)
+        assert result.kleene
+        assert pipeline.verify_language_and_series(result, maxlen=6)
+        mc = result.mc
+        unique = simple_path_edges(mc)
+        for t in result.terminals:
+            algorithm2(algorithm1(pict(mc, unique[t.vertex], verify_usp=False)))
+        assert sum(g == id(mc) for g, _ in calls) == mc.n_vertices()
+    assert max(calls.values()) == 1
+    assert not searched
+
+
+@pytest.mark.parametrize(
+    "path", CHAIN_PATHS + [str(CHAINS / "grid4x3_3.json")],
+    ids=[Path(p).stem for p in CHAIN_PATHS] + ["grid4x3_3"],
+)
+def test_mc_paths_are_the_tree_paths_on_chains(path):
+    chain = load_chain_file(path)
+    s = build_semigroup(chain.spec)
+    assert_mc_paths_are_found_by_the_search(s, chain.box_label or "□")
+
+
+def test_mc_paths_are_the_tree_paths_on_random_semigroups():
+    cases = 0
+    for s in random_semigroups(43, 16):
+        cases += assert_mc_paths_are_found_by_the_search(s, "□")
+    assert cases > 16
+
+
+def assert_mc_paths_are_found_by_the_search(s, box_label) -> int:
+    """mc_expand's table against a DFS on a copy of its graph, in the
+    left-zero case if K(S) is left zero and in the box case; the number of
+    cases checked."""
+    ideal = s.minimal_ideal()
+    boxed = s.adjoin_zero(box_label)
+    cases = [(boxed, {boxed.zero_id})]
+    if ideal.is_left_zero:
+        cases.append((s, ideal.members))
+    for expanded, sinks in cases:
+        _, mc, tree, _ = _expand(expanded, sinks, DEFAULT_MAX_KR, DEFAULT_MAX_MC)
+        table = mc._simple_paths
+        fresh = RootedGraph(mc.payloads, mc.names, mc.edges, mc.root, mc.alphabet)
+        assert fresh._simple_paths is None
+        assert table == simple_path_edges(fresh)
+        assert all(e in tree for path in table for e in path)
+    return len(cases)
 
 
 def letters(expr, seen=None):
