@@ -216,7 +216,10 @@ class Polynomial:
         terms = self.terms
         if not terms:
             return Fraction(0)
-        coords = [(offset, _fraction(point[v])) for v, offset in self._lanes()]
+        try:
+            coords = [(offset, _fraction(point[v])) for v, offset in self._lanes()]
+        except KeyError as missing:
+            raise ValueError(f"point has no value for x_{missing.args[0]}") from None
         common = lcm(*(x.denominator for _, x in coords))
         top = self.total_degree()
         lanes = [
@@ -245,7 +248,10 @@ class Polynomial:
 
         Coordinates are used as given, so integer ones keep the sums integer.
         """
-        lanes = [(offset, point[v]) for v, offset in self._lanes()]
+        try:
+            lanes = [(offset, point[v]) for v, offset in self._lanes()]
+        except KeyError as missing:
+            raise ValueError(f"point has no value for x_{missing.args[0]}") from None
         values = [0] * max(bound, 0)
         for m, c in self.terms.items():
             degree = m & _MASK

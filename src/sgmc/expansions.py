@@ -15,6 +15,10 @@ labels each vertex by the word of its unique simple path, and adds an edge
 per (vertex, label): forward to the extended word when it is still simple,
 otherwise back to the unique initial segment ending at the revisited vertex.
 Its simple-path table is read off the tree of forward edges.
+
+The one unique-simple-path (USP) check builds the loop table Pict reads,
+each vertex's cycles closed by edges off a spanning tree: Mc's own, or a
+breadth-first tree of any other graph.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .semigroup import FiniteSemigroup, IDENTITY_NAME
 
 DEFAULT_MAX_KR = 10**5
 DEFAULT_MAX_MC = 10**6
+DEFAULT_MAX_LOOP = 10**6
 DEFAULT_MAX_PATHS = 10**6
 
 
@@ -52,10 +57,9 @@ class RootedGraph:
         self.alphabet = list(alphabet)
         self._out = None
         self._in = None
-        self._simple_paths = None     # simple_path_edges, or mc_expand's tree
-        # by loopkleene: the loop table (_loop_table), LoopVertex per vertex
-        self._loop_table = None
-        self._loop_vertices = None
+        self._simple_paths = None     # tree paths; mc_expand's are unchecked
+        self._loop_table = None       # set by simple_path_edges once they pass
+        self._loop_vertices = None    # by loopkleene.pict: LoopVertex per vertex
 
     def n_vertices(self):
         return len(self.payloads)
@@ -218,7 +222,7 @@ def mc_expand(kr: RootedGraph, max_vertices: int = DEFAULT_MAX_MC):
     Vertices are the simple paths of kr from the root, discovered in DFS
     preorder with labels in alphabet order.  Requires kr to be
     label-deterministic (true for every Karnofsky-Rhodes expansion).  The
-    graph keeps its tree paths as its ``simple_path_edges`` table.
+    graph carries its tree paths, which ``simple_path_edges`` checks.
     """
     targets = [{} for _ in range(kr.n_vertices())]
     for src, label, dst in kr.edges:
@@ -281,10 +285,8 @@ def mc_expand(kr: RootedGraph, max_vertices: int = DEFAULT_MAX_MC):
 def check_usp(g: RootedGraph, max_paths: int = DEFAULT_MAX_PATHS) -> bool:
     """True iff every vertex is reached by exactly one simple path from the root.
 
-    The check is :func:`simple_path_edges`, which stops at a vertex's second
-    simple path and so extends at most |V| - 1 paths; on success the table
-    stays on the graph (from :func:`mc_expand`, it is the tree's).
-    max_paths caps the number of vertices (CapExceeded).
+    The check is :func:`simple_path_edges`, which builds the loop table and
+    keeps it on success.  max_paths caps the number of vertices (CapExceeded).
     """
     if g.n_vertices() > max_paths:
         raise CapExceeded(
@@ -300,38 +302,69 @@ def check_usp(g: RootedGraph, max_paths: int = DEFAULT_MAX_PATHS) -> bool:
 def simple_path_edges(g: RootedGraph) -> list:
     """For a USP graph: vertex id -> edge-id tuple of its unique simple path.
 
-    The table is found once per graph by a DFS and kept on it, like its edge
-    lists; ``mc_expand`` sets its graph's from its tree.  Raises NotUsp, on
-    every call, if the DFS finds a vertex with zero or several simple paths.
+    The paths are a spanning tree's, ``mc_expand``'s or else breadth-first,
+    and the loop table built on them checks them: the graph is USP exactly
+    when every non-tree edge ends at an ancestor of its source or at the
+    source (then the first one on a path from the root returns onto it;
+    otherwise it extends its source's tree path into a second simple path).
+    Only then are both tables kept on the graph; NotUsp is raised on every
+    call otherwise.  The loop table is (order, cycles, copies): vertices
+    deepest first, each one's loops (``_loops``), and the loop-vertex copies
+    Pict hangs below one copy of it, 1 + copies(dst) over its loops' bodies.
     """
-    if g._simple_paths is not None:
-        return g._simple_paths
-    paths = [None] * g.n_vertices()
-    paths[g.root] = ()
-    on_path = {g.root}
-    stack = [(g.root, iter(g.out_edges(g.root)))]
-    while stack:
-        vid, edge_iter = stack[-1]
-        advanced = False
-        for eid in edge_iter:
-            dst = g.edges[eid][2]
-            if dst in on_path:
-                continue
-            if paths[dst] is not None:
-                raise NotUsp(f"vertex {g.names[dst]} has two simple paths")
-            paths[dst] = paths[vid] + (eid,)
-            on_path.add(dst)
-            stack.append((dst, iter(g.out_edges(dst))))
-            advanced = True
-            break
-        if not advanced:
-            on_path.discard(vid)
-            stack.pop()
-    missing = [v for v, p in enumerate(paths) if p is None]
-    if missing:
-        raise NotUsp(f"vertices not reachable from the root: {missing[:5]}")
-    g._simple_paths = paths
-    return paths
+    if g._loop_table is None:
+        n = g.n_vertices()
+        paths = g._simple_paths
+        if paths is None:
+            paths = [None] * n
+            paths[g.root] = ()
+            queue = [g.root]
+            for v in queue:  # grows as it goes
+                for eid in g.out_edges(v):
+                    dst = g.edges[eid][2]
+                    if paths[dst] is None:
+                        paths[dst] = paths[v] + (eid,)
+                        queue.append(dst)
+            missing = [v for v, p in enumerate(paths) if p is None]
+            if missing:
+                raise NotUsp(f"vertices not reachable from the root: {missing[:5]}")
+        order = sorted(range(n), key=lambda v: -len(paths[v]))
+        cycles = [None] * n
+        copies = [0] * n
+        for v in order:
+            loops = cycles[v] = tuple(_loops(g, paths, v))
+            count = 0
+            for body, _ in loops:
+                for eid in body:
+                    count += 1 + copies[g.edges[eid][2]]
+            copies[v] = count
+        g._simple_paths, g._loop_table = paths, (order, cycles, copies)
+    return g._simple_paths
+
+
+def _loops(g, unique, v):
+    """(body edges, closing label) of the cycle each non-tree in-edge of v
+    closes: the body is the tree path from v to the edge's source.  Raises
+    NotUsp for an edge whose source is not below v on the tree."""
+    base = unique[v]
+    tree_edge = base[-1] if base else None
+    for eid in g.in_edges(v):
+        if eid == tree_edge:
+            continue
+        src, closing_label, _ = g.edges[eid]
+        if unique[src][: len(base)] != base:
+            raise NotUsp(
+                f"in-edge source {g.names[src]} does not extend {g.names[v]}"
+            )
+        yield unique[src][len(base):], closing_label
+
+
+def _loop_table(g: RootedGraph):
+    """The loop table of a USP graph (see :func:`simple_path_edges`), which
+    builds and checks it for a graph that has none yet."""
+    if g._loop_table is None:
+        simple_path_edges(g)
+    return g._loop_table
 
 
 def path_from_word(g: RootedGraph, word) -> list:

@@ -18,8 +18,9 @@ spine label, then a starred union over the loops hanging at the vertex just
 entered; loops are expanded recursively the same way.
 
 A copy of v carries the loops of v and nothing else, so the starred union
-hung at it depends only on v.  One loop table per graph (``_loop_table``)
-holds each vertex's loops and copy count, and two folds read it.
+hung at it depends only on v.  One loop table per graph, which
+``expansions`` builds as its USP check (``_loop_table``), holds each
+vertex's loops and copy count, and two folds read it.
 ``loop_stars`` builds each S(v), a rational function, once, and
 ``path_sum`` reads a path sum off the spine as S(root) x_e1 S(v1) ..., in
 the order ``kleene_to_rf`` multiplies the expanded tree, so no tree is
@@ -66,9 +67,15 @@ from .errors import (
     PathNotInGraph,
     StarOfUnit,
 )
-from .expansions import RootedGraph, check_usp, simple_path_edges
+from .expansions import (
+    DEFAULT_MAX_LOOP,
+    RootedGraph,
+    _loop_table,
+    check_usp,
+    simple_path_edges,
+)
 
-DEFAULT_MAX_PATHS = 10**6
+DEFAULT_MAX_WORDS = 10**6
 
 
 @contextmanager
@@ -124,7 +131,7 @@ class LoopGraph:
 
 
 def pict(
-    g: RootedGraph, path_edges, verify_usp: bool = True, max_vertices: int = 10**6
+    g: RootedGraph, path_edges, verify_usp=True, max_vertices=DEFAULT_MAX_LOOP
 ) -> LoopGraph:
     """Unfold a USP graph along a simple path into a loop graph.
 
@@ -160,53 +167,6 @@ def pict(
     _build_loop_vertices(g, unique, spine_ids)
     spine = [g._loop_vertices[v] for v in spine_ids]
     return LoopGraph([g.edges[e][1] for e in path_edges], spine)
-
-
-def _loops(g, unique, v):
-    """(body edges, closing label) of the cycle each non-tree in-edge of v
-    closes: the body is the tree path from v to the edge's source."""
-    base = unique[v]
-    tree_edge = base[-1] if base else None
-    for eid in g.in_edges(v):
-        if eid == tree_edge:
-            continue
-        src, closing_label, _ = g.edges[eid]
-        if unique[src][: len(base)] != base:
-            raise NotUsp(
-                f"in-edge source {g.names[src]} does not extend {g.names[v]}"
-            )
-        yield unique[src][len(base):], closing_label
-
-
-def _loop_table(g: RootedGraph):
-    """(order, cycles, copies) of a USP graph, found once and kept on it
-    for ``loop_stars`` and ``pict``: its vertices deepest first, each one's
-    loops (``_loops``), and the number of loop-vertex copies the unfolding
-    hangs below one copy of it, 1 + copies(dst) summed over the body edges
-    of its loops, whose ends dst are deeper.
-
-    It also checks a simple-path table read off a spanning tree, as
-    ``mc_expand``'s is.  The graph is USP exactly when every non-tree edge
-    ends at an ancestor of its source or at the source: then the first
-    non-tree edge of a path from the root returns onto the path; otherwise
-    it extends the tree path to its source into a second simple path to its
-    end.  ``_loops`` checks every such edge and raises NotUsp; ``mc_expand``
-    adds only tree edges and edges back onto the DFS path.
-    """
-    if g._loop_table is None:
-        unique = simple_path_edges(g)
-        order = sorted(range(g.n_vertices()), key=lambda v: -len(unique[v]))
-        cycles = [None] * g.n_vertices()
-        copies = [0] * g.n_vertices()
-        for v in order:
-            loops = cycles[v] = tuple(_loops(g, unique, v))
-            count = 0
-            for body, _ in loops:
-                for eid in body:
-                    count += 1 + copies[g.edges[eid][2]]
-            copies[v] = count
-        g._loop_table = order, cycles, copies
-    return g._loop_table
 
 
 def _build_loop_vertices(g: RootedGraph, unique, spine_ids):
@@ -280,9 +240,9 @@ def loop_stars(g: RootedGraph) -> list:
     """S(v) for every vertex v of a USP graph, or None where v has no loops.
 
     S(v) is the star of the sum of v's loop products x_b1 S(dst b1) ... x_c,
-    one per cycle of the loop table (``_loop_table``); a single loop is
-    starred without a sum.  Each S(v) uses only the S of vertices deeper on
-    the tree, so the vertices are taken in the table's order, deepest first.
+    one per cycle of the loop table (``_loop_table``).  Each S(v) uses only
+    the S of vertices deeper on the tree, so the vertices are taken in the
+    table's order, deepest first.
     """
     order, cycles, _ = _loop_table(g)
     stars = [None] * g.n_vertices()
@@ -291,9 +251,7 @@ def loop_stars(g: RootedGraph) -> list:
             _product(g, stars, None, body, _variable(closing))
             for body, closing in cycles[v]
         ]
-        if len(products) == 1:
-            stars[v] = products[0].star()
-        elif products:
+        if products:
             stars[v] = RationalFunction.sum(products).star()
     return stars
 
@@ -664,7 +622,7 @@ def _enumerate(node: Kleene, maxlen: int, cap: int) -> Counter:
 
 @nesting_cap("kleene_enumerate")
 def kleene_enumerate(
-    expr: Kleene, maxlen: int, cap: int = DEFAULT_MAX_PATHS
+    expr: Kleene, maxlen: int, cap: int = DEFAULT_MAX_WORDS
 ) -> Counter:
     """All words of length <= maxlen; raises if any word is produced twice."""
     if maxlen < 0:
@@ -749,7 +707,7 @@ def _walk_words(g: RootedGraph, targets, maxlen: int, cap: int) -> dict:
 
 
 def enumerate_path_words(
-    g: RootedGraph, target: int, maxlen: int, cap: int = DEFAULT_MAX_PATHS
+    g: RootedGraph, target: int, maxlen: int, cap: int = DEFAULT_MAX_WORDS
 ) -> Counter:
     """Label words (with multiplicity) of all length <= maxlen walks root -> target."""
     return _walk_words(g, (target,), maxlen, cap)[target]

@@ -14,8 +14,9 @@ The limit is taken per vertex (limits pass through the finite group sums).
 A path sum is S(root) x_e1 S(v1) ... along the terminal's unique simple
 path, where S(v) is the starred union of the loops a Pict copy of v carries;
 each S(v) is built once per run and shared by every terminal
-(:func:`~sgmc.loopkleene.loop_stars`), from a loop table that checks Mc's
-tree paths and that the Pict unfoldings read too.  A terminal's loop graph
+(:func:`~sgmc.loopkleene.loop_stars`), from the loop table that the USP
+check (:func:`~sgmc.expansions.simple_path_edges`) builds on Mc's tree
+paths and that the Pict unfoldings read too.  A terminal's loop graph
 and Kleene expression, and the result's ``kleene`` texts, are built only
 when read (by ``report_dict`` and verification), and ``max_loop`` bounds
 only those trees.  They are DAGs shared by all terminals of the run, and
@@ -52,11 +53,11 @@ from .errors import (
 )
 from .expansions import (
     DEFAULT_MAX_KR,
+    DEFAULT_MAX_LOOP,
     DEFAULT_MAX_MC,
     kr_expand,
     mc_expand,
     simple_path_edges,
-    word_name,
 )
 from .loopkleene import (
     _walk_words,
@@ -158,7 +159,7 @@ def stationary_left_zero(
     s: FiniteSemigroup,
     max_kr: int = DEFAULT_MAX_KR,
     max_mc: int = DEFAULT_MAX_MC,
-    max_loop: int = 10**6,
+    max_loop: int = DEFAULT_MAX_LOOP,
 ) -> StationaryResult:
     if not s.minimal_ideal().is_left_zero:
         raise NotLeftZero("K(S) is not left zero; use stationary_general")
@@ -170,7 +171,7 @@ def stationary_general(
     box_label: str = "□",
     max_kr: int = DEFAULT_MAX_KR,
     max_mc: int = DEFAULT_MAX_MC,
-    max_loop: int = 10**6,
+    max_loop: int = DEFAULT_MAX_LOOP,
 ) -> StationaryResult:
     """Adjoin a zero, compute box-vertex path sums, and take the limit.
 
@@ -215,7 +216,7 @@ def _stationary(s, box_label, max_kr, max_mc, max_loop) -> StationaryResult:
         element = group if group in ideal.members else None
         psi = path_sum(mc, stars, unique[vid])
         terminals.append(
-            Terminal(word, word_name(word), vid, element, psi, mc, max_loop)
+            Terminal(word, mc.names[vid], vid, element, psi, mc, max_loop)
         )
         mass = psi
         if box_label is not None:
@@ -391,7 +392,7 @@ def full_report(
     max_elements: int = DEFAULT_MAX_ELEMENTS,
     max_kr: int = DEFAULT_MAX_KR,
     max_mc: int = DEFAULT_MAX_MC,
-    max_loop: int = 10**6,
+    max_loop: int = DEFAULT_MAX_LOOP,
 ) -> FullReport:
     timings = {}
     tic = time.perf_counter()

@@ -221,6 +221,14 @@ class TestSubstituteAndEvaluate:
         with pytest.raises(ZeroDenominator):
             (rone / (rone - ra)).evaluate({"a": 1})
 
+    def test_point_missing_a_variable_names_it(self):
+        r = ra * rb
+        for point in ({"a": Fraction(1, 2)}, {"a": 1, "c": 1}):
+            with pytest.raises(ValueError, match="^point has no value for x_b$"):
+                r.evaluate(point)
+            with pytest.raises(ValueError, match="^point has no value for x_b$"):
+                r.series_at(point, 3)
+
 
 class TestPartial:
     def test_quotient_rule(self):

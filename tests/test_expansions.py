@@ -5,6 +5,8 @@ import pytest
 
 from sgmc.errors import CapExceeded, NotUsp
 from sgmc.expansions import (
+    DEFAULT_MAX_KR,
+    DEFAULT_MAX_MC,
     RootedGraph,
     check_usp,
     kr_expand,
@@ -18,6 +20,7 @@ from sgmc.expansions import (
     word_name,
 )
 from sgmc.loopkleene import loop_stars
+from sgmc.pipeline import _expand
 from sgmc.semigroup import FiniteSemigroup, IDENTITY_NAME
 
 TWO_STATE_GENS = [("1", (0, 0)), ("2", (1, 1)), ("3", (1, 0))]
@@ -337,6 +340,39 @@ class TestCheckUsp:
                 for _ in range(2):
                     with pytest.raises(NotUsp):
                         loop_stars(g)
+
+    def test_tampered_tree_table_fails(self, d2c_semigroup):
+        # d2c's boxed Mc, copied with mc_expand's tree table kept on the copy,
+        # and one back edge sent to a vertex off its source's tree path
+        boxed = d2c_semigroup.adjoin_zero("□")
+        _, mc, tree, _ = _expand(boxed, {boxed.zero_id}, DEFAULT_MAX_KR, DEFAULT_MAX_MC)
+        paths = mc._simple_paths
+        eid = min(set(range(len(mc.edges))) - tree)
+        src, label, _ = mc.edges[eid]
+        on_path = {mc.root} | {mc.edges[e][2] for e in paths[src]}
+        off = min(set(range(mc.n_vertices())) - on_path)
+        edges = list(mc.edges)
+        edges[eid] = (src, label, off)
+        g = RootedGraph(mc.payloads, mc.names, edges, mc.root, mc.alphabet)
+        g._simple_paths = paths
+        assert check_usp(g) is False
+        for _ in range(2):
+            with pytest.raises(NotUsp):
+                simple_path_edges(g)
+            with pytest.raises(NotUsp):
+                loop_stars(g)
+        assert g._loop_table is None
+        assert check_usp(mc) and simple_path_edges(mc) is paths
+
+    @pytest.mark.parametrize("kind", ["two_paths", "unreachable"])
+    def test_failed_check_keeps_no_table(self, kind):
+        rnd = random.Random(f"kept-{kind}")
+        for _ in range(40):
+            n = rnd.randint(2, 6)
+            g = labelled_graph(n, random_graph_edges(rnd, n, kind))
+            for _ in range(2):
+                assert not check_usp(g)
+                assert g._simple_paths is None and g._loop_table is None
 
     def test_vertex_count_over_cap(self):
         chain = labelled_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sgmc.algebra import RationalFunction
+from sgmc.cli import bundled_path, load_chain_file
 from sgmc.errors import NotLeftZero
 from sgmc.markov import ChainGenerator, MarkovChainSpec
 from sgmc.mixing import (
@@ -222,3 +223,10 @@ class TestTvBound:
         assert rep.expected_total == Fraction(3, 2)
         assert rep.tail[0] == 1
         assert all(row.holds for row in rep.tv_rows)
+
+
+def test_point_missing_a_label_names_it():
+    spec = load_chain_file(bundled_path("example210.json")).spec
+    point = {"1": Fraction(1, 2), "2": Fraction(1, 2)}
+    with pytest.raises(ValueError, match="^point has no value for x_3$"):
+        mixing_report(spec, point, Fraction(1, 4), 3)

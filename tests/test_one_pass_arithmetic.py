@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from sgmc import loopkleene
+from sgmc import expansions, loopkleene
 from sgmc.algebra import Polynomial, RationalFunction, limit_at_box_zero
 from sgmc.cli import bundled_path, load_chain_file
 from sgmc.errors import ZeroDenominator
@@ -147,7 +147,7 @@ def test_path_and_loop_products_match_chained_multiplication(path):
             if first is stars[mc.root]:
                 assert_same_form(t.psi, ref)
     for v in range(mc.n_vertices()):
-        for body, closing in loopkleene._loops(mc, unique, v):
+        for body, closing in expansions._loops(mc, unique, v):
             last = RationalFunction.variable(closing)
             got = loopkleene._product(mc, stars, None, body, last)
             assert_same_form(got, chained(product_parts(mc, stars, None, body, last)))

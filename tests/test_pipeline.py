@@ -205,6 +205,12 @@ class TestVerification:
         with pytest.raises(VerificationFailed):
             verify_oracle(spec, broken, points)
 
+    def test_point_missing_a_label_names_it(self, two_state_result):
+        spec = two_state_chain_spec()
+        point = {"1": Fraction(1, 2), "2": Fraction(1, 2)}
+        with pytest.raises(ValueError, match="^point has no value for x_3$"):
+            verify_oracle(spec, two_state_result, [point])
+
     def test_language_and_series_consistency(self, two_state_result):
         assert verify_language_and_series(two_state_result, maxlen=8) == 6
 

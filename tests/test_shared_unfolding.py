@@ -68,7 +68,7 @@ def reference_pict(g, path_edges, max_vertices=10**6):
 
 
 def reference_attach_loops(g, unique, lvertex, v, budget):
-    for body, closing_label in loopkleene._loops(g, unique, v):
+    for body, closing_label in expansions._loops(g, unique, v):
         labels = []
         inner = []
         for beid in body:
@@ -314,7 +314,7 @@ def test_cap_fires_before_any_table_is_built():
         pict(mc, unique[abbaa], verify_usp=False)
     assert mc._loop_vertices is None
     # a loop graph within the cap builds the vertices it holds, and no other
-    table_copies = loopkleene._loop_table(mc)[2]
+    table_copies = expansions._loop_table(mc)[2]
 
     def copies(t):
         return sum(table_copies[mc.edges[e][2]] for e in unique[t])
@@ -370,9 +370,9 @@ def test_expressions_share_their_loop_expansions():
 def test_loops_are_found_once_per_vertex(monkeypatch):
     # the rational stars, the kleene texts, verification and later loop
     # graphs read one loop table per graph, and Mc's simple paths are its
-    # tree's: simple_path_edges never finds an Mc with no table kept
+    # tree's: simple_path_edges never meets an Mc that carries none
     calls, searched = {}, []
-    loops, paths = loopkleene._loops, expansions.simple_path_edges
+    loops, paths = expansions._loops, expansions.simple_path_edges
 
     def counted_loops(g, unique, v):
         calls[id(g), v] = calls.get((id(g), v), 0) + 1
@@ -383,7 +383,7 @@ def test_loops_are_found_once_per_vertex(monkeypatch):
             searched.append(g)
         return paths(g)
 
-    monkeypatch.setattr(loopkleene, "_loops", counted_loops)
+    monkeypatch.setattr(expansions, "_loops", counted_loops)
     for module in (expansions, loopkleene, pipeline):
         monkeypatch.setattr(module, "simple_path_edges", counted_paths)
     results = []  # kept alive, so no two graphs share an id
