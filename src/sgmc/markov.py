@@ -3,15 +3,17 @@ exact eigenvector solve (the oracle), Monte Carlo simulation, TV distance.
 
 A chain is specified by named states and labelled generators; generator ``a``
 moves state ``s`` to ``action_a[s]`` (left action) with probability ``x_a``.
-All exact computations use Fractions end to end; floating point appears only
-inside the random number generator.
+All computations are exact: the eigenvector solve eliminates in Python
+integers on the transition matrix scaled by the lcm of the point's
+denominators, and makes a Fraction only for each state's mass; floating
+point appears only inside the random number generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .algebra import Polynomial
 from .errors import NotIrreducible, NotStochastic
@@ -100,30 +102,50 @@ def ergodicity(spec: MarkovChainSpec) -> dict:
 
 
 def stationary_oracle(tm: TransitionMatrix, point: dict) -> dict:
-    """Exact eigenvector of eigenvalue one, by rational elimination on T - I.
+    """Exact eigenvector of eigenvalue one, by elimination on T - I in integers.
+
+    The entries are sums of variables with integer coefficients, as
+    transition_matrix makes them, so with L the lcm of the denominators of
+    their variables' values, L * (T - I) is an integer matrix.  Gauss-Jordan
+    runs on it without fractions: each row is cross-multiplied by the pivot
+    and divided by the gcd of its entries, and Fractions are made only for
+    the n results.
 
     Raises NotStochastic if columns do not sum to one at the point and
     NotIrreducible if the nullspace dimension differs from one.
     """
-    t = tm.evaluate(point)
-    n = len(t)
+    values = {}  # monomial key -> its value at point
+    for row in tm.entries:
+        for p in row:
+            for m in p.terms:
+                if m not in values:
+                    values[m] = Polynomial({m: 1}).evaluate(point)
+    common = lcm(*(v.denominator for v in values.values()))
+    scaled = {m: v.numerator * (common // v.denominator) for m, v in values.items()}
+    n = len(tm.entries)
+    a = [
+        [sum(c * scaled[m] for m, c in p.terms.items()) for p in row]
+        for row in tm.entries
+    ]
     for j in range(n):
-        if sum(t[i][j] for i in range(n)) != 1:
+        if sum(a[i][j] for i in range(n)) != common:
             raise NotStochastic(f"column {tm.states[j]!r} does not sum to 1")
-    a = [[t[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
+        a[j][j] -= common
     pivots = []
     row = 0
     for col in range(n):
-        pivot = next((r for r in range(row, n) if a[r][col] != 0), None)
+        pivot = next((r for r in range(row, n) if a[r][col]), None)
         if pivot is None:
             continue
         a[row], a[pivot] = a[pivot], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [v * inv for v in a[row]]
+        top = a[row]
+        p = top[col]
         for r in range(n):
-            if r != row and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[row])]
+            q = a[r][col]
+            if r != row and q:
+                new = [p * x - q * y for x, y in zip(a[r], top)]
+                g = gcd(*new)
+                a[r] = [x // g for x in new] if g > 1 else new
         pivots.append(col)
         row += 1
         if row == n:
@@ -133,14 +155,17 @@ def stationary_oracle(tm: TransitionMatrix, point: dict) -> dict:
             f"nullspace of T - I has dimension {n - len(pivots)}, expected 1"
         )
     free = next(c for c in range(n) if c not in pivots)
-    x = [Fraction(0)] * n
-    x[free] = Fraction(1)
+    # row r reads a[r][col] x_col + a[r][free] x_free = 0; with x_free the
+    # lcm of the pivots, every x_col is an integer
+    scale = lcm(*(a[r][col] for r, col in enumerate(pivots)))
+    x = [0] * n
+    x[free] = scale
     for r, col in enumerate(pivots):
-        x[col] = -a[r][free]
+        x[col] = -a[r][free] * (scale // a[r][col])
     total = sum(x)
     if total == 0:
         raise NotIrreducible("eigenvector has zero total mass")
-    return {tm.states[i]: x[i] / total for i in range(n)}
+    return {tm.states[i]: Fraction(x[i], total) for i in range(n)}
 
 
 def simulate(

@@ -50,6 +50,7 @@ from .errors import (
     NotLeftZero,
     ResidualMassNonzero,
     VerificationFailed,
+    ZeroDenominator,
 )
 from .expansions import (
     DEFAULT_MAX_KR,
@@ -199,6 +200,9 @@ def _stationary(s, box_label, max_kr, max_mc, max_loop) -> StationaryResult:
     else:
         expanded = s.adjoin_zero(box_label)
         sinks, elim = {expanded.zero_id}, max(s.labels)
+        # held for the run: limit_at_box_zero keeps the powers of
+        # 1 - others on this interned factor, so each is made once
+        complement = RationalFunction.power(stochastic_complement(elim, variables), 1)
     kr, mc, _, sizes = _expand(expanded, sinks, max_kr, max_mc)
     unique = simple_path_edges(mc)
     stars = loop_stars(mc)
@@ -302,9 +306,21 @@ def verify_oracle(
     outcomes = []
     for point in points:
         oracle = stationary_oracle(tm, point)
-        values = {
-            name: rf.evaluate(point) for name, rf in result.per_element.items()
-        }
+        # the masses share their factors; each distinct one is read once
+        factor_values = {}
+        values = {}
+        for name, rf in result.per_element.items():
+            value = rf.poly.evaluate(point)
+            for f, e in rf.factors.items():
+                v = factor_values.get(f)
+                if v is None:
+                    v = factor_values[f] = f.poly.evaluate(point)
+                if v == 0 and e < 0:
+                    raise ZeroDenominator(
+                        f"denominator vanishes at {point_str(point)}"
+                    )
+                value *= v**e
+            values[name] = value
         for start in range(len(spec.states)):
             push = {state: Fraction(0) for state in spec.states}
             for name, value in values.items():

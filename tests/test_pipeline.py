@@ -211,6 +211,44 @@ class TestVerification:
         with pytest.raises(ValueError, match="^point has no value for x_3$"):
             verify_oracle(spec, two_state_result, [point])
 
+    def test_each_distinct_factor_is_evaluated_once_per_point(
+        self, two_state_result, monkeypatch
+    ):
+        spec = two_state_chain_spec()
+        masses = two_state_result.per_element.values()
+        shared = {id(f.poly) for rf in masses for f in rf.factors}
+        pieces = sum(len(rf.factors) for rf in masses)
+        assert pieces > len(shared) == 1
+        calls = []
+        evaluate = Polynomial.evaluate
+
+        def counted(self, point):
+            if id(self) in shared:
+                calls.append(id(self))
+            return evaluate(self, point)
+
+        monkeypatch.setattr(Polynomial, "evaluate", counted)
+        points = sample_simplex_points(spec.labels(), 3, seed=5)
+        verify_oracle(spec, two_state_result, points)
+        assert len(calls) == len(points) * len(shared)
+
+    def test_vanishing_factor_names_the_point(self, two_state_result):
+        import copy
+
+        from sgmc.errors import ZeroDenominator
+
+        spec = two_state_chain_spec()
+        broken = copy.copy(two_state_result)
+        broken.per_element = {
+            "1": rv("1") / (rv("1") - rv("2")),
+            "2": rv("2") / (rv("1") - rv("2")),
+        }
+        point = {"1": Fraction(1, 4), "2": Fraction(1, 4), "3": Fraction(1, 2)}
+        with pytest.raises(
+            ZeroDenominator, match=r"^denominator vanishes at x_1=1/4, x_2=1/4, x_3=1/2$"
+        ):
+            verify_oracle(spec, broken, [point])
+
     def test_language_and_series_consistency(self, two_state_result):
         assert verify_language_and_series(two_state_result, maxlen=8) == 6
 
