@@ -9,10 +9,9 @@ monomial in every polynomial.  The product of two monomials is the sum of
 their keys, degree lane included.  Total degrees stay below 2^20, so no lane
 ever carries into the next.  A key is decoded to ``((variable, exponent),
 ...)`` pairs only for printing, by :meth:`Polynomial.sorted_terms`.
-A polynomial is evaluated at a point in Python integers: each coordinate is
-a_v / L over one common denominator L, the powers of the a_v and of L are
-made once, the terms c * prod a_v^e_v * L^(D - deg) are summed by the
-denominator of c, and one Fraction, over L^D, is made at the end.
+A polynomial is evaluated at a point in Python integers, over one common
+denominator (:meth:`Polynomial.evaluate`); a rational function is read by an
+:func:`evaluator`, which evaluates each distinct factor once per point.
 
 A :class:`RationalFunction` is a polynomial times a product of shared
 factors raised to integer exponents.  Every product of functions is
@@ -39,7 +38,7 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction
-from functools import reduce
+from functools import cache, lru_cache, reduce
 from itertools import accumulate, repeat
 from math import lcm
 from operator import mul
@@ -384,15 +383,19 @@ class _Factor:
 
     def __init__(self, poly: Polynomial):
         self.poly = poly
-        # what is derived from the factor, made on first use and kept as
-        # long as the factor: its box limits, keyed by (box, elim,
-        # generators), and, for a complement 1 - others, its powers, keyed
-        # by exponent (see limit_at_box_zero)
+        # its box limits, keyed by (box, elim, generators), made on first
+        # use and kept as long as the factor (see limit_at_box_zero)
         self.memo = None
 
 
 # Weak, so a factor lives only as long as some rational function uses it.
 _INTERNED = weakref.WeakValueDictionary()
+
+
+@lru_cache(maxsize=1)
+def _complement_powers(elim_var: str, generator_vars: tuple) -> dict:
+    """{k: (1 - others)^k} for the last constraint limit_at_box_zero read."""
+    return {}
 
 
 def _factor(poly: Polynomial):
@@ -663,14 +666,8 @@ class RationalFunction:
         return sorted({v for poly, _ in self.pieces() for v in poly.variables()})
 
     def evaluate(self, point: dict) -> Fraction:
-        """The value at point, one piece at a time."""
-        value = Fraction(1)
-        for poly, e in self.pieces():
-            v = poly.evaluate(point)
-            if v == 0 and e < 0:
-                raise ZeroDenominator(f"denominator vanishes at {point_str(point)}")
-            value *= v**e
-        return value
+        """The value at point, read by a fresh :func:`evaluator`."""
+        return evaluator(point)(self)
 
     def substitute(self, var: str, value: Polynomial) -> "RationalFunction":
         """Replace var by a polynomial, one piece at a time."""
@@ -753,6 +750,23 @@ class RationalFunction:
         return f"RationalFunction({self})"
 
 
+def evaluator(point: dict):
+    """value(rf): rf's value at point, rf.poly times each factor's value.
+    Each distinct factor is evaluated once for as long as value lives."""
+    factor_value = cache(lambda f: f.poly.evaluate(point))
+
+    def value(rf: RationalFunction) -> Fraction:
+        out = rf.poly.evaluate(point)
+        for f, e in rf.factors.items():
+            v = factor_value(f)
+            if v == 0 and e < 0:
+                raise ZeroDenominator(f"denominator vanishes at {point_str(point)}")
+            out *= v**e
+        return out
+
+    return value
+
+
 def limit_at_box_zero(
     r: RationalFunction, box_var: str, elim_var: str, generator_vars
 ) -> RationalFunction:
@@ -766,8 +780,8 @@ def limit_at_box_zero(
     path sum repeats are substituted once.  A poly of one term c * x^m is
     not substituted: with k the exponent of elim_var in m, its value at
     box = 0 is c times x^m less elim_var and box times (1 - others)^k, made
-    by shifting the keys of that power, which is kept on the interned
-    factor 1 - others; its box order is the exponent of box in m.
+    by shifting the keys of that power, which is kept for the constraint
+    (``_complement_powers``); its box order is the exponent of box in m.
 
     The box orders, weighted by the exponents, add up to the order of r.  A
     positive total gives 0, zero gives the product of the pieces at box = 0,
@@ -787,12 +801,10 @@ def limit_at_box_zero(
                 elim, box = _offset(elim_var), _offset(box_var)
                 k, order = (m >> elim) & _MASK, (m >> box) & _MASK
                 m -= k * ((1 << elim) + 1) + order * ((1 << box) + 1)
-                _, others = _factor(stochastic_complement(elim_var, generator_vars))
-                if others.memo is None:
-                    others.memo = {}
-                power = others.memo.get(k)
-                if power is None:
-                    power = others.memo[k] = others.poly**k
+                powers = _complement_powers(elim_var, tuple(generator_vars))
+                if k not in powers:
+                    powers[k] = stochastic_complement(elim_var, generator_vars) ** k
+                power = powers[k]
                 at_zero = Polynomial({m + p: c * v for p, v in power.terms.items()})
             else:
                 repl = stochastic_complement(elim_var, generator_vars, box_var)

@@ -93,13 +93,11 @@ def nesting_cap(stage: str):
 @dataclass(slots=True)
 class LoopVertex:
     """A vertex of a loop graph and the loops hung at it.  ``pict`` also
-    gives it the star of its loops' expansions (None without loops) and the
-    number of loop-vertex copies the unfolding hangs below one copy of it."""
+    gives it the star of its loops' expansions (None without loops)."""
 
     name: str
     loops: list = field(default_factory=list)
     star: Kleene = field(default=None, repr=False, compare=False)
-    copies: int = field(default=0, repr=False, compare=False)
 
 
 @dataclass(slots=True)
@@ -187,7 +185,7 @@ def _build_loop_vertices(g: RootedGraph, unique, spine_ids):
     if g._loop_vertices is None:
         g._loop_vertices = [None] * g.n_vertices()
     vertices = g._loop_vertices
-    _, cycles, copies = _loop_table(g)
+    _, cycles, _ = _loop_table(g)
     todo = [v for v in spine_ids if vertices[v] is None]
     seen = set(todo)
     for v in todo:  # grows as it goes
@@ -217,7 +215,7 @@ def _build_loop_vertices(g: RootedGraph, unique, spine_ids):
             built.append((labels, inner, concat(parts)))
         star = _star_of([expansion for _, _, expansion in built]) if built else None
         loops = [Loop(*cycle, star) for cycle in built]
-        vertices[v] = LoopVertex(g.names[v], loops, star, copies[v])
+        vertices[v] = LoopVertex(g.names[v], loops, star)
 
 
 def _product(g, stars, first, edges, last) -> RationalFunction:

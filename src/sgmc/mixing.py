@@ -7,7 +7,7 @@ divided by the full value, give the hitting probability before time t.
 The expected hitting time comes from the Euler operator
 D = sum(x_i d/dx_i): E[tau] is the sum over the elements of (D Psi)(point),
 and E[tau | element] is the log-derivative D Psi / Psi, one factor of Psi
-at a time.
+at a time.  The reports read the masses through one evaluator.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import RationalFunction
+from .algebra import RationalFunction, evaluator
 from .errors import NotLeftZero
 from .markov import (
     MarkovChainSpec,
@@ -35,21 +35,26 @@ def hitting_tail(psi: RationalFunction, t: int, point: dict) -> Fraction:
 
 
 def tail_table(psis, point, tmax: int) -> list:
-    """Pr(tau >= t) for t = 0..tmax, aggregating a list of path functions.
+    """Pr(tau >= t) for t = 0..tmax, from path sums or from the masses they
+    add up to: by linearity, both give the same table.
 
     The mass of each path length is the sum over the functions of their
     series terms of that degree at the point, read one function at a time;
     this avoids multiplying all the unreduced denominators together.
     """
+    return _tail(psis, point, tmax, evaluator(point))
+
+
+def _tail(psis, point, tmax, value) -> list:
     if tmax < 0:
         raise ValueError(f"tmax must be nonnegative, got {tmax}")
     psis = list(psis)
-    total = sum((psi.evaluate(point) for psi in psis), Fraction(0))
+    total = sum(map(value, psis), Fraction(0))
     # tail[t] reads the masses of the lengths below t only
     mass_by_degree = [Fraction(0)] * tmax
     for psi in psis:
-        for degree, value in enumerate(psi.series_at(point, tmax)):
-            mass_by_degree[degree] += value
+        for degree, mass in enumerate(psi.series_at(point, tmax)):
+            mass_by_degree[degree] += mass
     below = Fraction(0)
     tail = [1 - below / total]
     for mass in mass_by_degree:
@@ -75,7 +80,11 @@ def expected_total(psis, point) -> Fraction:
 
     There is no division, so an element of mass 0 at the point adds 0.
     """
-    return sum((psi.euler().evaluate(point) for psi in psis), Fraction(0))
+    return _expected_total(psis, evaluator(point))
+
+
+def _expected_total(psis, value) -> Fraction:
+    return sum((value(psi.euler()) for psi in psis), Fraction(0))
 
 
 def markov_bound(expected, epsilon) -> int:
@@ -118,7 +127,7 @@ def tv_bound_check(
     point mass at start_state.  Requires a left-zero minimal ideal.
     """
     result = _left_zero_result(spec, result, caps)
-    tail = tail_table([t.psi for t in result.terminals], point, tmax + 1)
+    tail = tail_table(result.per_element.values(), point, tmax + 1)
     return _tv_rows(spec, point, tmax, start_state, tail)
 
 
@@ -174,13 +183,13 @@ def mixing_report(
 ) -> MixingReport:
     """Tail table, conditional and total E[tau], Markov bound, ASST rows."""
     result = _left_zero_result(spec, result, caps)
-    tail = tail_table([t.psi for t in result.terminals], point, tmax + 1)
+    value = evaluator(point)
+    tail = _tail(result.per_element.values(), point, tmax + 1, value)
     expected_by_element = {}
     for name, rf in sorted(result.per_element.items()):
         e_rf = expected_tau(rf)
-        value = e_rf.evaluate(point) if rf.evaluate(point) else None
-        expected_by_element[name] = (e_rf, value)
-    total = expected_total(result.per_element.values(), point)
+        expected_by_element[name] = (e_rf, value(e_rf) if value(rf) else None)
+    total = _expected_total(result.per_element.values(), value)
     bound = markov_bound(total, epsilon)
     rows = _tv_rows(spec, point, tmax, start_state, tail)
     return MixingReport(

@@ -42,6 +42,7 @@ from functools import cached_property
 
 from .algebra import (
     RationalFunction,
+    evaluator,
     limit_at_box_zero,
     point_str,
     stochastic_complement,
@@ -50,7 +51,6 @@ from .errors import (
     NotLeftZero,
     ResidualMassNonzero,
     VerificationFailed,
-    ZeroDenominator,
 )
 from .expansions import (
     DEFAULT_MAX_KR,
@@ -200,9 +200,6 @@ def _stationary(s, box_label, max_kr, max_mc, max_loop) -> StationaryResult:
     else:
         expanded = s.adjoin_zero(box_label)
         sinks, elim = {expanded.zero_id}, max(s.labels)
-        # held for the run: limit_at_box_zero keeps the powers of
-        # 1 - others on this interned factor, so each is made once
-        complement = RationalFunction.power(stochastic_complement(elim, variables), 1)
     kr, mc, _, sizes = _expand(expanded, sinks, max_kr, max_mc)
     unique = simple_path_edges(mc)
     stars = loop_stars(mc)
@@ -296,37 +293,20 @@ def sample_simplex_points(labels, count, seed, max_denominator=20):
 def verify_oracle(
     spec: MarkovChainSpec, result: StationaryResult, points
 ) -> list:
-    """Exact comparison with the eigenvector solve at each point.
-
-    The symbolic distribution lives on K(S); the chain distribution is its
-    pushforward under k -> k(start), checked for every start state.
-    """
-    s = result.semigroup
+    """The masses, read by one evaluator per point, against the eigenvector
+    solve there: the chain distribution is their pushforward under
+    k -> k(start) from K(S), checked exactly for every start state."""
     tm = transition_matrix(spec)
     outcomes = []
     for point in points:
         oracle = stationary_oracle(tm, point)
-        # the masses share their factors; each distinct one is read once
-        factor_values = {}
-        values = {}
-        for name, rf in result.per_element.items():
-            value = rf.poly.evaluate(point)
-            for f, e in rf.factors.items():
-                v = factor_values.get(f)
-                if v is None:
-                    v = factor_values[f] = f.poly.evaluate(point)
-                if v == 0 and e < 0:
-                    raise ZeroDenominator(
-                        f"denominator vanishes at {point_str(point)}"
-                    )
-                value *= v**e
-            values[name] = value
+        value = evaluator(point)
+        values = {name: value(rf) for name, rf in result.per_element.items()}
         for start in range(len(spec.states)):
             push = {state: Fraction(0) for state in spec.states}
-            for name, value in values.items():
-                eid = result.element_ids[name]
-                target = s.transform[eid][start]
-                push[spec.states[target]] += value
+            for name, mass in values.items():
+                target = result.semigroup.transform[result.element_ids[name]][start]
+                push[spec.states[target]] += mass
             if push != oracle:
                 raise VerificationFailed(
                     f"symbolic vs oracle mismatch at {point_str(point)} "
