@@ -21,8 +21,11 @@ A copy of v carries the loops of v and nothing else, so the starred union
 hung at it depends only on v.  One loop table per graph, which
 ``expansions`` builds as its USP check (``_loop_table``), holds each
 vertex's loops and copy count, and two folds read it.
-``loop_stars`` builds each S(v), a rational function, once, and
-``path_sum`` reads a path sum off the spine as S(root) x_e1 S(v1) ..., in
+``loop_stars`` builds S(v), a rational function, once per distinct loop
+system: McCammond graphs repeat most of theirs (pinned2's 359 vertices
+with loops have 24), and vertices whose cycles carry the same labels
+around the same inner stars share one S.  ``path_sum`` reads a path sum
+off the spine as S(root) x_e1 S(v1) ..., in
 the order ``kleene_to_rf`` multiplies the expanded tree, so no tree is
 needed for the rational functions.
 
@@ -241,16 +244,31 @@ def loop_stars(g: RootedGraph) -> list:
     one per cycle of the loop table (``_loop_table``).  Each S(v) uses only
     the S of vertices deeper on the tree, so the vertices are taken in the
     table's order, deepest first.
+
+    S(v) is built once per distinct loop system: the key of v lists, per
+    cycle in table order, the (label, S(dst)) pair of each body edge and the
+    closing label, with the inner stars told apart by identity.  Vertices of
+    one key would run the same computation on the same objects, so they
+    share the first one's S, which has the form each would have built.
     """
     order, cycles, _ = _loop_table(g)
     stars = [None] * g.n_vertices()
+    built = {}  # key -> S
     for v in order:
-        products = [
-            _product(g, stars, None, body, _variable(closing))
+        if not cycles[v]:
+            continue
+        key = tuple(
+            (tuple((g.edges[eid][1], stars[g.edges[eid][2]]) for eid in body), closing)
             for body, closing in cycles[v]
-        ]
-        if products:
-            stars[v] = RationalFunction.sum(products).star()
+        )
+        star = built.get(key)
+        if star is None:
+            products = [
+                _product(g, stars, None, body, _variable(closing))
+                for body, closing in cycles[v]
+            ]
+            star = built[key] = RationalFunction.sum(products).star()
+        stars[v] = star
     return stars
 
 

@@ -13,19 +13,23 @@ The limit is taken per vertex (limits pass through the finite group sums).
 
 A path sum is S(root) x_e1 S(v1) ... along the terminal's unique simple
 path, where S(v) is the starred union of the loops a Pict copy of v carries;
-each S(v) is built once per run and shared by every terminal
-(:func:`~sgmc.loopkleene.loop_stars`), from the loop table that the USP
-check (:func:`~sgmc.expansions.simple_path_edges`) builds on Mc's tree
-paths and that the Pict unfoldings read too.  A terminal's loop graph
-and Kleene expression, and the result's ``kleene`` texts, are built only
-when read (by ``report_dict`` and verification), and ``max_loop`` bounds
-only those trees.  They are DAGs shared by all terminals of the run, and
-the texts print each shared node once.
+each S(v) is built once per run and per distinct loop system, and shared
+by every terminal (:func:`~sgmc.loopkleene.loop_stars`), from the loop
+table that the USP check (:func:`~sgmc.expansions.simple_path_edges`)
+builds on Mc's tree paths and that the Pict unfoldings read too.  A
+terminal's loop graph and Kleene expression, and the result's ``kleene``
+texts, are built only when read (by ``report_dict`` and verification), and
+``max_loop`` bounds only those trees.  They are DAGs shared by all
+terminals of the run, and the texts print each shared node once.
 
 Path sums, per-element sums, box limits and the normalization check work on
 rational functions in factored form (:class:`~sgmc.algebra.RationalFunction`),
 which never multiply out a factor the addends share; a numerator/denominator
-pair is multiplied out only when a report prints it.
+pair is multiplied out only when a report prints it.  The left-zero
+normalization check sums the masses first and substitutes the constraint
+into that one sum, a ring homomorphism wherever no denominator vanishes;
+each distinct denominator factor of the masses is substituted once before,
+so a factor that vanishes under the constraint still raises ZeroDenominator.
 
 Every run can be cross-checked against the exact eigenvector oracle at
 random interior rational points: the distribution on chain states is the
@@ -51,6 +55,7 @@ from .errors import (
     NotLeftZero,
     ResidualMassNonzero,
     VerificationFailed,
+    ZeroDenominator,
 )
 from .expansions import (
     DEFAULT_MAX_KR,
@@ -265,13 +270,29 @@ def stationary(s: FiniteSemigroup, box_label="□", **caps) -> StationaryResult:
 
 
 def normalization_holds(result: StationaryResult) -> bool:
-    """Sum of per-element masses plus residual equals 1 under the constraint."""
+    """Sum of per-element masses plus residual equals 1 under the constraint.
+
+    The parts are summed first; in the left-zero case x_elim =
+    1 - sum(others) is then substituted once into the excess, sum - 1, not
+    into every part.  Substitution is a ring homomorphism wherever no
+    denominator vanishes, so the identity checked is the same.  Each
+    distinct negative-exponent factor of the parts is substituted first and
+    raises ZeroDenominator if it becomes zero, as substituting part by part
+    would, even where the sum cancels it.  The excess has no other
+    denominator factors, so it vanishes exactly when its poly does.
+    """
     parts = [result.residual_mass, *result.per_element.values()]
-    if result.case == "left_zero":
-        elim = max(result.variables)
-        repl = stochastic_complement(elim, result.variables)
-        parts = [part.substitute(elim, repl) for part in parts]
-    return RationalFunction.sum(parts).equals(1)
+    excess = RationalFunction.sum(parts) - 1
+    if result.case != "left_zero":
+        return excess.is_zero()
+    elim = max(result.variables)
+    repl = stochastic_complement(elim, result.variables)
+    denominators = {f for part in parts for f, e in part.factors.items() if e < 0}
+    if any(f.poly.substitute(elim, repl).is_zero() for f in denominators):
+        raise ZeroDenominator(
+            f"substituting {elim} makes the denominator identically zero"
+        )
+    return excess.poly.substitute(elim, repl).is_zero()
 
 
 # -- oracle cross-check ------------------------------------------------------
@@ -371,7 +392,7 @@ class FullReport:
     result: StationaryResult
     verification: list
     normalization: bool
-    timings: dict
+    timings: dict  # seconds: generate, stationary, normalization, oracle
 
 
 def build_semigroup(spec: MarkovChainSpec, max_elements=DEFAULT_MAX_ELEMENTS):
@@ -398,13 +419,15 @@ def full_report(
     result = stationary(
         s, box_label=box_label, max_kr=max_kr, max_mc=max_mc, max_loop=max_loop
     )
-    timings["expansions_and_kleene"] = time.perf_counter() - tic
+    timings["stationary"] = time.perf_counter() - tic
     tic = time.perf_counter()
     if not normalization_holds(result):
         raise VerificationFailed("per-element masses do not sum to one")
+    timings["normalization"] = time.perf_counter() - tic
+    tic = time.perf_counter()
     sample = sample_simplex_points(spec.labels(), points, seed)
     verification = verify_oracle(spec, result, sample)
-    timings["verification"] = time.perf_counter() - tic
+    timings["oracle"] = time.perf_counter() - tic
     return FullReport(spec, result, verification, True, timings)
 
 

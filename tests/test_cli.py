@@ -160,6 +160,17 @@ class TestAnalyze:
         run("analyze", bundled_path("example210.json"), "--seed", "5", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_timings_name_the_stages_on_stderr(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        plain = tmp_path / "plain.json"
+        assert run("analyze", bundled_path("d2.json"), "--timings", "--out", str(out)) == 0
+        lines = capsys.readouterr().err.splitlines()
+        stages = [re.fullmatch(r"# (\w+): \d+\.\d{3}s", line)[1] for line in lines]
+        assert stages == ["generate", "stationary", "normalization", "oracle"]
+        assert run("analyze", bundled_path("d2.json"), "--out", str(plain)) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_bytes() == plain.read_bytes()
+
     def test_malformed_input_exit_code(self, tmp_path):
         path = write(
             tmp_path,
