@@ -196,14 +196,7 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return reduce(mul, repeat(self, n), Polynomial.const(1))
 
     def evaluate(self, point: dict) -> Fraction:
         """The value at point, summed in integers over one common denominator.

@@ -23,6 +23,7 @@ from .errors import (
     ChainFileError,
     NotLeftZero,
     NotStochastic,
+    PathNotInGraph,
     SgmcError,
     UnknownVertexWord,
     VerificationFailed,
@@ -31,16 +32,17 @@ from .expansions import (
     DEFAULT_MAX_KR,
     DEFAULT_MAX_MC,
     kr_expand,
+    path_from_word,
     render_dot,
     right_cayley,
     scc,
-    simple_path_edges,
     transition_edges,
 )
 from .loopkleene import flatten, pict
 from .markov import ChainGenerator, MarkovChainSpec, ergodicity
 from .mixing import expected_total, mixing_report, tail_table
 from .pipeline import (
+    _element_of,
     _expand,
     build_semigroup,
     full_report,
@@ -375,23 +377,21 @@ def cmd_export(args) -> int:
             text = render_dot(mc, "mc", blue_edges=blue, red_dashed_edges=back)
         else:
             word = _word_labels(kind[5:], set(s.labels))
-            target = next(
-                (
-                    vid
-                    for vid in range(mc.n_vertices())
-                    if mc.payloads[vid].word == word
-                ),
-                None,
-            )
-            if target is None:
+            # Mc is label-deterministic: a vertex's word walks its tree path only
+            try:
+                path = path_from_word(mc, word)
+            except PathNotInGraph:
+                path = None
+            target = mc.edges[path[-1]][2] if path else mc.root
+            if path is None or mc.payloads[target].word != word:
                 raise UnknownVertexWord(
                     f"no vertex {''.join(word)!r} in the expansion"
                 )
-            if kr.payloads[mc.payloads[target].kr_vertex].element not in ideal.members:
+            if _element_of(kr, mc, target) not in ideal.members:
                 raise UnknownVertexWord(
                     f"vertex {''.join(word)!r} does not end in the minimal ideal"
                 )
-            lg = pict(mc, simple_path_edges(mc)[target], verify_usp=False)
+            lg = pict(mc, path, verify_usp=False)
             flat, _end = flatten(lg)
             spine = set(range(len(lg.spine_labels)))
             text = render_dot(flat, "loop", blue_edges=spine)

@@ -89,7 +89,6 @@ class RootedGraph:
 class SccDecomposition:
     component_of: list               # vertex id -> component id
     components: list                 # component id -> sorted vertex ids
-    dag_edges: set                   # (component, component), no self pairs
 
 
 def scc(g: RootedGraph) -> SccDecomposition:
@@ -100,7 +99,7 @@ def scc(g: RootedGraph) -> SccDecomposition:
     on_stack = [False] * n
     stack = []
     comp_of = [None] * n
-    raw_components = []
+    components = []
     counter = 0
     for start in range(n):
         if index[start] is not None:
@@ -136,21 +135,15 @@ def scc(g: RootedGraph) -> SccDecomposition:
                     comp.append(w)
                     if w == v:
                         break
-                raw_components.append(sorted(comp))
+                components.append(sorted(comp))
             if work:
                 u = work[-1][0]
                 low[u] = min(low[u], low[v])
-    raw_components.sort(key=lambda c: c[0])
-    components = raw_components
+    components.sort(key=lambda c: c[0])
     for cid, comp in enumerate(components):
         for v in comp:
             comp_of[v] = cid
-    dag = set()
-    for src, _, dst in g.edges:
-        a, b = comp_of[src], comp_of[dst]
-        if a != b:
-            dag.add((a, b))
-    return SccDecomposition(comp_of, components, dag)
+    return SccDecomposition(comp_of, components)
 
 
 def transition_edges(g: RootedGraph, decomposition: SccDecomposition) -> set:
@@ -176,10 +169,7 @@ def kr_expand(s: FiniteSemigroup, max_vertices: int = DEFAULT_MAX_KR) -> RootedG
     """Karnofsky-Rhodes expansion as a BFS over (element, crossed-set) pairs."""
     rcay = right_cayley(s)
     trans = transition_edges(rcay, scc(rcay))
-    # RCay is label-deterministic: edge id of (v, a, va) by construction order
-    edge_id = {}
-    for i, (src, label, _) in enumerate(rcay.edges):
-        edge_id[(src, label)] = i
+    n_labels = len(s.labels)
     root = KrVertex(s.identity_id, frozenset())
     vertex_of = {root: 0}
     payloads = [root]
@@ -191,8 +181,9 @@ def kr_expand(s: FiniteSemigroup, max_vertices: int = DEFAULT_MAX_KR) -> RootedG
         vid = queue[head]
         head += 1
         state = payloads[vid]
-        for label in s.labels:
-            eid = edge_id[(state.element, label)]
+        # by right_cayley's construction order, (v, a, va) is edge v|A| + i(a)
+        for i, label in enumerate(s.labels):
+            eid = state.element * n_labels + i
             target_elem = rcay.edges[eid][2]
             crossed = state.crossed | {eid} if eid in trans else state.crossed
             nxt = KrVertex(target_elem, crossed)

@@ -318,6 +318,9 @@ def flatten(lg: LoopGraph):
 class Kleene:
     __slots__ = ()
 
+    def __str__(self):
+        return kleene_texts([self])[0]
+
 
 @dataclass(frozen=True, slots=True)
 class Epsilon(Kleene):
@@ -341,9 +344,6 @@ class Concat(Kleene):
         if not self.parts:
             raise ValueError("empty concatenation")
 
-    def __str__(self):
-        return kleene_texts([self])[0]
-
 
 @dataclass(frozen=True, slots=True)
 class Union(Kleene):
@@ -353,16 +353,10 @@ class Union(Kleene):
         if not self.parts:
             raise ValueError("empty union")
 
-    def __str__(self):
-        return kleene_texts([self])[0]
-
 
 @dataclass(frozen=True, slots=True)
 class Star(Kleene):
     inner: Kleene
-
-    def __str__(self):
-        return kleene_texts([self])[0]
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -480,20 +474,18 @@ def algorithm2(expr: Kleene, lg: LoopGraph = None) -> Kleene:
 
 
 @nesting_cap("kleene_to_rf")
-def kleene_to_rf(expr: Kleene, variables: dict = None) -> RationalFunction:
+def kleene_to_rf(expr: Kleene) -> RationalFunction:
     """Letters to variables, concatenation to product, union to sum,
     star to the geometric series 1/(1 - f).
 
     Denominators that several parts share are never multiplied together
     (see :class:`~sgmc.algebra.RationalFunction`).
     """
-    mapping = variables or {}
-
     def conv(node):
         if isinstance(node, Epsilon):
             return RationalFunction.const(1)
         if isinstance(node, Letter):
-            return RationalFunction.variable(mapping.get(node.label, node.label))
+            return RationalFunction.variable(node.label)
         if isinstance(node, Concat):
             out = conv(node.parts[0])
             for p in node.parts[1:]:

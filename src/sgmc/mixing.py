@@ -163,7 +163,6 @@ def _tv_rows(spec, point, tmax, start_state, tail) -> list:
 
 @dataclass
 class MixingReport:
-    point: dict
     tail: list                    # Pr(tau >= t), t = 0..tmax
     expected_by_element: dict     # element -> (RationalFunction, value or None at mass 0)
     expected_total: Fraction
@@ -181,7 +180,8 @@ def mixing_report(
     result: StationaryResult = None,
     **caps,
 ) -> MixingReport:
-    """Tail table, conditional and total E[tau], Markov bound, ASST rows."""
+    """Tail table, conditional and total E[tau], Markov bound and ASST rows
+    at the point, which the report does not repeat."""
     result = _left_zero_result(spec, result, caps)
     value = evaluator(point)
     tail = _tail(result.per_element.values(), point, tmax + 1, value)
@@ -193,7 +193,6 @@ def mixing_report(
     bound = markov_bound(total, epsilon)
     rows = _tv_rows(spec, point, tmax, start_state, tail)
     return MixingReport(
-        point=point,
         tail=tail[: tmax + 1],
         expected_by_element=expected_by_element,
         expected_total=total,

@@ -69,7 +69,6 @@ class FiniteSemigroup:
         self.identity_id = 0
         self.zero_id = None
         self.zero_label = None
-        self.n_states = 0
         self._index = {}          # Transformation -> element id
         self._ideal = None
 
@@ -89,7 +88,6 @@ class FiniteSemigroup:
         if n < 1:
             raise ValueError("state set must be nonempty")
         s = cls()
-        s.n_states = n
         queue = []
         for label, images in gens:
             if len(images) != n or any(not 0 <= i < n for i in images):
@@ -139,7 +137,6 @@ class FiniteSemigroup:
         s.labels = self.labels + [label]
         s.transform = list(self.transform) + [None]
         s.words = list(self.words) + [(label,)]
-        s.n_states = self.n_states
         s._index = dict(self._index)
         s.zero_id = len(self.transform)
         s.zero_label = label

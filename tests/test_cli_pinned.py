@@ -53,6 +53,11 @@ CASES = [
     "analyze general4.json",
     "analyze mixing3.json",
     "mixing mixing3.json --eval a=1/3,b=2/3",
+    "export left_zero3.json --graph loop:acab",
+    "export left_zero3.json --graph loop:abc",
+    "export general4.json --graph loop:aaaaba",
+    "export general4.json --graph loop:aaaaa",
+    "export general4.json --graph mc",
 ]
 
 PINNED = {
@@ -93,6 +98,11 @@ PINNED = {
     "analyze general4.json": (0, "375e3051932c3009", "e3b0c44298fc1c14"),
     "analyze mixing3.json": (0, "9390e34f27ba6b5d", "e3b0c44298fc1c14"),
     "mixing mixing3.json --eval a=1/3,b=2/3": (0, "54d8a1d958e3f752", "e3b0c44298fc1c14"),
+    "export left_zero3.json --graph loop:acab": (0, "a462e723d5839ca3", "e3b0c44298fc1c14"),
+    "export left_zero3.json --graph loop:abc": (1, "e3b0c44298fc1c14", "3f5c6d40ec1f1420"),
+    "export general4.json --graph loop:aaaaba": (0, "ccbabc3c529e7bec", "e3b0c44298fc1c14"),
+    "export general4.json --graph loop:aaaaa": (1, "e3b0c44298fc1c14", "958539fc2f104864"),
+    "export general4.json --graph mc": (0, "c94d49700a86a5d3", "e3b0c44298fc1c14"),
 }
 
 

@@ -118,12 +118,36 @@ class TestSccBasics:
         g = RootedGraph([0], ["r"], [(0, "x", 0)], 0, ["x"])
         assert len(scc(g).components) == 1
 
-    def test_condensation_is_acyclic(self):
-        s = FiniteSemigroup.generate(TWO_STATE_GENS)
-        g = right_cayley(s)
-        d = scc(g)
-        # a cycle in the DAG would need an edge pair (i, j), (j, i)
-        assert all((b, a) not in d.dag_edges for a, b in d.dag_edges)
+    def test_components_are_the_mutual_reachability_classes(self):
+        rnd = random.Random(2207)
+        for _ in range(300):
+            n = rnd.randint(1, 30)
+            edges = [
+                (v, "x", rnd.randrange(n))  # a self-loop now and then
+                for v in range(n)
+                for _ in range(rnd.randint(0, 3))
+            ]
+            g = RootedGraph(range(n), map(str, range(n)), edges, 0, ["x"])
+            reach = []
+            for v in range(n):
+                seen, stack = {v}, [v]
+                while stack:
+                    for eid in g.out_edges(stack.pop()):
+                        w = g.edges[eid][2]
+                        if w not in seen:
+                            seen.add(w)
+                            stack.append(w)
+                reach.append(seen)
+            classes = sorted(
+                {tuple(w for w in sorted(reach[v]) if v in reach[w]) for v in range(n)}
+            )
+            d = scc(g)
+            # classes sort by their smallest vertex, as components are numbered
+            assert d.components == [list(c) for c in classes]
+            assert d.component_of == [
+                next(c for c, members in enumerate(classes) if v in members)
+                for v in range(n)
+            ]
 
 
 class TestKrExpansion:

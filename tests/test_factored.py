@@ -322,5 +322,4 @@ def test_pinned_slow_chain_passes_the_oracle():
         tuple(ChainGenerator(label, a, None) for label, a in zip("abc", actions)),
     )
     report = full_report(spec, points=3, seed=1)
-    assert report.normalization
     assert [rec["outcome"] for rec in report.verification] == ["pass"] * 3

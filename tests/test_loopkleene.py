@@ -262,10 +262,6 @@ class TestKleeneToRf:
     def test_epsilon(self):
         assert kleene_to_rf(Epsilon()).equals(1)
 
-    def test_relabelling(self):
-        rf = kleene_to_rf(L("a"), variables={"a": "p"})
-        assert rf.equals(RationalFunction.variable("p"))
-
     def test_star_of_unit_rejected(self):
         with pytest.raises(StarOfUnit):
             kleene_to_rf(st(st(L("a"))))

@@ -6,7 +6,8 @@ every part, and then sums.  Both must give the same answer, or raise the
 same ZeroDenominator, on the true masses of left-zero and general chains
 and of seeded random semigroups, and on masses changed so that they still
 sum to 1 under the constraint, or no longer do, or sum to 1 only through a
-denominator that vanishes under it.
+denominator that vanishes under it.  ``full_report`` raises
+VerificationFailed when the check fails, and otherwise prints "pass".
 """
 
 import random
@@ -17,9 +18,10 @@ from pathlib import Path
 
 import pytest
 
+from sgmc import pipeline
 from sgmc.algebra import Polynomial, RationalFunction, stochastic_complement
 from sgmc.cli import bundled_path, load_chain_file
-from sgmc.errors import ZeroDenominator
+from sgmc.errors import VerificationFailed, ZeroDenominator
 from sgmc.pipeline import build_semigroup, normalization_holds, stationary
 from sgmc.semigroup import FiniteSemigroup
 
@@ -208,3 +210,13 @@ def test_the_pair_alone(case):
         expected = "ZeroDenominator: substituting b makes the denominator identically zero"
     assert (result.per_element["u"] + result.per_element["v"]).equals(1)
     assert_agree(result, expected)
+
+
+def test_full_report_raises_when_normalization_fails(monkeypatch):
+    spec = load_chain_file(bundled_path("d2.json")).spec
+    assert pipeline.report_dict(pipeline.full_report(spec))["normalization"] == "pass"
+    monkeypatch.setattr(pipeline, "normalization_holds", lambda result: False)
+    with pytest.raises(
+        VerificationFailed, match="^per-element masses do not sum to one$"
+    ):
+        pipeline.full_report(spec)
