@@ -5,7 +5,8 @@ purely symbolic generator) so nothing is ever rounded.  A generator whose
 action is the string "box" stands for the adjoined zero; it takes part in
 graph exports but not in the chain dynamics.
 
-Exit codes: 0 ok, 1 malformed input, 2 verification failure, 3 cap exceeded.
+Exit codes: 0 ok, 1 malformed input (a usage error or an unwritable --out
+too), 2 verification failure, 3 cap exceeded.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .expansions import (
     render_dot,
     right_cayley,
     scc,
+    simple_path_edges,
     transition_edges,
 )
 from .loopkleene import flatten, pict
@@ -61,6 +63,7 @@ EXIT_VERIFY = 2
 EXIT_CAP = 3
 
 DEFAULT_SEED = 1
+OPTION_KEYS = ("max_elements", "max_kr", "max_mc", "seed")
 
 
 @dataclass
@@ -172,6 +175,9 @@ def load_chain_file(path: str) -> ChainFile:
     options = raw.get("options", {})
     if not isinstance(options, dict):
         raise ChainFileError(f"{path}: 'options' must be an object")
+    unknown = sorted(set(options) - set(OPTION_KEYS))
+    if unknown:
+        raise ChainFileError(f"{path}: unknown option {unknown[0]!r}")
     return ChainFile(
         MarkovChainSpec(tuple(states), tuple(generators)), box_label, options
     )
@@ -263,8 +269,11 @@ def _caps(args, chain: ChainFile) -> dict:
 
 def _write(text: str, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -377,13 +386,13 @@ def cmd_export(args) -> int:
             text = render_dot(mc, "mc", blue_edges=blue, red_dashed_edges=back)
         else:
             word = _word_labels(kind[5:], set(s.labels))
-            # Mc is label-deterministic: a vertex's word walks its tree path only
+            # Mc is label-deterministic; a walk through a back edge ends shallower
             try:
                 path = path_from_word(mc, word)
             except PathNotInGraph:
                 path = None
             target = mc.edges[path[-1]][2] if path else mc.root
-            if path is None or mc.payloads[target].word != word:
+            if path is None or len(simple_path_edges(mc)[target]) != len(word):
                 raise UnknownVertexWord(
                     f"no vertex {''.join(word)!r} in the expansion"
                 )
@@ -468,8 +477,14 @@ def _require(condition, message):
         raise VerificationFailed(message)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is malformed input: exit 1, not 2
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sgmc",
         description="stationary distributions of finite Markov chains "
         "via semigroup expansions",
@@ -479,13 +494,13 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("input", help="chain JSON file")
         p.add_argument("--out", help="output file (default stdout)")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--max-elements", type=int, dest="max_elements")
         p.add_argument("--max-kr", type=int, dest="max_kr")
         p.add_argument("--max-mc", type=int, dest="max_mc")
 
     p = sub.add_parser("analyze", help="full symbolic pipeline plus verification")
     common(p)
+    p.add_argument("--seed", type=int)
     p.add_argument("--points", type=int, default=3)
     p.add_argument("--timings", action="store_true")
     p.set_defaults(fn=cmd_analyze)
@@ -509,6 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="oracle and enumeration cross-checks")
     common(p)
+    p.add_argument("--seed", type=int)
     p.add_argument("--points", type=int, default=3)
     p.add_argument("--maxlen", type=int, default=10)
     p.add_argument("--series-order", type=int, dest="series_order", default=40)

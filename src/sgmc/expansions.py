@@ -11,7 +11,7 @@ transition edges of the right Cayley graph, so a BFS over those pairs is the
 quotient automaton itself.
 
 The McCammond expansion enumerates the simple paths of its input by DFS,
-labels each vertex by the word of its unique simple path, and adds an edge
+names each vertex by the word of its unique simple path, and adds an edge
 per (vertex, label): forward to the extended word when it is still simple,
 otherwise back to the unique initial segment ending at the revisited vertex.
 Its simple-path table is read off the tree of forward edges.
@@ -42,7 +42,6 @@ class KrVertex:
 
 @dataclass(frozen=True)
 class McVertex:
-    word: tuple           # labels of the unique simple path from the root
     kr_vertex: int        # endpoint vertex id in the expanded graph below
 
 
@@ -173,7 +172,7 @@ def kr_expand(s: FiniteSemigroup, max_vertices: int = DEFAULT_MAX_KR) -> RootedG
     root = KrVertex(s.identity_id, frozenset())
     vertex_of = {root: 0}
     payloads = [root]
-    words = [()]
+    names = [""]          # the root is renamed once every child has its name
     edges = []
     queue = [0]
     head = 0
@@ -196,24 +195,20 @@ def kr_expand(s: FiniteSemigroup, max_vertices: int = DEFAULT_MAX_KR) -> RootedG
                 nid = len(payloads)
                 vertex_of[nxt] = nid
                 payloads.append(nxt)
-                words.append(words[vid] + (label,))
+                names.append(names[vid] + label)
                 queue.append(nid)
             edges.append((vid, label, nid))
-    names = [word_name(w) for w in words]
+    names[0] = IDENTITY_NAME
     return RootedGraph(payloads, names, edges, 0, s.labels)
-
-
-def word_name(word) -> str:
-    return "".join(word) if word else IDENTITY_NAME
 
 
 def mc_expand(kr: RootedGraph, max_vertices: int = DEFAULT_MAX_MC):
     """McCammond expansion plus its spanning-tree edge ids.
 
-    Vertices are the simple paths of kr from the root, discovered in DFS
-    preorder with labels in alphabet order.  Requires kr to be
-    label-deterministic (true for every Karnofsky-Rhodes expansion).  The
-    graph carries its tree paths, which ``simple_path_edges`` checks.
+    Vertices are kr's simple paths from the root in DFS preorder, labels in
+    alphabet order; each is named by its word and holds only its kr endpoint.
+    kr must be label-deterministic, as every Karnofsky-Rhodes expansion is.
+    The graph carries its tree paths, which ``simple_path_edges`` checks.
     """
     targets = [{} for _ in range(kr.n_vertices())]
     for src, label, dst in kr.edges:
@@ -225,7 +220,7 @@ def mc_expand(kr: RootedGraph, max_vertices: int = DEFAULT_MAX_MC):
         for out in targets
     ]
 
-    words = [()]          # mc vertex -> labels of its simple path
+    names = [""]          # mc vertex -> its simple path's word; root renamed last
     endpoint = [kr.root]  # mc vertex -> kr vertex
     # mc vertex -> (label, target mc vertex, is a tree edge), in label order;
     # a target is either fresh, giving a child, or on the path, giving a
@@ -242,10 +237,10 @@ def mc_expand(kr: RootedGraph, max_vertices: int = DEFAULT_MAX_MC):
             if back is not None:
                 steps[vid].append((label, back, False))
                 continue
-            if len(words) >= max_vertices:
+            if len(names) >= max_vertices:
                 raise CapExceeded(f"Mc expansion exceeds {max_vertices} vertices")
-            nid = len(words)
-            words.append(words[vid] + (label,))
+            nid = len(names)
+            names.append(names[vid] + label)
             endpoint.append(target)
             steps.append([])
             steps[vid].append((label, nid, True))
@@ -257,17 +252,17 @@ def mc_expand(kr: RootedGraph, max_vertices: int = DEFAULT_MAX_MC):
             del on_path[endpoint[vid]]
             stack.pop()
 
-    payloads = [McVertex(word, kr_vertex) for word, kr_vertex in zip(words, endpoint)]
+    payloads = [McVertex(kr_vertex) for kr_vertex in endpoint]
     edges = []
     tree = set()
-    paths = [()] * len(words)  # a parent's id is below its child's
+    paths = [()] * len(names)  # a parent's id is below its child's
     for vid, out in enumerate(steps):
         for label, dst, is_tree in out:
             if is_tree:
                 tree.add(len(edges))
                 paths[dst] = paths[vid] + (len(edges),)
             edges.append((vid, label, dst))
-    names = [word_name(w) for w in words]
+    names[0] = IDENTITY_NAME
     graph = RootedGraph(payloads, names, edges, 0, kr.alphabet)
     graph._simple_paths = paths
     return graph, tree

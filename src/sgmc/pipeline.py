@@ -19,7 +19,7 @@ table that the USP check (:func:`~sgmc.expansions.simple_path_edges`)
 builds on Mc's tree paths and that the Pict unfoldings read too.  A
 terminal's loop graph and Kleene expression, and the result's ``kleene``
 texts, are built only when read (by ``report_dict`` and verification), and
-``max_loop`` bounds only those trees.  They are DAGs shared by all
+Pict's vertex cap bounds only those trees.  They are DAGs shared by all
 terminals of the run, and the texts print each shared node once.
 
 Path sums, per-element sums, box limits and the normalization check work on
@@ -59,7 +59,6 @@ from .errors import (
 )
 from .expansions import (
     DEFAULT_MAX_KR,
-    DEFAULT_MAX_LOOP,
     DEFAULT_MAX_MC,
     kr_expand,
     mc_expand,
@@ -83,19 +82,17 @@ from .semigroup import DEFAULT_MAX_ELEMENTS, FiniteSemigroup
 
 @dataclass
 class Terminal:
-    word: tuple
-    name: str
+    name: str             # the word of the unique simple path to the vertex
     vertex: int
     element: int          # grouping element in S (or None for residual)
     psi: RationalFunction
     mc: object = field(repr=False)
-    max_loop: int = field(repr=False)
 
     @cached_property
     def loop_graph(self):
         """The Pict unfolding along the unique simple path, built on first read."""
         path = simple_path_edges(self.mc)[self.vertex]
-        return pict(self.mc, path, verify_usp=False, max_vertices=self.max_loop)
+        return pict(self.mc, path, verify_usp=False)
 
     @cached_property
     def expression(self):
@@ -165,11 +162,10 @@ def stationary_left_zero(
     s: FiniteSemigroup,
     max_kr: int = DEFAULT_MAX_KR,
     max_mc: int = DEFAULT_MAX_MC,
-    max_loop: int = DEFAULT_MAX_LOOP,
 ) -> StationaryResult:
     if not s.minimal_ideal().is_left_zero:
         raise NotLeftZero("K(S) is not left zero; use stationary_general")
-    return _stationary(s, None, max_kr, max_mc, max_loop)
+    return _stationary(s, None, max_kr, max_mc)
 
 
 def stationary_general(
@@ -177,17 +173,16 @@ def stationary_general(
     box_label: str = "□",
     max_kr: int = DEFAULT_MAX_KR,
     max_mc: int = DEFAULT_MAX_MC,
-    max_loop: int = DEFAULT_MAX_LOOP,
 ) -> StationaryResult:
     """Adjoin a zero, compute box-vertex path sums, and take the limit.
 
     Works whether or not K(S) is left zero; grouping follows the projection
     of the prefix before the box letter.
     """
-    return _stationary(s, box_label, max_kr, max_mc, max_loop)
+    return _stationary(s, box_label, max_kr, max_mc)
 
 
-def _stationary(s, box_label, max_kr, max_mc, max_loop) -> StationaryResult:
+def _stationary(s, box_label, max_kr, max_mc) -> StationaryResult:
     """The route both cases share; box_label is None in the left-zero case.
 
     Left zero: Mc is built on S with K(S) as sinks, a terminal's whole word
@@ -218,12 +213,9 @@ def _stationary(s, box_label, max_kr, max_mc, max_loop) -> StationaryResult:
             continue
         if box_label is not None:
             group = _element_of(kr, mc, mc.edges[unique[vid][-1]][0])
-        word = mc.payloads[vid].word
         element = group if group in ideal.members else None
         psi = path_sum(mc, stars, unique[vid])
-        terminals.append(
-            Terminal(word, mc.names[vid], vid, element, psi, mc, max_loop)
-        )
+        terminals.append(Terminal(mc.names[vid], vid, element, psi, mc))
         mass = psi
         if box_label is not None:
             mass = limit_at_box_zero(psi, box_label, elim, variables)
@@ -412,16 +404,13 @@ def full_report(
     max_elements: int = DEFAULT_MAX_ELEMENTS,
     max_kr: int = DEFAULT_MAX_KR,
     max_mc: int = DEFAULT_MAX_MC,
-    max_loop: int = DEFAULT_MAX_LOOP,
 ) -> FullReport:
     timings = {}
     tic = time.perf_counter()
     s = build_semigroup(spec, max_elements)
     timings["generate"] = time.perf_counter() - tic
     tic = time.perf_counter()
-    result = stationary(
-        s, box_label=box_label, max_kr=max_kr, max_mc=max_mc, max_loop=max_loop
-    )
+    result = stationary(s, box_label=box_label, max_kr=max_kr, max_mc=max_mc)
     timings["stationary"] = time.perf_counter() - tic
     tic = time.perf_counter()
     if not normalization_holds(result):

@@ -1,9 +1,11 @@
-"""Shared fixtures: the two worked chains and their pipeline runs."""
+"""Shared fixtures: the two worked chains and their pipeline runs, and the
+word of a vertex read off its tree path."""
 
 from fractions import Fraction
 
 import pytest
 
+from sgmc.expansions import simple_path_edges
 from sgmc.markov import ChainGenerator, MarkovChainSpec
 from sgmc.pipeline import build_semigroup, stationary
 
@@ -18,6 +20,11 @@ def d2_chain_spec(with_c=False):
         ("1", "a", "b", "ab"),
         tuple(ChainGenerator(lab, D2_ACTIONS[lab], None) for lab in labels),
     )
+
+
+def tree_word(g, vid):
+    """The labels along vertex vid's unique simple path from the root."""
+    return tuple(g.edges[eid][1] for eid in simple_path_edges(g)[vid])
 
 
 def two_state_chain_spec():

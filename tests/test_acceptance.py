@@ -41,7 +41,7 @@ from sgmc.pipeline import (
     verify_oracle,
 )
 
-from conftest import d2_chain_spec, two_state_chain_spec
+from conftest import d2_chain_spec, tree_word, two_state_chain_spec
 
 one = RationalFunction.const(1)
 
@@ -67,7 +67,7 @@ def un(*parts):
 
 
 RANDOM_SEED = 20240817
-RANDOM_CAPS = {"max_kr": 400, "max_mc": 100, "max_loop": 40}
+RANDOM_CAPS = {"max_kr": 400, "max_mc": 100}
 
 
 def random_chain_spec(rnd):
@@ -230,7 +230,7 @@ def test_criterion_05_expansion_sizes(d2_semigroup):
     long_backs = [
         (src, lab, dst)
         for src, lab, dst in back
-        if len(mc.payloads[src].word) - len(mc.payloads[dst].word) > 1
+        if len(tree_word(mc, src)) - len(tree_word(mc, dst)) > 1
     ]
     short_backs = [e for e in back if e not in long_backs]
     assert len(long_backs) == 4
@@ -239,7 +239,7 @@ def test_criterion_05_expansion_sizes(d2_semigroup):
     # shows twelve of them (the criterion's count of ten miscounts the figure)
     assert len(short_backs) == 12
     for src, _, dst in short_backs:
-        assert mc.payloads[src].word[:-1] == mc.payloads[dst].word
+        assert tree_word(mc, src)[:-1] == tree_word(mc, dst)
     print("criterion 5 PASS: 9 KR vertices with the stated identifications; "
           "15 Mc vertices, 4 long back-edges to a/b plus 12 parent back-edges")
 

@@ -476,3 +476,67 @@ class TestNumericOptions:
         captured = capsys.readouterr()
         assert "SGMC_SEED must be an integer" in captured.err
         assert captured.out == ""
+
+
+class TestUsageAndOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "d2.json", "--points", "abc"),
+            ("analyze",),
+            ("frobnicate", "d2.json"),
+            ("export", "d2.json", "--graph", "mc", "--seed", "5"),
+            ("mixing", "example210.json", "--seed", "5"),
+        ],
+        ids=["bad-int", "no-input", "unknown-command", "export-seed", "mixing-seed"],
+    )
+    def test_usage_error_is_an_input_error(self, argv, capsys):
+        command, *rest = argv
+        rest = [bundled_path(a) if a.endswith(".json") else a for a in rest]
+        with pytest.raises(SystemExit) as exc:
+            run(command, *rest)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: sgmc")
+        assert "error: " in captured.err
+        assert captured.out == ""
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("analyze", "--help")
+        assert exc.value.code == 0
+        assert "--seed" in capsys.readouterr().out
+
+    def test_seed_is_read_where_points_are_sampled(self, tmp_path, capsys):
+        # --seed picks the sampled points, so two seeds give two reports
+        chain = bundled_path("example210.json")
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run("analyze", chain, "--seed", "5", "--points", "1", "--out", str(a)) == 0
+        assert run("analyze", chain, "--seed", "6", "--points", "1", "--out", str(b)) == 0
+        assert a.read_bytes() != b.read_bytes()
+        assert run("verify", chain, "--seed", "5", "--maxlen", "4") == 0
+
+    @pytest.mark.parametrize("target", ["missing/dir/g.dot", "."], ids=["no-dir", "a-dir"])
+    def test_unwritable_out_is_an_input_error(self, target, tmp_path, capsys):
+        out = str(tmp_path / target)
+        code = run("export", bundled_path("d2.json"), "--graph", "rcay", "--out", out)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+
+    def test_unknown_option_key_is_refused(self, tmp_path, capsys):
+        with open(bundled_path("example210.json"), encoding="utf-8") as handle:
+            payload = json.load(handle)
+        known = {"max_elements": 50, "max_kr": 500, "max_mc": 500, "seed": 3}
+        payload["options"] = known
+        assert load_chain_file(write(tmp_path, "known.json", payload)).options == known
+        payload["options"] = dict(known, maxkr=5)
+        path = write(tmp_path, "typo.json", payload)
+        with pytest.raises(ChainFileError, match="unknown option 'maxkr'"):
+            load_chain_file(path)
+        assert run("analyze", path) == 1
+        captured = capsys.readouterr()
+        assert "unknown option 'maxkr'" in captured.err
+        assert captured.out == ""

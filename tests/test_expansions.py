@@ -17,11 +17,12 @@ from sgmc.expansions import (
     scc,
     simple_path_edges,
     transition_edges,
-    word_name,
 )
 from sgmc.loopkleene import loop_stars
 from sgmc.pipeline import _expand
 from sgmc.semigroup import FiniteSemigroup, IDENTITY_NAME
+
+from conftest import tree_word
 
 TWO_STATE_GENS = [("1", (0, 0)), ("2", (1, 1)), ("3", (1, 0))]
 D2_GENS = [("a", (1, 0, 3, 2)), ("b", (2, 3, 0, 1))]
@@ -291,7 +292,7 @@ class TestMcExpansion:
         for _ in range(50):
             word = tuple(rnd.choice(s.labels) for _ in range(rnd.randint(0, 8)))
             end = walk(mc, word)
-            assert s.eval_word(mc.payloads[end].word) == s.eval_word(word)
+            assert s.eval_word(tree_word(mc, end)) == s.eval_word(word)
 
     def test_cap(self, d2_semigroup):
         with pytest.raises(CapExceeded):
@@ -313,7 +314,7 @@ class TestCheckUsp:
         unique = simple_path_edges(mc)
         for vid, edge_ids in enumerate(unique):
             assert all(e in tree for e in edge_ids)
-            assert len(edge_ids) == len(mc.payloads[vid].word)
+            assert ("".join(tree_word(mc, vid)) or IDENTITY_NAME) == mc.names[vid]
 
     def test_non_usp_listing_raises(self, d2_semigroup):
         g = right_cayley(d2_semigroup)
@@ -513,10 +514,6 @@ class TestDotExport:
         assert first.count("color=blue") == 2
         assert first.count("->") == len(g.edges)
 
-    def test_word_name(self):
-        assert word_name(()) == IDENTITY_NAME
-        assert word_name(("a", "b")) == "ab"
-
 
 # -- mc_expand against its earlier form ---------------------------------------
 
@@ -581,13 +578,13 @@ def reference_mc_expand(kr, max_vertices=10**6):
             else:
                 edges.append((vid, label, ancestors[target]))
     payloads = [(words[v], endpoint[v]) for v in range(len(parent))]
-    names = [word_name(w) for w in words]
+    names = ["".join(w) if w else IDENTITY_NAME for w in words]
     return payloads, names, edges, tree
 
 
 def mc_lists(kr, max_vertices=10**6):
     mc, tree = mc_expand(kr, max_vertices)
-    payloads = [(p.word, p.kr_vertex) for p in mc.payloads]
+    payloads = [(tree_word(mc, v), p.kr_vertex) for v, p in enumerate(mc.payloads)]
     assert (mc.root, mc.alphabet) == (0, list(kr.alphabet))
     return payloads, mc.names, mc.edges, tree
 

@@ -259,12 +259,3 @@ def test_trees_are_built_once_when_read(tree_calls):
     assert report_dict(report) == first
     assert tree_calls["pict"] == tree_calls["algorithm2"] == terminals
     assert tree_calls["kleene_to_rf"] == 0
-
-
-def test_max_loop_bounds_only_the_trees():
-    chain = load_chain_file(bundled_path("d2.json"))
-    report = full_report(chain.spec, points=1, seed=1, max_loop=1)
-    with pytest.raises(
-        CapExceeded, match=r"^pict: loop graph to \S+ holds \d+ vertices, above the cap 1$"
-    ):
-        report_dict(report)

@@ -23,7 +23,7 @@ from sgmc.pipeline import (
 )
 from sgmc.semigroup import FiniteSemigroup
 
-from conftest import d2_chain_spec, two_state_chain_spec
+from conftest import d2_chain_spec, tree_word, two_state_chain_spec
 
 one = RationalFunction.const(1)
 
@@ -152,7 +152,7 @@ class TestGeneralCase:
                 s = FiniteSemigroup.generate(gens, 200)
                 if not s.minimal_ideal().is_left_zero:
                     continue
-                caps = {"max_kr": 400, "max_mc": 1000, "max_loop": 200}
+                caps = {"max_kr": 400, "max_mc": 1000}
                 lz = stationary_left_zero(s, **caps)
                 gen = stationary_general(s, **caps)
             except CapExceeded:
@@ -290,7 +290,7 @@ class TestRandomChains:
             spec = MarkovChainSpec(tuple(f"s{i}" for i in range(n)), gens)
             try:
                 s = build_semigroup(spec, 200)
-                res = stationary(s, max_kr=400, max_mc=100, max_loop=40)
+                res = stationary(s, max_kr=400, max_mc=100)
                 points = sample_simplex_points(spec.labels(), 3, seed=checked)
                 verify_oracle(spec, res, points)
             except Exception as exc:
@@ -328,6 +328,8 @@ def test_terminal_elements_are_their_words_evaluated(path):
     for result in runs:
         assert result.terminals
         for t in result.terminals:
-            word = t.word if result.case == "left_zero" else t.word[:-1]
+            word = tree_word(result.mc, t.vertex)
+            if result.case != "left_zero":
+                word = word[:-1]
             group = s.eval_word(word)
             assert t.element == (group if group in ideal.members else None), t.name

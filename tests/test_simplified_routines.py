@@ -31,11 +31,12 @@ from sgmc.expansions import (
     scc,
     simple_path_edges,
     transition_edges,
-    word_name,
 )
 from sgmc.loopkleene import flatten, pict
 from sgmc.pipeline import _expand, build_semigroup
-from sgmc.semigroup import FiniteSemigroup
+from sgmc.semigroup import FiniteSemigroup, IDENTITY_NAME
+
+from conftest import tree_word
 
 TEST_CHAINS = Path(__file__).with_name("chains")
 BUNDLED = ("d2.json", "d2box.json", "d2c.json", "example210.json")
@@ -66,7 +67,7 @@ def scanned_export(expanded, word):
         if label not in s.labels:
             return 1, "", f"error: {label!r} is not a generator label\n"
     target = next(
-        (vid for vid in range(mc.n_vertices()) if mc.payloads[vid].word == word),
+        (vid for vid in range(mc.n_vertices()) if tree_word(mc, vid) == word),
         None,
     )
     if target is None:
@@ -99,11 +100,11 @@ def non_vertex_words(expanded, rnd):
     back = [eid for eid in range(len(mc.edges)) if eid not in tree]
     for eid in rnd.sample(back, min(5, len(back))):
         src, label, _ = mc.edges[eid]
-        words.append(mc.payloads[src].word + (label,))
-        words.append(mc.payloads[src].word + (label, s.labels[-1]))
+        words.append(tree_word(mc, src) + (label,))
+        words.append(tree_word(mc, src) + (label, s.labels[-1]))
     sinks = [v for v in range(mc.n_vertices()) if not mc.out_edges(v)]
     for v in rnd.sample(sinks, min(5, len(sinks))):
-        words.append(mc.payloads[v].word + (rnd.choice(s.labels),))
+        words.append(tree_word(mc, v) + (rnd.choice(s.labels),))
     for _ in range(20):
         words.append(tuple(rnd.choices(s.labels, k=rnd.randint(1, 8))))
     return words
@@ -114,7 +115,7 @@ def test_export_loop_matches_the_scan(path):
     expanded = _expanded(path)
     s, _, _, mc, _ = expanded
     assert all(len(label) == 1 for label in s.labels)  # words print unsplit
-    words = [mc.payloads[v].word for v in range(mc.n_vertices())]
+    words = [tree_word(mc, v) for v in range(mc.n_vertices())]
     words += non_vertex_words(expanded, random.Random(Path(path).stem))
     kinds = set()
     for word in words:
@@ -195,7 +196,7 @@ def kr_expand_by_lookup(s, max_vertices=DEFAULT_MAX_KR):
                 words.append(words[vid] + (label,))
                 queue.append(nid)
             edges.append((vid, label, nid))
-    names = [word_name(w) for w in words]
+    names = ["".join(w) if w else IDENTITY_NAME for w in words]
     return RootedGraph(payloads, names, edges, 0, s.labels)
 
 
