@@ -424,37 +424,40 @@ def cmd_verify(args) -> int:
         max_kr=caps["max_kr"],
         max_mc=caps["max_mc"],
     )
-    failures = 0
+    lines = []
 
     def check(name, fn):
-        nonlocal failures
         try:
             fn()
         except CapExceeded:
             raise
         except SgmcError as exc:
-            failures += 1
-            print(f"FAIL {name}: {exc}")
+            lines.append(f"FAIL {name}: {exc}\n")
         else:
-            print(f"pass {name}")
+            lines.append(f"pass {name}\n")
 
-    check("normalization: masses sum to 1", lambda: _require(
-        normalization_holds(result), "sum differs from 1"
-    ))
-    points = sample_simplex_points(chain.spec.labels(), args.points, seed)
-    check(
-        f"oracle equivalence at {args.points} points",
-        lambda: verify_oracle(chain.spec, result, points),
-    )
-    check(
-        f"path/Kleene/series consistency to length {args.maxlen}",
-        lambda: verify_language_and_series(result, args.maxlen),
-    )
-    if result.case == "left_zero":
+    # the lines checked so far are written when a cap stops the checks too
+    try:
+        check("normalization: masses sum to 1", lambda: _require(
+            normalization_holds(result), "sum differs from 1"
+        ))
+        points = sample_simplex_points(chain.spec.labels(), args.points, seed)
         check(
-            f"tail sums below expectation to order {args.series_order}",
-            lambda: _check_tail_expectation(result, points[0], args.series_order),
+            f"oracle equivalence at {args.points} points",
+            lambda: verify_oracle(chain.spec, result, points),
         )
+        check(
+            f"path/Kleene/series consistency to length {args.maxlen}",
+            lambda: verify_language_and_series(result, args.maxlen),
+        )
+        if result.case == "left_zero":
+            check(
+                f"tail sums below expectation to order {args.series_order}",
+                lambda: _check_tail_expectation(result, points[0], args.series_order),
+            )
+    finally:
+        _write("".join(lines), args.out)
+    failures = sum(line.startswith("FAIL ") for line in lines)
     if failures:
         raise VerificationFailed(f"{failures} verification check(s) failed")
     return EXIT_OK

@@ -48,10 +48,13 @@ The enumeration oracles check those multisets up to a length:
 time, each step extending the whole list of words that reach its source,
 and skips every step after which no target is reachable in the length
 left; one such walk serves all the targets of a graph.  ``kleene_enumerate``
-enumerates an expression's words one length at a time, once per distinct
-subtree and length, and each part of a concatenation only up to the length
-that the shortest words of the other parts leave.  A nullable star body raises
-StarOfUnit exactly where a word of length <= maxlen passes through the star.
+keeps an expression's words as one dict per length, enumerates each part of
+a concatenation only up to the length that the shortest words of the other
+parts leave, and each distinct subtree once, at the longest length asked of
+it, serving a shorter request by a slice.  Verification enumerates all the
+expressions of a result with one such memo (``_kleene_words``), since they
+share their stars.  A nullable star body raises StarOfUnit exactly where a
+word of length <= maxlen passes through the star.
 """
 
 from __future__ import annotations
@@ -510,23 +513,36 @@ def _joined(a: dict, b: dict) -> dict:
     return {u + v: cu * cv for u, cu in a.items() for v, cv in b_items}
 
 
-def _add(bucket: Counter, words: dict):
-    """Add the counts of words to bucket, by a plain dict update when no word
-    is in both (always, unless the expression is ambiguous)."""
+def _add(bucket: dict, words: dict):
+    """Add the counts of words to bucket, by one dict update when no word is
+    in both (always, unless the expression is ambiguous)."""
     if bucket.keys().isdisjoint(words):
-        dict.update(bucket, words)
-    else:
         bucket.update(words)
+    else:
+        for word, c in words.items():
+            bucket[word] = bucket.get(word, 0) + c
+
+
+def _put(out: list, n: int, words: dict):
+    """Add words, a dict no list holds yet, to bucket n of out: as the
+    bucket itself when that is empty."""
+    if out[n]:
+        _add(out[n], words)
+    else:
+        out[n] = words
 
 
 def _concat(a: list, b: list, maxlen: int) -> list:
     """Length buckets of the words u + v, u from the buckets a and v from b,
-    pairing only lengths that fit inside maxlen."""
-    out = [Counter() for _ in range(maxlen + 1)]
+    pairing only nonempty buckets whose lengths fit inside maxlen."""
+    out = [{} for _ in range(maxlen + 1)]
+    b = [(lb, words_b) for lb, words_b in enumerate(b) if words_b]
     for la, words_a in enumerate(a):
         if words_a:
-            for lb, words_b in enumerate(b[: maxlen + 1 - la]):
-                _add(out[la + lb], _joined(words_a, words_b))
+            for lb, words_b in b:
+                if la + lb > maxlen:
+                    break
+                _put(out, la + lb, _joined(words_a, words_b))
     return out
 
 
@@ -555,7 +571,7 @@ def _minlen(node: Kleene, memo: dict) -> int:
 
 
 def _buckets(node: Kleene, length: int, cap: int, memo: dict, minlens: dict) -> list:
-    """The words of node up to length, with multiplicity, one Counter per
+    """The words of node up to length, with multiplicity, one dict per
     length 0..length.
 
     Part i of a concatenation is enumerated up to length minus the shortest
@@ -564,29 +580,32 @@ def _buckets(node: Kleene, length: int, cap: int, memo: dict, minlens: dict) -> 
     built that no word of the whole extends, and no star is met that no word
     of the whole passes through.  The cap counts the words kept.
 
-    memo maps (id of a node, length) to its buckets, so a shared subtree
-    (algorithm2 shares the expansions of loops) is enumerated once per
-    length.  Keys are ids because a node's structural hash walks its whole
-    unfolded tree; the expression keeps every node, and so its id, alive
-    for the whole enumeration.  A stored list is shared by every occurrence
-    of its node, so no list or Counter is changed after it is stored.
+    memo maps the id of a node to its buckets at the longest length asked of
+    it so far.  Buckets up to a length hold every word up to it, so a
+    shorter request is served by a slice, and a longer one enumerates the
+    node again (its parts mostly from memo).  A shared subtree (algorithm2
+    shares the expansions of loops) is so enumerated once per length it
+    grows to, and never beyond the length asked of it.  Keys are ids
+    because a node's structural hash walks its whole unfolded tree; the
+    caller keeps every node, and so its id, alive while memo is.  A stored
+    list is shared by every occurrence of its node, so no list or dict is
+    changed after it is stored.
     """
-    key = (id(node), length)
-    out = memo.get(key)
-    if out is not None:
-        return out
+    kept = memo.get(id(node))
+    if kept is not None and len(kept) > length:
+        return kept[: length + 1]
     if isinstance(node, Epsilon):
-        out = [Counter({(): 1})] + [Counter() for _ in range(length)]
+        out = [{(): 1}] + [{} for _ in range(length)]
     elif isinstance(node, Letter):
-        out = [Counter() for _ in range(length + 1)]
+        out = [{} for _ in range(length + 1)]
         if length >= 1:
-            out[1][(node.label,)] = 1
+            out[1] = {(node.label,): 1}
     elif isinstance(node, Concat):
         mins = [_minlen(p, minlens) for p in node.parts]
         later = sum(mins)
         slack = length - later
         if slack < 0:
-            out = [Counter() for _ in range(length + 1)]
+            out = [{} for _ in range(length + 1)]
         else:
             out = None
             for p, m in zip(node.parts, mins):
@@ -595,10 +614,11 @@ def _buckets(node: Kleene, length: int, cap: int, memo: dict, minlens: dict) -> 
                 out = words if out is None else _concat(out, words, length - later)
                 _counted(out, cap)
     elif isinstance(node, Union):
-        out = [Counter() for _ in range(length + 1)]
+        out = [{} for _ in range(length + 1)]
         for p in node.parts:
             for bucket, part in zip(out, _buckets(p, length, cap, memo, minlens)):
-                _add(bucket, part)
+                if part:
+                    _add(bucket, part)
         _counted(out, cap)
     elif isinstance(node, Star):
         base = _buckets(node.inner, length, cap, memo, minlens)
@@ -606,42 +626,70 @@ def _buckets(node: Kleene, length: int, cap: int, memo: dict, minlens: dict) -> 
             raise StarOfUnit("empty word under a star makes enumeration diverge")
         # a word of length n of the star is a word of length k >= 1 of the
         # body followed by a word of length n - k of the star
-        out = [Counter({(): 1})]
+        body = [(k, words) for k, words in enumerate(base) if words]
+        out = [{(): 1}] + [{} for _ in range(length)]
         for n in range(1, length + 1):
-            bucket = Counter()
-            for k in range(1, n + 1):
-                _add(bucket, _joined(base[k], out[n - k]))
-            out.append(bucket)
+            for k, words in body:
+                if k > n:
+                    break
+                if out[n - k]:
+                    _put(out, n, _joined(words, out[n - k]))
             _counted(out, cap)
     else:
         raise TypeError(f"cannot enumerate {node!r}; expand placeholders first")
-    memo[key] = out
+    memo[id(node)] = out
     return out
 
 
-def _enumerate(node: Kleene, maxlen: int, cap: int) -> Counter:
-    """The words of node up to maxlen, each counted once per way the
-    expression produces it."""
+def _kleene_words(exprs, maxlen: int, cap: int):
+    """For each expression in turn, its words of length <= maxlen as one
+    dict per length 0..maxlen; AmbiguousExpression if a word of it is
+    produced twice, and otherwise every count is 1.
+
+    One memo (``_buckets``) serves all the expressions: ``pict`` shares
+    loops and stars among all the terminals of a graph, so a subtree they
+    share is enumerated once for all of them.  An expression's own entry is
+    dropped once its words are read, as it is mostly not a part of another.
+    The expressions read are kept, so no id in memo is reused.
+    """
+    if maxlen < 0:
+        raise ValueError(f"maxlen must be at least 0, got {maxlen}")
+    memo = {}
+    minlens = {}
+    read = []
+    for expr in exprs:
+        read.append(expr)
+        with nesting_cap("kleene_enumerate"):
+            buckets = _buckets(expr, maxlen, cap, memo, minlens)
+        memo.pop(id(expr), None)
+        duplicates = sorted(
+            w
+            for bucket in buckets
+            if max(bucket.values(), default=1) > 1
+            for w, c in bucket.items()
+            if c > 1
+        )
+        if duplicates:
+            example = "".join(duplicates[0])
+            raise AmbiguousExpression(
+                f"{len(duplicates)} words counted twice, e.g. {example!r}"
+            )
+        yield buckets
+
+
+def _merged(buckets: list) -> Counter:
+    """The words of all the length buckets in one Counter."""
     words = Counter()
-    for bucket in _buckets(node, maxlen, cap, {}, {}):
-        _add(words, bucket)
+    for bucket in buckets:
+        dict.update(words, bucket)  # words of different lengths differ
     return words
 
 
-@nesting_cap("kleene_enumerate")
 def kleene_enumerate(
     expr: Kleene, maxlen: int, cap: int = DEFAULT_MAX_WORDS
 ) -> Counter:
     """All words of length <= maxlen; raises if any word is produced twice."""
-    if maxlen < 0:
-        raise ValueError(f"maxlen must be at least 0, got {maxlen}")
-    words = _enumerate(expr, maxlen, cap)
-    duplicates = sorted(w for w, c in words.items() if c > 1)
-    if duplicates:
-        raise AmbiguousExpression(
-            f"{len(duplicates)} words counted twice, e.g. {''.join(duplicates[0])!r}"
-        )
-    return words
+    return _merged(next(_kleene_words([expr], maxlen, cap)))
 
 
 def _distances_to(g: RootedGraph, targets, maxlen: int) -> list:

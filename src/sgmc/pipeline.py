@@ -65,12 +65,13 @@ from .expansions import (
     simple_path_edges,
 )
 from .loopkleene import (
+    _kleene_words,
+    _merged,
     _walk_words,
     algorithm1,
     algorithm2,
     enumerate_path_words,
     flatten,
-    kleene_enumerate,
     kleene_texts,
     loop_stars,
     path_sum,
@@ -351,27 +352,35 @@ def _same_words(vertex: str, first, second):
 
 def verify_language_and_series(result: StationaryResult, maxlen: int) -> int:
     """Per-terminal consistency: Mc paths = loop-graph paths = Kleene words,
-    and series coefficients count words by length.  Returns checks performed."""
+    and series coefficients count words by length.  Returns checks performed.
+
+    One walk of Mc serves all the terminals (``_walk_words``), and one
+    enumeration all their expressions (``_kleene_words``), whose memo
+    enumerates each subtree the expressions share once.  The series count
+    of degree k is the size of the expression's length-k bucket, as every
+    word in it is counted once.
+    """
     mc_words_at = _walk_words(
         result.mc, [t.vertex for t in result.terminals], maxlen, ENUMERATION_CAP
+    )
+    expression_words = _kleene_words(
+        (t.expression for t in result.terminals), maxlen, ENUMERATION_CAP
     )
     checks = 0
     for t in result.terminals:
         mc_words = mc_words_at.pop(t.vertex)
         flat, end = flatten(t.loop_graph)
         lg_words = enumerate_path_words(flat, end, maxlen, ENUMERATION_CAP)
-        expr_words = kleene_enumerate(t.expression, maxlen, ENUMERATION_CAP)
+        by_length = next(expression_words)
+        expr_words = _merged(by_length)
         _same_words(t.name, ("Mc", mc_words), ("loop graph", lg_words))
         _same_words(t.name, ("loop graph", lg_words), ("expression", expr_words))
-        by_degree = {}
-        for word in expr_words:
-            by_degree[len(word)] = by_degree.get(len(word), 0) + 1
         ones = dict.fromkeys(t.psi.variables(), 1)
         for degree, coeff_sum in enumerate(t.psi.series_at(ones, maxlen + 1)):
-            if coeff_sum != by_degree.get(degree, 0):
+            if coeff_sum != len(by_length[degree]):
                 raise VerificationFailed(
                     f"series degree {degree} of {t.name} counts "
-                    f"{coeff_sum} but enumeration finds {by_degree.get(degree, 0)}"
+                    f"{coeff_sum} but enumeration finds {len(by_length[degree])}"
                 )
         checks += 1
     return checks

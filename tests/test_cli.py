@@ -5,7 +5,7 @@ import pytest
 
 from sgmc import cli
 from sgmc.cli import bundled_path, load_chain_file, main
-from sgmc.errors import CapExceeded, ChainFileError
+from sgmc.errors import CapExceeded, ChainFileError, VerificationFailed
 from sgmc.semigroup import FiniteSemigroup
 
 
@@ -525,6 +525,51 @@ class TestUsageAndOutput:
         assert captured.err.startswith(f"error: cannot write {out}: ")
         assert len(captured.err.splitlines()) == 1
         assert captured.out == ""
+
+    def test_verify_writes_its_lines_to_out(self, tmp_path, capsys):
+        chain = bundled_path("d2.json")
+        assert run("verify", chain, "--maxlen", "4") == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "verify.txt"
+        assert run("verify", chain, "--maxlen", "4", "--out", str(out)) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text(encoding="utf-8") == printed
+        assert printed.count("pass ") == 3 and "FAIL" not in printed
+
+    @pytest.mark.parametrize("target", ["missing/dir/v.txt", "."], ids=["no-dir", "a-dir"])
+    def test_verify_unwritable_out_is_an_input_error(self, target, tmp_path, capsys):
+        out = str(tmp_path / target)
+        assert run("verify", bundled_path("d2.json"), "--maxlen", "4", "--out", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("stop, code", [("fail", 2), ("cap", 3)])
+    def test_verify_writes_its_lines_to_out_when_it_stops(
+        self, stop, code, tmp_path, monkeypatch, capsys
+    ):
+        def stopped(result, maxlen):
+            if stop == "cap":
+                raise CapExceeded("kleene_enumerate: more than 10 words enumerated")
+            raise VerificationFailed("series degree 3 of ab counts 2 but finds 1")
+
+        monkeypatch.setattr(cli, "verify_language_and_series", stopped)
+        out = tmp_path / "verify.txt"
+        assert run("verify", bundled_path("d2.json"), "--out", str(out)) == code
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert capsys.readouterr().out == ""
+        assert lines[:2] == [
+            "pass normalization: masses sum to 1",
+            "pass oracle equivalence at 3 points",
+        ]
+        if stop == "fail":
+            assert lines[2:] == [
+                "FAIL path/Kleene/series consistency to length 10: series degree 3"
+                " of ab counts 2 but finds 1",
+            ]
+        else:
+            assert lines[2:] == []
 
     def test_unknown_option_key_is_refused(self, tmp_path, capsys):
         with open(bundled_path("example210.json"), encoding="utf-8") as handle:

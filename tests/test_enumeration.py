@@ -41,8 +41,8 @@ from sgmc.loopkleene import (
     Letter,
     Star,
     Union,
-    _enumerate,
     _walk_words,
+    concat,
     enumerate_path_words,
     flatten,
     kleene_enumerate,
@@ -221,6 +221,12 @@ def bounded_words(node, maxlen, iterations):
         power = _combine(power, base, maxlen)
         total.update(power)
     return total
+
+
+def multiset_words(expr, maxlen, cap=10**6):
+    """The words of expr with multiplicity, as the Kleene enumeration builds
+    them for expr alone, before its check for words produced twice."""
+    return loopkleene._merged(loopkleene._buckets(expr, maxlen, cap, {}, {}))
 
 
 def outcome(enumerate_words, expr, maxlen, cap=10**6):
@@ -404,7 +410,7 @@ def test_kleene_enumeration_matches_concatenation_on_random_expressions():
         expr = random_expression(rnd, rnd.randint(1, 4), [])
         maxlen = rnd.randint(0, 7)
         reference = outcome(budgeted_words, expr, maxlen)
-        assert outcome(_enumerate, expr, maxlen) == reference, str(expr)
+        assert outcome(multiset_words, expr, maxlen) == reference, str(expr)
         unbudgeted = outcome(concatenated_words, expr, maxlen)
         if isinstance(unbudgeted, Counter):
             assert reference == unbudgeted, str(expr)
@@ -431,9 +437,9 @@ def test_kleene_enumeration_matches_concatenation_on_random_expressions():
 
 
 def smallest_cap(expr, maxlen):
-    """The least cap at which ``_enumerate`` does not raise CapExceeded."""
+    """The least cap at which ``multiset_words`` does not raise CapExceeded."""
     cap = 0
-    while outcome(_enumerate, expr, maxlen, cap) is CapExceeded:
+    while outcome(multiset_words, expr, maxlen, cap) is CapExceeded:
         cap += 1
     return cap
 
@@ -454,13 +460,13 @@ def test_kleene_cap_fires_at_the_same_sizes():
             if isinstance(budgeted, Counter):
                 caps = max(caps, len(budgeted) + 2)
             for cap in range(caps):
-                got = outcome(_enumerate, expr, 6, cap)
+                got = outcome(multiset_words, expr, 6, cap)
                 assert got == outcome(budgeted_words, expr, 6, cap), (str(expr), cap)
                 assert got in (CapExceeded, budgeted), (str(expr), cap)
             rejected += budgeted is StarOfUnit
             continue
         for cap in range(len(reference) + 2):
-            got = outcome(_enumerate, expr, 6, cap)
+            got = outcome(multiset_words, expr, 6, cap)
             assert got == outcome(budgeted_words, expr, 6, cap), (str(expr), cap)
             unbudgeted = outcome(concatenated_words, expr, 6, cap)
             if got is CapExceeded:
@@ -472,6 +478,88 @@ def test_kleene_cap_fires_at_the_same_sizes():
     # the budgets keep fewer words than the whole enumeration somewhere
     assert later
     assert rejected
+
+
+# -- one enumeration for many expressions ------------------------------------------
+
+
+def batch_outcomes(exprs, maxlen, cap=10**6):
+    """Each expression's words from one enumeration of them all, as
+    ``verify_language_and_series`` runs it, up to the first error, which
+    ends the list as its type."""
+    got = []
+    try:
+        for buckets in loopkleene._kleene_words(exprs, maxlen, cap):
+            got.append(loopkleene._merged(buckets))
+    except (CapExceeded, StarOfUnit, AmbiguousExpression) as exc:
+        got.append(type(exc))
+    return got
+
+
+def fresh_outcomes(exprs, maxlen, cap=10**6):
+    """The same from one ``kleene_enumerate`` call per expression."""
+    got = []
+    for expr in exprs:
+        try:
+            got.append(kleene_enumerate(expr, maxlen, cap))
+        except (CapExceeded, StarOfUnit, AmbiguousExpression) as exc:
+            got.append(type(exc))
+            break
+    return got
+
+
+def shared_batch(rnd, order):
+    """Expressions a^k X, each X a subtree of random expressions that share
+    subtrees, with the k in increasing or decreasing order or mixed: the
+    memo is asked for a shared node at lengths that grow, shrink or both."""
+    pool = []
+    bases = [random_expression(rnd, rnd.randint(1, 4), pool) for _ in range(3)]
+    shifts = [rnd.randint(0, 4) for _ in range(rnd.randint(2, 6))]
+    if order != "mixed":
+        shifts.sort(reverse=order == "increasing")
+    a = Letter("a")
+    return [concat((a,) * k + (rnd.choice(pool + bases),)) for k in shifts]
+
+
+@pytest.mark.parametrize("order", ["increasing", "decreasing", "mixed"])
+def test_shared_enumeration_equals_fresh_ones_on_random_batches(order):
+    rnd = random.Random({"increasing": 61, "decreasing": 67, "mixed": 71}[order])
+    seen = Counter()
+    for _ in range(60):
+        exprs = shared_batch(rnd, order)
+        for maxlen in range(8):
+            got = batch_outcomes(exprs, maxlen)
+            assert got == fresh_outcomes(exprs, maxlen), ([str(e) for e in exprs], maxlen)
+            seen[got[-1] if isinstance(got[-1], type) else "words"] += 1
+    # every kind of outcome is exercised: AmbiguousExpression and StarOfUnit
+    # are raised for the expression a fresh enumeration raises them for
+    assert seen[StarOfUnit] and seen[AmbiguousExpression] and seen["words"] > 100
+
+
+def test_shared_enumeration_cap_fires_as_on_fresh_ones():
+    rnd = random.Random(73)
+    fired = 0
+    for _ in range(30):
+        exprs = shared_batch(rnd, rnd.choice(["increasing", "decreasing", "mixed"]))
+        cap = 0
+        while CapExceeded in fresh_outcomes(exprs, 5, cap):
+            assert batch_outcomes(exprs, 5, cap) == fresh_outcomes(exprs, 5, cap)
+            fired += 1
+            cap += 1
+        assert batch_outcomes(exprs, 5, cap) == fresh_outcomes(exprs, 5, cap)
+    assert fired
+    # the second star is asked for more words than the first
+    exprs = [Star(Letter("a")), Star(Union((Letter("a"), Letter("b"))))]
+    a_words = Counter({("a",) * n: 1 for n in range(7)})
+    assert batch_outcomes(exprs, 6, 126) == [a_words, CapExceeded]
+    with pytest.raises(CapExceeded, match="^kleene_enumerate: "):
+        list(loopkleene._kleene_words(exprs, 6, 126))
+
+
+def test_shared_enumeration_equals_fresh_ones_on_bundled_terminals(bundled):
+    exprs = [t.expression for t in bundled.terminals]
+    for maxlen in (7, 3):
+        assert batch_outcomes(exprs, maxlen) == fresh_outcomes(exprs, maxlen)
 
 
 def test_kleene_enumeration_matches_concatenation_on_bundled_terminals(bundled):
@@ -542,7 +630,7 @@ def test_star_of_unit_exactly_where_a_count_is_infinite():
         maxlen = rnd.randint(0, 5)
         bounded = bounded_words(expr, maxlen, maxlen + 3)
         infinite = bounded_words(expr, maxlen, maxlen + 4) != bounded
-        got = outcome(_enumerate, expr, maxlen)
+        got = outcome(multiset_words, expr, maxlen)
         if infinite:
             assert got is StarOfUnit, (str(expr), maxlen)
             with pytest.raises(StarOfUnit):
@@ -667,13 +755,21 @@ def test_verification_fails_on_a_wrong_word_multiset(
 
         monkeypatch.setattr(pipeline, "enumerate_path_words", patched)
     else:
-        enumerate_words = pipeline.kleene_enumerate
+        kleene_words = pipeline._kleene_words
 
-        def patched(expr, maxlen, cap):
-            words = enumerate_words(expr, maxlen, cap)
-            return wrong(words) if expr is victim.expression else words
+        def patched(exprs, maxlen, cap):
+            # one enumeration for all the terminals' expressions, in their
+            # order, yielding each one's words as one dict per length
+            exprs = list(exprs)
+            for expr, buckets in zip(exprs, kleene_words(exprs, maxlen, cap)):
+                if expr is victim.expression:
+                    words = wrong(loopkleene._merged(buckets))
+                    buckets = [{} for _ in range(maxlen + 1)]
+                    for word, c in words.items():
+                        buckets[len(word)][word] = c
+                yield buckets
 
-        monkeypatch.setattr(pipeline, "kleene_enumerate", patched)
+        monkeypatch.setattr(pipeline, "_kleene_words", patched)
     pair = "loop graph vs expression" if oracle == "expression" else "Mc vs loop graph"
     with pytest.raises(VerificationFailed) as failed:
         verify_language_and_series(d2_result, maxlen)
