@@ -357,7 +357,9 @@ def _word_labels(word: str, labels) -> tuple:
         parts = tuple(word)
     for part in parts:
         if part not in labels:
-            raise UnknownVertexWord(f"{part!r} is not a generator label")
+            raise UnknownVertexWord(
+                f"{part!r} is not a generator label (separate labels with ',')"
+            )
     return parts
 
 
@@ -521,7 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--graph",
         required=True,
-        help="rcay | kr | mc | loop:<word>",
+        help="rcay | kr | mc | loop:<word>, where the word is one label, "
+        "one-character labels run together (loop:ab) or labels separated "
+        "by ',' (loop:2,10)",
     )
     p.set_defaults(fn=cmd_export)
 

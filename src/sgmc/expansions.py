@@ -12,9 +12,11 @@ quotient automaton itself.
 
 The McCammond expansion enumerates the simple paths of its input by DFS,
 names each vertex by the word of its unique simple path, and adds an edge
-per (vertex, label): forward to the extended word when it is still simple,
-otherwise back to the unique initial segment ending at the revisited vertex.
-Its simple-path table is read off the tree of forward edges.
+per (vertex, label) as the DFS makes it: forward to the extended word when it
+is still simple, otherwise back to the unique initial segment ending at the
+revisited vertex.  A stable sort by source gives the edge ids; a forward
+(tree) edge is one whose target is numbered after its source, and the
+simple-path table is read off those.
 
 The one unique-simple-path (USP) check builds the loop table Pict reads,
 each vertex's cycles closed by edges off a spanning tree: Mc's own, or a
@@ -24,6 +26,7 @@ breadth-first tree of any other graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import CapExceeded, NotUsp, PathNotInGraph
 from .semigroup import FiniteSemigroup, IDENTITY_NAME
@@ -91,54 +94,43 @@ class SccDecomposition:
 
 
 def scc(g: RootedGraph) -> SccDecomposition:
-    """Iterative Tarjan; components renumbered by their smallest vertex id."""
+    """Kosaraju-Sharir: one DFS records the order vertices finish in; then,
+    latest finished first, each unplaced vertex's component is the unplaced
+    vertices that reach it.  Components are renumbered by smallest vertex id."""
     n = g.n_vertices()
-    index = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
+    seen = [False] * n
+    finished = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack = [(start, iter(g.out_edges(start)))]
+        while stack:
+            v, out = stack[-1]
+            for eid in out:
+                w = g.edges[eid][2]
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append((w, iter(g.out_edges(w))))
+                    break
+            else:
+                stack.pop()
+                finished.append(v)
     comp_of = [None] * n
     components = []
-    counter = 0
-    for start in range(n):
-        if index[start] is not None:
+    for v in reversed(finished):
+        if comp_of[v] is not None:
             continue
-        work = [(start, 0)]
-        while work:
-            v, ei = work[-1]
-            if ei == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            out = g.out_edges(v)
-            while ei < len(out):
-                w = g.edges[out[ei]][2]
-                ei += 1
-                if index[w] is None:
-                    work[-1] = (v, ei)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
+        comp_of[v] = len(components)
+        comp = [v]
+        for u in comp:  # grows as it goes
+            for eid in g.in_edges(u):
+                w = g.edges[eid][0]
+                if comp_of[w] is None:
+                    comp_of[w] = len(components)
                     comp.append(w)
-                    if w == v:
-                        break
-                components.append(sorted(comp))
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-    components.sort(key=lambda c: c[0])
+        components.append(sorted(comp))
+    components.sort(key=itemgetter(0))
     for cid, comp in enumerate(components):
         for v in comp:
             comp_of[v] = cid
@@ -207,8 +199,9 @@ def mc_expand(kr: RootedGraph, max_vertices: int = DEFAULT_MAX_MC):
 
     Vertices are kr's simple paths from the root in DFS preorder, labels in
     alphabet order; each is named by its word and holds only its kr endpoint.
-    kr must be label-deterministic, as every Karnofsky-Rhodes expansion is.
-    The graph carries its tree paths, which ``simple_path_edges`` checks.
+    Edges are numbered by source, then label.  kr must be label-deterministic,
+    as every Karnofsky-Rhodes expansion is.  The graph carries its tree paths,
+    which ``simple_path_edges`` checks.
     """
     targets = [{} for _ in range(kr.n_vertices())]
     for src, label, dst in kr.edges:
@@ -222,46 +215,42 @@ def mc_expand(kr: RootedGraph, max_vertices: int = DEFAULT_MAX_MC):
 
     names = [""]          # mc vertex -> its simple path's word; root renamed last
     endpoint = [kr.root]  # mc vertex -> kr vertex
-    # mc vertex -> (label, target mc vertex, is a tree edge), in label order;
-    # a target is either fresh, giving a child, or on the path, giving a
-    # back edge, so every kr edge out of the endpoint is one of the two
-    steps = [[]]
+    # (src, label, dst) as the DFS makes them; every kr edge out of a vertex's
+    # endpoint goes to a fresh child, numbered after it (a tree edge), or back
+    # to a vertex on the path, numbered no later (a back edge)
+    edges = []
     # iterative DFS over simple paths; on_path maps kr vertex -> mc vertex
     on_path = {kr.root: 0}
     stack = [(0, iter(succ[kr.root]))]
     while stack:
         vid, pairs = stack[-1]
-        advanced = False
         for label, target in pairs:
             back = on_path.get(target)
             if back is not None:
-                steps[vid].append((label, back, False))
+                edges.append((vid, label, back))
                 continue
             if len(names) >= max_vertices:
                 raise CapExceeded(f"Mc expansion exceeds {max_vertices} vertices")
             nid = len(names)
             names.append(names[vid] + label)
             endpoint.append(target)
-            steps.append([])
-            steps[vid].append((label, nid, True))
+            edges.append((vid, label, nid))
             on_path[target] = nid
             stack.append((nid, iter(succ[target])))
-            advanced = True
             break
-        if not advanced:
+        else:
             del on_path[endpoint[vid]]
             stack.pop()
 
+    # each vertex's edges were made in label order: edge ids are by source
+    edges.sort(key=itemgetter(0))
     payloads = [McVertex(kr_vertex) for kr_vertex in endpoint]
-    edges = []
     tree = set()
     paths = [()] * len(names)  # a parent's id is below its child's
-    for vid, out in enumerate(steps):
-        for label, dst, is_tree in out:
-            if is_tree:
-                tree.add(len(edges))
-                paths[dst] = paths[vid] + (len(edges),)
-            edges.append((vid, label, dst))
+    for eid, (src, _, dst) in enumerate(edges):
+        if dst > src:
+            tree.add(eid)
+            paths[dst] = paths[src] + (eid,)
     names[0] = IDENTITY_NAME
     graph = RootedGraph(payloads, names, edges, 0, kr.alphabet)
     graph._simple_paths = paths
@@ -368,6 +357,11 @@ def path_from_word(g: RootedGraph, word) -> list:
     return out
 
 
+def _dot_string(text):
+    """text as a quoted DOT string, its backslashes and quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def render_dot(g: RootedGraph, name="g", blue_edges=(), red_dashed_edges=()):
     """Deterministic DOT text; blue for transition edges, red dashed for back-edges."""
     blue = set(blue_edges)
@@ -375,13 +369,13 @@ def render_dot(g: RootedGraph, name="g", blue_edges=(), red_dashed_edges=()):
     lines = [f"digraph {name} {{", "  rankdir=TB;"]
     for vid in range(g.n_vertices()):
         shape = ' shape=doublecircle' if vid == g.root else ""
-        lines.append(f'  v{vid} [label="{g.names[vid]}"{shape}];')
+        lines.append(f"  v{vid} [label={_dot_string(g.names[vid])}{shape}];")
     for eid, (src, label, dst) in enumerate(g.edges):
         style = ""
         if eid in blue:
             style = " color=blue penwidth=2"
         elif eid in red:
             style = " color=red style=dashed"
-        lines.append(f'  v{src} -> v{dst} [label="{label}"{style}];')
+        lines.append(f"  v{src} -> v{dst} [label={_dot_string(label)}{style}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

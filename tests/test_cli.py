@@ -366,6 +366,86 @@ class TestExport:
         assert a.read_text().count("[label=") - a.read_text().count("->") == 9
 
 
+DOT_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+DOT_LINE = re.compile(r"  v\d+ (?:-> v\d+ )?\[label=(" + DOT_STRING.pattern + ")")
+
+
+def _unquoted(quoted):
+    return re.sub(r"\\(.)", r"\1", quoted[1:-1])
+
+
+class TestExportEscapes:
+    """Labels holding DOT's quote and escape characters."""
+
+    @pytest.fixture
+    def chain(self, tmp_path):
+        return write(
+            tmp_path,
+            "quotes.json",
+            {
+                "states": ["x", "y"],
+                "generators": [
+                    {"label": 'a"', "action": [1, 0], "prob": "1/2"},
+                    {"label": "b\\", "action": [0, 0], "prob": "1/2"},
+                ],
+            },
+        )
+
+    def _export(self, chain, tmp_path, kind):
+        out = tmp_path / "g.dot"
+        assert run("export", chain, "--graph", kind, "--out", str(out)) == 0
+        text = out.read_text(encoding="utf-8")
+        # every '"' opens or closes, or is escaped within, a well-formed string
+        assert '"' not in DOT_STRING.sub("", text)
+        quoted = DOT_STRING.findall(text)
+        labels = [m.group(1) for line in text.splitlines() if (m := DOT_LINE.match(line))]
+        assert quoted == labels
+        return [_unquoted(q) for q in labels]
+
+    def test_every_quoted_string_unescapes_to_its_name(self, chain, tmp_path):
+        from sgmc.expansions import DEFAULT_MAX_KR, DEFAULT_MAX_MC, kr_expand, right_cayley
+        from sgmc.pipeline import _expand, build_semigroup
+
+        s = build_semigroup(load_chain_file(chain).spec)
+        ideal = s.minimal_ideal()
+        assert ideal.is_left_zero
+        _, mc, _, _ = _expand(s, ideal.members, DEFAULT_MAX_KR, DEFAULT_MAX_MC)
+        for kind, g in (("rcay", right_cayley(s)), ("kr", kr_expand(s)), ("mc", mc)):
+            want = g.names + [label for _, label, _ in g.edges]
+            assert self._export(chain, tmp_path, kind) == want, kind
+        names = self._export(chain, tmp_path, 'loop:a",b\\')
+        assert 'a"b\\' in names
+        assert set(names) <= set(mc.names) | {'a"', "b\\"}
+
+
+class TestLoopWordLabels:
+    """Labels longer than one character are separated by ',' in loop:<word>."""
+
+    @pytest.fixture
+    def chain(self, tmp_path):
+        return write(
+            tmp_path,
+            "long_labels.json",
+            {
+                "states": ["x", "y"],
+                "generators": [
+                    {"label": "2", "action": [1, 0], "prob": "1/2"},
+                    {"label": "10", "action": [0, 0], "prob": "1/2"},
+                ],
+            },
+        )
+
+    def test_comma_separated_word_exports(self, chain, tmp_path):
+        out = tmp_path / "g.dot"
+        assert run("export", chain, "--graph", "loop:2,10", "--out", str(out)) == 0
+        assert '[label="210"' in out.read_text(encoding="utf-8")
+
+    def test_run_together_word_names_the_separator(self, chain, capsys):
+        assert run("export", chain, "--graph", "loop:210") == 1
+        err = capsys.readouterr().err
+        assert err == "error: '1' is not a generator label (separate labels with ',')\n"
+
+
 class TestVerify:
     def test_worked_chains_pass(self, capsys):
         assert run("verify", bundled_path("d2.json"), "--points", "5") == 0

@@ -150,6 +150,20 @@ class TestSccBasics:
                 for v in range(n)
             ]
 
+    def test_deep_cycle_with_tails(self):
+        # a path 0 -> 1 -> ... -> n-1 closed by n-1 -> k: the tail 0..k-1 leads
+        # in, and a second tail leaves the cycle from k; far deeper than any
+        # recursion limit
+        n, k = 10**5, 4
+        edges = [(v, "x", v + 1) for v in range(n - 1)] + [(n - 1, "x", k)]
+        edges += [(k, "y", n), (n, "x", n + 1)]
+        g = RootedGraph(range(n + 2), map(str, range(n + 2)), edges, 0, ["x", "y"])
+        d = scc(g)
+        singles = [[v] for v in range(k)]
+        assert d.components == singles + [list(range(k, n)), [n], [n + 1]]
+        assert d.component_of == list(range(k)) + [k] * (n - k) + [k + 1, k + 2]
+        assert len(transition_edges(g, d)) == k + 2
+
 
 class TestKrExpansion:
     def test_group_expansion(self):
@@ -630,6 +644,39 @@ class TestMcExpandMatchesEarlierForm:
                         assert mc_lists(kr) == want
                         vertices += len(want[0])
         assert vertices > 1000
+
+    def test_seeded_graphs_that_are_not_kr(self):
+        # label-deterministic graphs with a random root, edges listed in a
+        # random order over a shuffled alphabet, and vertices the root does
+        # not reach; some get a root self-loop
+        rnd = random.Random(2511)
+        seen = dict.fromkeys(("unreachable", "root loop", "back to root"), 0)
+        seen["alphabet order"] = 0
+        for _ in range(200):
+            n = rnd.randint(1, 9)
+            alphabet = rnd.sample(["a", "b", "c", "dd"], rnd.randint(1, 4))
+            root = rnd.randrange(n)
+            edges = [
+                (v, label, rnd.randrange(n))
+                for v in range(n)
+                for label in alphabet
+                if rnd.random() < 0.6
+            ]
+            if rnd.random() < 0.3:
+                label = rnd.choice(alphabet)
+                edges = [e for e in edges if e[:2] != (root, label)]
+                edges.append((root, label, root))
+            rnd.shuffle(edges)
+            kr = RootedGraph(range(n), map(str, range(n)), edges, root, alphabet)
+            want = reference_mc_expand(kr)
+            assert mc_lists(kr) == want
+            reached = {endpoint for _, endpoint in want[0]}
+            seen["unreachable"] += len(reached) < n
+            seen["root loop"] += any(e[0] == e[2] == root for e in edges)
+            seen["back to root"] += any(d == 0 and s > 0 for s, _, d in want[2])
+            first = list(dict.fromkeys(label for _, label, _ in edges))
+            seen["alphabet order"] += first != [a for a in alphabet if a in first]
+        assert min(seen.values()) >= 20, seen
 
     def test_cap_at_the_same_size(self, d2_semigroup):
         kr = pruned_krs(d2_semigroup)[1]

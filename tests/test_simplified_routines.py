@@ -65,7 +65,10 @@ def scanned_export(expanded, word):
     s, ideal, kr, mc, _ = expanded
     for label in word:
         if label not in s.labels:
-            return 1, "", f"error: {label!r} is not a generator label\n"
+            return 1, "", (
+                f"error: {label!r} is not a generator label "
+                "(separate labels with ',')\n"
+            )
     target = next(
         (vid for vid in range(mc.n_vertices()) if tree_word(mc, vid) == word),
         None,
