@@ -26,6 +26,8 @@ computed: the only cancellation is of identical factors and, in
 :func:`limit_at_box_zero`, of powers of the box variable.  That limit is
 taken once per interned factor and kept on it, as long as the factor lives,
 so the loop-star factors that many path sums share are substituted once.
+Two non-constant polynomials intern to one factor exactly when one is a
+constant multiple of the other; that is the one proportionality test.
 
 Variables are plain strings (a generator label); they render as ``x_<label>``.
 Term order everywhere is graded lexicographic over the variables in name
@@ -385,10 +387,10 @@ class _Factor:
 _INTERNED = weakref.WeakValueDictionary()
 
 
-@lru_cache(maxsize=1)
-def _complement_powers(elim_var: str, generator_vars: tuple) -> dict:
-    """{k: (1 - others)^k} for the last constraint limit_at_box_zero read."""
-    return {}
+@lru_cache(maxsize=64)
+def _complement_power(elim_var: str, generator_vars: tuple, k: int) -> Polynomial:
+    """(1 - others)^k, elim_var's value to the k under the constraint."""
+    return stochastic_complement(elim_var, generator_vars) ** k
 
 
 def _factor(poly: Polynomial):
@@ -635,26 +637,6 @@ class RationalFunction:
         """True iff self - other is the zero function."""
         return (self - other).is_zero()
 
-    def as_constant(self):
-        """The constant this function equals everywhere, or None.
-
-        Detects numerator = c * denominator termwise; no gcd involved.
-        """
-        if self.is_zero():
-            return Fraction(0)
-        num, den = self._num_den()
-        if len(num.terms) != len(den.terms):
-            return None
-        mono, den_c = next(iter(den.terms.items()))
-        num_c = num.terms.get(mono)
-        if num_c is None:
-            return None
-        ratio = Fraction(num_c, den_c)
-        for m, c in den.terms.items():
-            if num.terms.get(m) != ratio * c:
-                return None
-        return ratio
-
     def variables(self) -> list:
         return sorted({v for poly, _ in self.pieces() for v in poly.variables()})
 
@@ -774,7 +756,7 @@ def limit_at_box_zero(
     not substituted: with k the exponent of elim_var in m, its value at
     box = 0 is c times x^m less elim_var and box times (1 - others)^k, made
     by shifting the keys of that power, which is kept for the constraint
-    (``_complement_powers``); its box order is the exponent of box in m.
+    and k (``_complement_power``); its box order is the exponent of box in m.
 
     The box orders, weighted by the exponents, add up to the order of r.  A
     positive total gives 0, zero gives the product of the pieces at box = 0,
@@ -794,10 +776,7 @@ def limit_at_box_zero(
                 elim, box = _offset(elim_var), _offset(box_var)
                 k, order = (m >> elim) & _MASK, (m >> box) & _MASK
                 m -= k * ((1 << elim) + 1) + order * ((1 << box) + 1)
-                powers = _complement_powers(elim_var, tuple(generator_vars))
-                if k not in powers:
-                    powers[k] = stochastic_complement(elim_var, generator_vars) ** k
-                power = powers[k]
+                power = _complement_power(elim_var, tuple(generator_vars), k)
                 at_zero = Polynomial({m + p: c * v for p, v in power.terms.items()})
             else:
                 repl = stochastic_complement(elim_var, generator_vars, box_var)

@@ -178,6 +178,13 @@ def load_chain_file(path: str) -> ChainFile:
     unknown = sorted(set(options) - set(OPTION_KEYS))
     if unknown:
         raise ChainFileError(f"{path}: unknown option {unknown[0]!r}")
+    for key, value in options.items():
+        # type(), not isinstance: JSON true and false load as bool, an int subclass
+        if type(value) is not int or (value < 1 and key != "seed"):
+            raise ChainFileError(
+                f"{path}: options.{key} must be an integer"
+                f"{'' if key == 'seed' else ' of at least 1'}, got {value!r}"
+            )
     return ChainFile(
         MarkovChainSpec(tuple(states), tuple(generators)), box_label, options
     )
@@ -234,15 +241,7 @@ def _seed(args, chain: ChainFile) -> int:
             return int(env)
         except ValueError:
             raise ValueError(f"SGMC_SEED must be an integer, got {env!r}") from None
-    return _option(chain, "seed", DEFAULT_SEED)
-
-
-def _option(chain: ChainFile, key: str, default: int) -> int:
-    """An integer from the chain file's options; bool and float are refused."""
-    value = chain.options.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"options.{key} must be an integer, got {value!r}")
-    return value
+    return chain.options.get("seed", DEFAULT_SEED)
 
 
 def _at_least(value: int, low: int, option: str) -> int:
@@ -259,11 +258,10 @@ def _caps(args, chain: ChainFile) -> dict:
         ("max_mc", DEFAULT_MAX_MC),
     ):
         value = getattr(args, key)
-        option = "--" + key.replace("_", "-")
         if value is None:
-            value = _option(chain, key, default)
-            option = f"options.{key}"
-        caps[key] = _at_least(value, 1, option)
+            caps[key] = chain.options.get(key, default)
+        else:
+            caps[key] = _at_least(value, 1, "--" + key.replace("_", "-"))
     return caps
 
 
@@ -400,7 +398,7 @@ def cmd_export(args) -> int:
                 )
             if _element_of(kr, mc, target) not in ideal.members:
                 raise UnknownVertexWord(
-                    f"vertex {''.join(word)!r} does not end in the minimal ideal"
+                    f"vertex {mc.names[target]!r} does not end in the minimal ideal"
                 )
             lg = pict(mc, path, verify_usp=False)
             flat, _end = flatten(lg)

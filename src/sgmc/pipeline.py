@@ -1,15 +1,17 @@
 """End-to-end computation of stationary distributions from expansions.
 
 Left-zero minimal ideal: every vertex of Mc(KR(S,A)) projecting into K(S) is
-a terminal; the rational function of its path sum, read off the Pict
-unfolding, and grouping by projected element yield the stationary
-distribution directly.
+a terminal (k*a = k there, so KR's edges out of it are loops, and dropped);
+the rational function of its path sum, read off the Pict unfolding, and
+grouping by projected element yield the stationary distribution directly.
 
 Otherwise a zero is adjoined to semigroup and generators; terminals are the
 box vertices u-box, each contributes its rational function, the limit
 box -> 0 is taken under the stochastic constraint, and vertices whose prefix
 projects outside K(S) feed a residual mass that must vanish in the limit.
 The limit is taken per vertex (limits pass through the finite group sums).
+An element's mass whose numerator and denominator intern to one factor is
+replaced by the constant it is.
 
 A path sum is S(root) x_e1 S(v1) ... along the terminal's unique simple
 path, where S(v) is the starred union of the loops a Pict copy of v carries;
@@ -46,6 +48,7 @@ from functools import cached_property
 
 from .algebra import (
     RationalFunction,
+    _factor,
     evaluator,
     limit_at_box_zero,
     point_str,
@@ -124,18 +127,12 @@ class StationaryResult:
 
 
 def _prune_ideal_sinks(kr, ideal_members):
-    """Drop out-edges of KR vertices over the ideal; they are all self-loops."""
-    sinks = [
-        vid
-        for vid in range(kr.n_vertices())
-        if kr.payloads[vid].element in ideal_members
-    ]
-    for vid in sinks:
-        for eid in kr.out_edges(vid):
-            if kr.edges[eid][2] != vid:
-                raise NotLeftZero(
-                    "ideal vertex has a non-loop out-edge; K(S) is not left zero"
-                )
+    """Drop the out-edges of KR vertices over ideal_members: a left-zero K(S),
+    as ``minimal_ideal`` decides, or the adjoined zero.  Each such edge is a
+    loop: for k in a left-zero K(S), k*a lies in K(S), so k*a = k*(k*a) = k,
+    and the zero absorbs.  So the Cayley edge k -a-> k*a crosses no
+    transition edge, and KR follows it back to the vertex it left."""
+    sinks = [v for v, p in enumerate(kr.payloads) if p.element in ideal_members]
     return kr.without_out_edges(sinks)
 
 
@@ -251,9 +248,14 @@ def _stationary(s, box_label, max_kr, max_mc) -> StationaryResult:
 
 
 def _collapse(rf: RationalFunction) -> RationalFunction:
-    """Replace a termwise-proportional quotient by the constant it equals."""
-    value = rf.as_constant()
-    return rf if value is None else RationalFunction.const(value)
+    """a*f / (b*g) as the constant a/b when both sides are non-constant and
+    intern (``_factor``) to one factor f = g; otherwise rf itself."""
+    num, den = rf.num, rf.den
+    if num.total_degree() and den.total_degree():
+        (a, f), (b, g) = _factor(num), _factor(den)
+        if f is g:
+            return RationalFunction.const(Fraction(a, b))
+    return rf
 
 
 def stationary(s: FiniteSemigroup, box_label="□", **caps) -> StationaryResult:

@@ -150,10 +150,6 @@ class TestRationalArithmetic:
             except ZeroDenominator:
                 continue
 
-    def test_as_constant(self):
-        assert (RationalFunction(2 * xa, 8 * xa)).as_constant() == Fraction(1, 4)
-        assert (ra / rb).as_constant() is None
-
 
 class TestSubstituteAndEvaluate:
     def test_linear_substitution(self):

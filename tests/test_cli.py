@@ -446,6 +446,14 @@ class TestLoopWordLabels:
         assert err == "error: '1' is not a generator label (separate labels with ',')\n"
 
 
+def test_empty_loop_word_names_the_root(capsys):
+    # loop: asks for the empty word, the root, which is named as Mc names it
+    assert run("export", bundled_path("example210.json"), "--graph", "loop:") == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: vertex '𝟙' does not end in the minimal ideal\n"
+    assert captured.out == ""
+
+
 class TestVerify:
     def test_worked_chains_pass(self, capsys):
         assert run("verify", bundled_path("d2.json"), "--points", "5") == 0
@@ -498,6 +506,10 @@ class TestVerify:
         assert code == 2
 
 
+# every command, with the arguments it needs besides the chain file
+COMMANDS = [("analyze",), ("verify",), ("mixing",), ("export", "--graph", "rcay")]
+
+
 class TestNumericOptions:
     @pytest.mark.parametrize(
         "argv, option",
@@ -545,10 +557,25 @@ class TestNumericOptions:
         with open(bundled_path("example210.json"), encoding="utf-8") as handle:
             payload = json.load(handle)
         payload["options"] = options
-        assert run("analyze", write(tmp_path, "chain.json", payload)) == 1
-        captured = capsys.readouterr()
-        assert f"options.{key} must be an integer" in captured.err
-        assert captured.out == ""
+        path = write(tmp_path, "chain.json", payload)
+        for argv in COMMANDS:
+            assert run(argv[0], path, *argv[1:]) == 1, argv
+            captured = capsys.readouterr()
+            assert f"options.{key} must be an integer" in captured.err, argv
+            assert captured.out == ""
+
+    def test_chain_file_cap_below_one_is_refused_under_a_flag(self, tmp_path, capsys):
+        # the file's value is checked on load, also where --max-kr overrides it
+        with open(bundled_path("example210.json"), encoding="utf-8") as handle:
+            payload = json.load(handle)
+        payload["options"] = {"max_kr": 0}
+        path = write(tmp_path, "chain.json", payload)
+        for argv in COMMANDS:
+            assert run(argv[0], path, *argv[1:], "--max-kr", "5") == 1, argv
+            captured = capsys.readouterr()
+            message = "options.max_kr must be an integer of at least 1, got 0"
+            assert message in captured.err, argv
+            assert captured.out == ""
 
     def test_env_seed_must_be_an_integer(self, monkeypatch, capsys):
         monkeypatch.setenv("SGMC_SEED", "x")

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,8 +9,10 @@ import pytest
 from sgmc.algebra import Polynomial, RationalFunction, limit_at_box_zero
 from sgmc.cli import bundled_path, load_chain_file
 from sgmc.errors import CapExceeded, NotLeftZero, VerificationFailed
+from sgmc.expansions import kr_expand
 from sgmc.markov import ChainGenerator, MarkovChainSpec
 from sgmc.pipeline import (
+    _collapse,
     build_semigroup,
     full_report,
     normalization_holds,
@@ -168,6 +171,37 @@ class TestGeneralCase:
                 ), (gens, name)
             assert gen.residual_mass.equals(0)
             checked += 1
+
+    def test_constant_mass_over_two_factors(self):
+        spec = MarkovChainSpec(
+            ("0", "1", "2", "3"),
+            (
+                ChainGenerator("a", (2, 3, 0, 1), None),
+                ChainGenerator("b", (2, 3, 3, 1), None),
+            ),
+        )
+        res = stationary(build_semigroup(spec))
+        assert res.case == "general"
+        assert res.per_element.keys() == {"bb", "abb"}
+        for name in ("bb", "abb"):
+            # the summed limit before the collapse has two denominator factors
+            summed = RationalFunction.sum(
+                limit_at_box_zero(t.psi, "□", res.elim_var, res.variables)
+                for t in res.terminals
+                if t.element == res.element_ids[name]
+            )
+            assert str(summed.poly) == "1/2 - 1/2*x_a - 1/2*x_a^2 + 1/2*x_a^3"
+            assert sorted(
+                (str(f.poly), e) for f, e in summed.factors.items()
+            ) == [("1 - x_a", -1), ("1 - x_a^2", -1)]
+            assert str(res.per_element[name]) == "(1/2)/(1)"
+
+    def test_collapse_only_of_a_constant_multiple(self):
+        xa, xb = Polynomial.variable("a"), Polynomial.variable("b")
+        assert str(_collapse(RationalFunction(2 * xa, 8 * xa))) == "(1/4)/(1)"
+        assert str(_collapse(RationalFunction(3 * xa - 3, 1 - xa))) == "(-3)/(1)"
+        for rf in (rv("a") / rv("b"), RationalFunction(xa + xb, 1 - xa), rv("a")):
+            assert _collapse(rf) is rf
 
     def test_identity_generator_variant(self, d2c_result):
         res = d2c_result
@@ -333,3 +367,35 @@ def test_terminal_elements_are_their_words_evaluated(path):
                 word = word[:-1]
             group = s.eval_word(word)
             assert t.element == (group if group in ideal.members else None), t.name
+
+
+def test_ideal_sink_edges_are_loops():
+    # _prune_ideal_sinks drops a KR vertex's out-edges over a left-zero K(S)
+    # or over the adjoined zero unchecked: k*a = k there, so each is a loop
+    semigroups = [build_semigroup(load_chain_file(p).spec) for p in ELEMENT_CHAINS]
+    rnd = random.Random(2719)
+    while len(semigroups) < len(ELEMENT_CHAINS) + 40:
+        n = rnd.randint(2, 4)
+        gens = [
+            (lab, tuple(rnd.randrange(n) for _ in range(n)))
+            for lab in ["a", "b", "c"][: rnd.randint(2, 3)]
+        ]
+        semigroups.append(FiniteSemigroup.generate(gens, 200))
+    kinds = Counter()
+    for s in semigroups:
+        ideal = s.minimal_ideal()
+        zeroed = s.adjoin_zero()
+        runs = [(zeroed, {zeroed.zero_id}, "zero")]
+        if ideal.is_left_zero:
+            runs.append((s, ideal.members, "left zero"))
+        for expanded, sinks, kind in runs:
+            try:
+                kr = kr_expand(expanded, 2000)
+            except CapExceeded:
+                continue
+            for vid in range(kr.n_vertices()):
+                if kr.payloads[vid].element in sinks:
+                    for eid in kr.out_edges(vid):
+                        assert kr.edges[eid][2] == vid, (s.gens, kind)
+            kinds[kind] += 1
+    assert kinds["zero"] >= 40 and kinds["left zero"] >= 40, kinds

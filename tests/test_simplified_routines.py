@@ -77,7 +77,8 @@ def scanned_export(expanded, word):
         return 1, "", f"error: no vertex {''.join(word)!r} in the expansion\n"
     if kr.payloads[mc.payloads[target].kr_vertex].element not in ideal.members:
         return 1, "", (
-            f"error: vertex {''.join(word)!r} does not end in the minimal ideal\n"
+            f"error: vertex {''.join(word) or IDENTITY_NAME!r} does not end in "
+            "the minimal ideal\n"
         )
     lg = pict(mc, simple_path_edges(mc)[target], verify_usp=False)
     flat, _ = flatten(lg)
