@@ -18,6 +18,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from inspect import signature
 
 from .errors import (
     CapExceeded,
@@ -55,14 +56,13 @@ from .pipeline import (
     sample_simplex_points,
     normalization_holds,
 )
-from .semigroup import DEFAULT_MAX_ELEMENTS
+from .semigroup import BOX_LABEL, DEFAULT_MAX_ELEMENTS
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VERIFY = 2
 EXIT_CAP = 3
 
-DEFAULT_SEED = 1
 OPTION_KEYS = ("max_elements", "max_kr", "max_mc", "seed")
 
 
@@ -241,7 +241,7 @@ def _seed(args, chain: ChainFile) -> int:
             return int(env)
         except ValueError:
             raise ValueError(f"SGMC_SEED must be an integer, got {env!r}") from None
-    return chain.options.get("seed", DEFAULT_SEED)
+    return chain.options.get("seed", signature(full_report).parameters["seed"].default)
 
 
 def _at_least(value: int, low: int, option: str) -> int:
@@ -285,7 +285,7 @@ def cmd_analyze(args) -> int:
         chain.spec,
         points=args.points,
         seed=seed,
-        box_label=chain.box_label or "□",
+        box_label=chain.box_label or BOX_LABEL,
         **caps,
     )
     erg = ergodicity(chain.spec)
@@ -368,14 +368,9 @@ def cmd_export(args) -> int:
     if chain.box_label is not None:
         s = s.adjoin_zero(chain.box_label)
     kind = args.graph
-    if kind == "rcay":
-        g = right_cayley(s)
-        blue = transition_edges(g, scc(g))
-        text = render_dot(g, "rcay", blue_edges=blue)
-    elif kind == "kr":
-        g = kr_expand(s, caps["max_kr"])
-        blue = transition_edges(g, scc(g))
-        text = render_dot(g, "kr", blue_edges=blue)
+    if kind in ("rcay", "kr"):
+        g = right_cayley(s) if kind == "rcay" else kr_expand(s, caps["max_kr"])
+        text = render_dot(g, kind, blue_edges=transition_edges(g, scc(g)))
     elif kind == "mc" or kind.startswith("loop:"):
         ideal = s.minimal_ideal()
         sinks = ideal.members if ideal.is_left_zero else frozenset()
@@ -393,9 +388,7 @@ def cmd_export(args) -> int:
                 path = None
             target = mc.edges[path[-1]][2] if path else mc.root
             if path is None or len(simple_path_edges(mc)[target]) != len(word):
-                raise UnknownVertexWord(
-                    f"no vertex {''.join(word)!r} in the expansion"
-                )
+                raise UnknownVertexWord(f"no vertex {kind[5:]!r} in the expansion")
             if _element_of(kr, mc, target) not in ideal.members:
                 raise UnknownVertexWord(
                     f"vertex {mc.names[target]!r} does not end in the minimal ideal"
@@ -420,7 +413,7 @@ def cmd_verify(args) -> int:
     s = build_semigroup(chain.spec, caps["max_elements"])
     result = stationary(
         s,
-        box_label=chain.box_label or "□",
+        box_label=chain.box_label or BOX_LABEL,
         max_kr=caps["max_kr"],
         max_mc=caps["max_mc"],
     )
@@ -492,6 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="stationary distributions of finite Markov chains "
         "via semigroup expansions",
     )
+    defaults = signature(full_report).parameters
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -504,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full symbolic pipeline plus verification")
     common(p)
     p.add_argument("--seed", type=int)
-    p.add_argument("--points", type=int, default=3)
+    p.add_argument("--points", type=int, default=defaults["points"].default)
     p.add_argument("--timings", action="store_true")
     p.set_defaults(fn=cmd_analyze)
 
@@ -530,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="oracle and enumeration cross-checks")
     common(p)
     p.add_argument("--seed", type=int)
-    p.add_argument("--points", type=int, default=3)
+    p.add_argument("--points", type=int, default=defaults["points"].default)
     p.add_argument("--maxlen", type=int, default=10)
     p.add_argument("--series-order", type=int, dest="series_order", default=40)
     p.set_defaults(fn=cmd_verify)

@@ -33,8 +33,6 @@ from .semigroup import FiniteSemigroup, IDENTITY_NAME
 
 DEFAULT_MAX_KR = 10**5
 DEFAULT_MAX_MC = 10**6
-DEFAULT_MAX_LOOP = 10**6
-DEFAULT_MAX_PATHS = 10**6
 
 
 @dataclass(frozen=True)
@@ -257,11 +255,12 @@ def mc_expand(kr: RootedGraph, max_vertices: int = DEFAULT_MAX_MC):
     return graph, tree
 
 
-def check_usp(g: RootedGraph, max_paths: int = DEFAULT_MAX_PATHS) -> bool:
+def check_usp(g: RootedGraph, max_paths: int = DEFAULT_MAX_MC) -> bool:
     """True iff every vertex is reached by exactly one simple path from the root.
 
     The check is :func:`simple_path_edges`, which builds the loop table and
-    keeps it on success.  max_paths caps the number of vertices (CapExceeded).
+    keeps it on success.  max_paths caps the vertices (CapExceeded); in a USP
+    graph each is one simple path, so Mc's vertex cap is the default.
     """
     if g.n_vertices() > max_paths:
         raise CapExceeded(

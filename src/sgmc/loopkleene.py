@@ -54,7 +54,8 @@ parts leave, and each distinct subtree once, at the longest length asked of
 it, serving a shorter request by a slice.  Verification enumerates all the
 expressions of a result with one such memo (``_kleene_words``), since they
 share their stars.  A nullable star body raises StarOfUnit exactly where a
-word of length <= maxlen passes through the star.
+word of length <= maxlen passes through the star.  Verification passes
+both oracles the cap they default to, ``DEFAULT_MAX_WORDS``.
 """
 
 from __future__ import annotations
@@ -74,14 +75,14 @@ from .errors import (
     StarOfUnit,
 )
 from .expansions import (
-    DEFAULT_MAX_LOOP,
     RootedGraph,
     _loop_table,
     check_usp,
     simple_path_edges,
 )
 
-DEFAULT_MAX_WORDS = 10**6
+DEFAULT_MAX_LOOP = 10**6    # loop-vertex copies one Pict unfolding may hold
+DEFAULT_MAX_WORDS = 10**7   # words kept, or walks made, by one enumeration
 
 
 @contextmanager

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import RationalFunction, evaluator
-from .errors import NotLeftZero
+from .algebra import RationalFunction, evaluator, point_str
+from .errors import NotLeftZero, ZeroDenominator
 from .markov import (
     MarkovChainSpec,
     stationary_oracle,
@@ -50,6 +50,8 @@ def _tail(psis, point, tmax, value) -> list:
         raise ValueError(f"tmax must be nonnegative, got {tmax}")
     psis = list(psis)
     total = sum(map(value, psis), Fraction(0))
+    if not total:
+        raise ZeroDenominator(f"the functions sum to 0 at {point_str(point)}")
     # tail[t] reads the masses of the lengths below t only
     mass_by_degree = [Fraction(0)] * tmax
     for psi in psis:
@@ -168,7 +170,7 @@ class MixingReport:
     expected_total: Fraction
     epsilon: Fraction
     tmix_bound: int
-    tv_rows: list                 # TvRow list, or None when not left zero
+    tv_rows: list                 # TvRow list, t = 0..tmax
 
 
 def mixing_report(

@@ -68,6 +68,7 @@ from .expansions import (
     simple_path_edges,
 )
 from .loopkleene import (
+    DEFAULT_MAX_WORDS,
     _kleene_words,
     _merged,
     _walk_words,
@@ -81,7 +82,7 @@ from .loopkleene import (
     pict,
 )
 from .markov import MarkovChainSpec, stationary_oracle, transition_matrix
-from .semigroup import DEFAULT_MAX_ELEMENTS, FiniteSemigroup
+from .semigroup import BOX_LABEL, DEFAULT_MAX_ELEMENTS, FiniteSemigroup
 
 
 @dataclass
@@ -110,7 +111,6 @@ class StationaryResult:
     variables: list
     box_var: object
     elim_var: object
-    per_vertex: dict               # vertex word name -> RationalFunction
     per_element: dict              # element name -> RationalFunction
     residual_mass: RationalFunction
     graph_sizes: dict
@@ -118,6 +118,11 @@ class StationaryResult:
     semigroup: FiniteSemigroup = field(repr=False, default=None)
     mc: object = field(repr=False, default=None)
     terminals: list = field(repr=False, default_factory=list)
+
+    @cached_property
+    def per_vertex(self) -> dict:
+        """Vertex word name -> the terminal's path sum."""
+        return {t.name: t.psi for t in self.terminals}
 
     @cached_property
     def kleene(self) -> dict:
@@ -168,7 +173,7 @@ def stationary_left_zero(
 
 def stationary_general(
     s: FiniteSemigroup,
-    box_label: str = "□",
+    box_label: str = BOX_LABEL,
     max_kr: int = DEFAULT_MAX_KR,
     max_mc: int = DEFAULT_MAX_MC,
 ) -> StationaryResult:
@@ -236,7 +241,6 @@ def _stationary(s, box_label, max_kr, max_mc) -> StationaryResult:
         variables=variables,
         box_var=box_label,
         elim_var=elim,
-        per_vertex={t.name: t.psi for t in terminals},
         per_element=per_element,
         residual_mass=residual,
         graph_sizes=sizes,
@@ -258,7 +262,7 @@ def _collapse(rf: RationalFunction) -> RationalFunction:
     return rf
 
 
-def stationary(s: FiniteSemigroup, box_label="□", **caps) -> StationaryResult:
+def stationary(s: FiniteSemigroup, box_label=BOX_LABEL, **caps) -> StationaryResult:
     if s.minimal_ideal().is_left_zero:
         return stationary_left_zero(s, **caps)
     return stationary_general(s, box_label=box_label, **caps)
@@ -294,7 +298,6 @@ def normalization_holds(result: StationaryResult) -> bool:
 
 
 POINT_MAX_DENOMINATOR = 20   # of the sampled points' coordinates
-ENUMERATION_CAP = 10**7      # words one language-check enumeration keeps
 
 
 def sample_simplex_points(labels, count, seed):
@@ -354,25 +357,25 @@ def _same_words(vertex: str, first, second):
 
 def verify_language_and_series(result: StationaryResult, maxlen: int) -> int:
     """Per-terminal consistency: Mc paths = loop-graph paths = Kleene words,
-    and series coefficients count words by length.  Returns checks performed.
+    and series coefficients count words by length.  Returns the terminal count.
 
     One walk of Mc serves all the terminals (``_walk_words``), and one
     enumeration all their expressions (``_kleene_words``), whose memo
-    enumerates each subtree the expressions share once.  The series count
-    of degree k is the size of the expression's length-k bucket, as every
-    word in it is counted once.
+    enumerates each subtree the expressions share once; all three walkers
+    stop at ``DEFAULT_MAX_WORDS``, the cap of ``kleene_enumerate`` and
+    ``enumerate_path_words``.  The series count of degree k is the size of
+    the expression's length-k bucket, as every word in it is counted once.
     """
     mc_words_at = _walk_words(
-        result.mc, [t.vertex for t in result.terminals], maxlen, ENUMERATION_CAP
+        result.mc, [t.vertex for t in result.terminals], maxlen, DEFAULT_MAX_WORDS
     )
     expression_words = _kleene_words(
-        (t.expression for t in result.terminals), maxlen, ENUMERATION_CAP
+        (t.expression for t in result.terminals), maxlen, DEFAULT_MAX_WORDS
     )
-    checks = 0
     for t in result.terminals:
         mc_words = mc_words_at.pop(t.vertex)
         flat, end = flatten(t.loop_graph)
-        lg_words = enumerate_path_words(flat, end, maxlen, ENUMERATION_CAP)
+        lg_words = enumerate_path_words(flat, end, maxlen, DEFAULT_MAX_WORDS)
         by_length = next(expression_words)
         expr_words = _merged(by_length)
         _same_words(t.name, ("Mc", mc_words), ("loop graph", lg_words))
@@ -384,8 +387,7 @@ def verify_language_and_series(result: StationaryResult, maxlen: int) -> int:
                     f"series degree {degree} of {t.name} counts "
                     f"{coeff_sum} but enumeration finds {len(by_length[degree])}"
                 )
-        checks += 1
-    return checks
+    return len(result.terminals)
 
 
 # -- full report --------------------------------------------------------------
@@ -411,7 +413,7 @@ def full_report(
     spec: MarkovChainSpec,
     points: int = 3,
     seed: int = 1,
-    box_label: str = "□",
+    box_label: str = BOX_LABEL,
     max_elements: int = DEFAULT_MAX_ELEMENTS,
     max_kr: int = DEFAULT_MAX_KR,
     max_mc: int = DEFAULT_MAX_MC,

@@ -22,6 +22,7 @@ Transformation = tuple  # tuple[int, ...]: images of 0..n-1
 DEFAULT_MAX_ELEMENTS = 10**5
 
 IDENTITY_NAME = "\U0001d7d9"  # the symbol used for the adjoined identity
+BOX_LABEL = "□"  # the default label of the adjoined zero
 
 
 def compose(s: Transformation, t: Transformation) -> Transformation:
@@ -126,7 +127,7 @@ class FiniteSemigroup:
         self._index[images] = eid
         return eid
 
-    def adjoin_zero(self, label: str = "□") -> "FiniteSemigroup":
+    def adjoin_zero(self, label: str = BOX_LABEL) -> "FiniteSemigroup":
         """Return a new semigroup with an absorbing zero adjoined as a generator."""
         if label in self.gens:
             raise ValueError(f"zero label {label!r} collides with a generator")

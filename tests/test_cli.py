@@ -440,6 +440,12 @@ class TestLoopWordLabels:
         assert run("export", chain, "--graph", "loop:2,10", "--out", str(out)) == 0
         assert '[label="210"' in out.read_text(encoding="utf-8")
 
+    def test_missing_word_is_named_as_typed(self, chain, capsys):
+        assert run("export", chain, "--graph", "loop:10,2,10") == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: no vertex '10,2,10' in the expansion\n"
+        assert captured.out == ""
+
     def test_run_together_word_names_the_separator(self, chain, capsys):
         assert run("export", chain, "--graph", "loop:210") == 1
         err = capsys.readouterr().err

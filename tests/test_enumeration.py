@@ -20,6 +20,7 @@ import copy
 import random
 import sys
 from collections import Counter
+from inspect import signature
 from itertools import count, product
 from pathlib import Path
 
@@ -780,6 +781,27 @@ def test_verification_fails_on_a_wrong_word_multiset(
         f"path/word multisets disagree for vertex {victim.name}: {pair} at "
         f"{word!r}, counted {counts}"
     )
+
+
+def test_verification_hands_every_walker_the_default_cap(d2_result, monkeypatch):
+    """sgmc verify stops at the word cap that kleene_enumerate and
+    enumerate_path_words stop at when called on their own."""
+    defaults = {
+        signature(f).parameters["cap"].default
+        for f in (kleene_enumerate, enumerate_path_words)
+    }
+    assert len(defaults) == 1
+    caps = []
+    for name in ("_walk_words", "enumerate_path_words", "_kleene_words"):
+
+        def recorded(*args, walker=getattr(pipeline, name)):
+            caps.append(args[-1])
+            return walker(*args)
+
+        monkeypatch.setattr(pipeline, name, recorded)
+    assert verify_language_and_series(d2_result, 4) == len(d2_result.terminals)
+    assert len(caps) == 2 + len(d2_result.terminals)
+    assert set(caps) == defaults
 
 
 def test_verification_names_the_least_differing_word():

@@ -5,7 +5,7 @@ import pytest
 
 from sgmc.algebra import RationalFunction
 from sgmc.cli import bundled_path, load_chain_file
-from sgmc.errors import NotLeftZero
+from sgmc.errors import NotLeftZero, ZeroDenominator
 from sgmc.markov import ChainGenerator, MarkovChainSpec
 from sgmc.mixing import (
     expected_tau,
@@ -95,6 +95,15 @@ class TestHittingTail:
     def test_negative_tmax_is_refused(self, two_state_psis):
         with pytest.raises(ValueError, match="tmax must be nonnegative"):
             tail_table(two_state_psis, UNIFORM, -2)
+
+    def test_functions_summing_to_zero_name_the_point(self):
+        psi = RationalFunction.variable("a") * RationalFunction.variable("b")
+        point = {"a": Fraction(0), "b": Fraction(1)}
+        message = "^the functions sum to 0 at x_a=0, x_b=1$"
+        with pytest.raises(ZeroDenominator, match=message):
+            tail_table([psi], point, 2)
+        with pytest.raises(ZeroDenominator, match=message):
+            hitting_tail(psi, 1, point)
 
     def test_off_balance_point(self, two_state_semigroup, two_state_psis):
         point = {"1": Fraction(1, 2), "2": Fraction(1, 4), "3": Fraction(1, 4)}
