@@ -54,8 +54,16 @@ parts leave, and each distinct subtree once, at the longest length asked of
 it, serving a shorter request by a slice.  Verification enumerates all the
 expressions of a result with one such memo (``_kleene_words``), since they
 share their stars.  A nullable star body raises StarOfUnit exactly where a
-word of length <= maxlen passes through the star.  Verification passes
-both oracles the cap they default to, ``DEFAULT_MAX_WORDS``.
+word of length <= maxlen passes through the star.
+
+The public oracles return words as label tuples.  The walkers underneath
+take the word type from their caller, as the ``spell`` of a tuple of labels
+(``_walk_words``); verification spells a word as its labels joined into
+one str, exact because a semigroup's labels form a prefix code, and cheaper
+to hash.  It also walks all the loop graphs of a result at once: ``flatten``
+merges a list of loop graphs on their shared spine prefixes.  Verification
+passes every walk the cap the oracles default to, ``DEFAULT_MAX_WORDS``, and
+a walk counts its partial walks for all its targets together.
 """
 
 from __future__ import annotations
@@ -283,8 +291,25 @@ def path_sum(g: RootedGraph, stars, path_edges) -> RationalFunction:
 
 
 @nesting_cap("flatten")
-def flatten(lg: LoopGraph):
-    """Materialize a loop graph as a RootedGraph; returns (graph, spine end id)."""
+def flatten(lg):
+    """Materialize a loop graph as a RootedGraph; returns (graph, spine end id).
+
+    Given a list of loop graphs that start at one LoopVertex, it builds one
+    graph for them all and returns (graph, list of spine end ids).  The
+    spines are merged on their shared prefixes, a step keyed by its label
+    and the LoopVertex it enters, so they form a tree, and the loops of each
+    vertex of that tree are unfolded once.  Each loop returns to the vertex
+    it hangs at, so a walk that turns off a spine into another branch never
+    comes back to it, and the walks from the root to a loop graph's spine
+    end are exactly those of its own graph.  ``pict``'s loop graphs of one
+    graph share their LoopVertex objects, so theirs merge on their common
+    tree paths.
+    """
+    loop_graphs = [lg] if isinstance(lg, LoopGraph) else list(lg)
+    if not loop_graphs or any(
+        other.spine[0] is not loop_graphs[0].spine[0] for other in loop_graphs
+    ):
+        raise ValueError("flatten: the loop graphs must start at one vertex")
     names = []
     edges = []
 
@@ -305,15 +330,27 @@ def flatten(lg: LoopGraph):
             for nid, copy in zip(inner_ids, loop.inner):
                 emit_loops(copy, nid)
 
-    spine_ids = [add_vertex(lv.name) for lv in lg.spine]
-    for i, label in enumerate(lg.spine_labels):
-        edges.append((spine_ids[i], label, spine_ids[i + 1]))
-    for lv, vid in zip(lg.spine, spine_ids):
+    spine = [loop_graphs[0].spine[0]]  # LoopVertex of each spine id
+    steps = {}  # (spine id, label, id of the LoopVertex entered) -> spine id
+    ends = []
+    for loop_graph in loop_graphs:
+        vid = 0
+        for label, lv in zip(loop_graph.spine_labels, loop_graph.spine[1:]):
+            key = (vid, label, id(lv))
+            if key not in steps:
+                steps[key] = len(spine)
+                spine.append(lv)
+                edges.append((vid, label, steps[key]))
+            vid = steps[key]
+        ends.append(vid)
+    for lv in spine:
+        add_vertex(lv.name)
+    for vid, lv in enumerate(spine):
         emit_loops(lv, vid)
     alphabet = sorted({label for _, label, _ in edges})
     payloads = list(range(len(names)))
-    graph = RootedGraph(payloads, names, edges, spine_ids[0], alphabet)
-    return graph, spine_ids[-1]
+    graph = RootedGraph(payloads, names, edges, 0, alphabet)
+    return graph, ends[0] if isinstance(lg, LoopGraph) else ends
 
 
 # -- Kleene expressions ----------------------------------------------------
@@ -571,9 +608,12 @@ def _minlen(node: Kleene, memo: dict) -> int:
     return n
 
 
-def _buckets(node: Kleene, length: int, cap: int, memo: dict, minlens: dict) -> list:
+def _buckets(
+    node: Kleene, length: int, cap: int, memo: dict, minlens: dict, spell=tuple
+) -> list:
     """The words of node up to length, with multiplicity, one dict per
-    length 0..length.
+    length 0..length; a word is the ``spell`` of its labels (``_walk_words``)
+    and its length is their number.
 
     Part i of a concatenation is enumerated up to length minus the shortest
     word lengths (``_minlen``) of the other parts, and the product of parts
@@ -596,11 +636,11 @@ def _buckets(node: Kleene, length: int, cap: int, memo: dict, minlens: dict) -> 
     if kept is not None and len(kept) > length:
         return kept[: length + 1]
     if isinstance(node, Epsilon):
-        out = [{(): 1}] + [{} for _ in range(length)]
+        out = [{spell(()): 1}] + [{} for _ in range(length)]
     elif isinstance(node, Letter):
         out = [{} for _ in range(length + 1)]
         if length >= 1:
-            out[1] = {(node.label,): 1}
+            out[1] = {spell((node.label,)): 1}
     elif isinstance(node, Concat):
         mins = [_minlen(p, minlens) for p in node.parts]
         later = sum(mins)
@@ -610,25 +650,26 @@ def _buckets(node: Kleene, length: int, cap: int, memo: dict, minlens: dict) -> 
         else:
             out = None
             for p, m in zip(node.parts, mins):
-                words = _buckets(p, slack + m, cap, memo, minlens)
+                words = _buckets(p, slack + m, cap, memo, minlens, spell)
                 later -= m
                 out = words if out is None else _concat(out, words, length - later)
                 _counted(out, cap)
     elif isinstance(node, Union):
         out = [{} for _ in range(length + 1)]
         for p in node.parts:
-            for bucket, part in zip(out, _buckets(p, length, cap, memo, minlens)):
+            parts = _buckets(p, length, cap, memo, minlens, spell)
+            for bucket, part in zip(out, parts):
                 if part:
                     _add(bucket, part)
         _counted(out, cap)
     elif isinstance(node, Star):
-        base = _buckets(node.inner, length, cap, memo, minlens)
+        base = _buckets(node.inner, length, cap, memo, minlens, spell)
         if base[0]:
             raise StarOfUnit("empty word under a star makes enumeration diverge")
         # a word of length n of the star is a word of length k >= 1 of the
         # body followed by a word of length n - k of the star
         body = [(k, words) for k, words in enumerate(base) if words]
-        out = [{(): 1}] + [{} for _ in range(length)]
+        out = [{spell(()): 1}] + [{} for _ in range(length)]
         for n in range(1, length + 1):
             for k, words in body:
                 if k > n:
@@ -642,10 +683,11 @@ def _buckets(node: Kleene, length: int, cap: int, memo: dict, minlens: dict) -> 
     return out
 
 
-def _kleene_words(exprs, maxlen: int, cap: int):
+def _kleene_words(exprs, maxlen: int, cap: int, spell=tuple):
     """For each expression in turn, its words of length <= maxlen as one
-    dict per length 0..maxlen; AmbiguousExpression if a word of it is
-    produced twice, and otherwise every count is 1.
+    dict per length 0..maxlen, each word the ``spell`` of its labels
+    (``_walk_words``); AmbiguousExpression if a word of it is produced
+    twice, and otherwise every count is 1.
 
     One memo (``_buckets``) serves all the expressions: ``pict`` shares
     loops and stars among all the terminals of a graph, so a subtree they
@@ -661,7 +703,7 @@ def _kleene_words(exprs, maxlen: int, cap: int):
     for expr in exprs:
         read.append(expr)
         with nesting_cap("kleene_enumerate"):
-            buckets = _buckets(expr, maxlen, cap, memo, minlens)
+            buckets = _buckets(expr, maxlen, cap, memo, minlens, spell)
         memo.pop(id(expr), None)
         duplicates = sorted(
             w
@@ -671,7 +713,7 @@ def _kleene_words(exprs, maxlen: int, cap: int):
             if c > 1
         )
         if duplicates:
-            example = "".join(duplicates[0])
+            example = "".join(duplicates[0])  # a joined word joins to itself
             raise AmbiguousExpression(
                 f"{len(duplicates)} words counted twice, e.g. {example!r}"
             )
@@ -712,9 +754,20 @@ def _distances_to(g: RootedGraph, targets, maxlen: int) -> list:
     return dist
 
 
-def _walk_words(g: RootedGraph, targets, maxlen: int, cap: int) -> dict:
+def _walk_words(g: RootedGraph, targets, maxlen: int, cap: int, spell=tuple) -> dict:
     """Label words (with multiplicity) of all length <= maxlen walks from the
     root to each target, one length at a time: target -> Counter.
+
+    A word is ``spell`` of its labels: ``tuple`` keys the Counters by label
+    tuples, as the public walkers return them, and ``"".join`` by the
+    labels joined into one str, whose hash, unlike a tuple's, is computed
+    once.  Joining loses nothing where the labels form a prefix code, as a
+    semigroup's do (``semigroup._require_prefix_code``): then distinct
+    label sequences join to distinct strings, and strings sort as their
+    label tuples do.  Where two words first differ in a label, neither
+    label is a prefix of the other, so the strings first differ at the
+    character where the two labels do; otherwise one word is a prefix of
+    the other, and so is its string.
 
     Layer n maps each vertex to the words of the length-n walks that reach
     it; a step extends a vertex's whole list at once, and a target counts
@@ -735,10 +788,13 @@ def _walk_words(g: RootedGraph, targets, maxlen: int, cap: int) -> dict:
     for v, d in enumerate(dist):
         if d is not None:
             out = (g.edges[eid] for eid in g.out_edges(v))
-            steps[v] = [(dist[t], (a,), t) for _, a, t in out if dist[t] is not None]
+            steps[v] = [
+                (dist[t], spell((a,)), t) for _, a, t in out if dist[t] is not None
+            ]
     # (a layer's words at one vertex, the steps they take); the root's empty
     # word comes from one step with the empty suffix
-    moves = [([()], [((), g.root)])]
+    empty = spell(())
+    moves = [([empty], [(empty, g.root)])]
     visited = 0
     for left in range(maxlen, -1, -1):
         visited += sum(len(ws) * len(to) for ws, to in moves)

@@ -74,7 +74,6 @@ from .loopkleene import (
     _walk_words,
     algorithm1,
     algorithm2,
-    enumerate_path_words,
     flatten,
     kleene_texts,
     loop_stars,
@@ -341,7 +340,8 @@ def verify_oracle(
 
 def _same_words(vertex: str, first, second):
     """VerificationFailed naming the two oracles and the least word they
-    count differently, unless their word multisets are equal.
+    count differently, unless their word multisets are equal.  The words
+    are joined labels, which sort as their label tuples (``_walk_words``).
 
     The Counters hold no zero count, so dict equality is multiset equality;
     Counter's own runs a Python generator over every key."""
@@ -351,7 +351,7 @@ def _same_words(vertex: str, first, second):
     word = min(w for w in a.keys() | b.keys() if a.get(w, 0) != b.get(w, 0))
     raise VerificationFailed(
         f"path/word multisets disagree for vertex {vertex}: {a_name} vs "
-        f"{b_name} at {''.join(word)!r}, counted {a.get(word, 0)} vs {b.get(word, 0)}"
+        f"{b_name} at {word!r}, counted {a.get(word, 0)} vs {b.get(word, 0)}"
     )
 
 
@@ -359,23 +359,29 @@ def verify_language_and_series(result: StationaryResult, maxlen: int) -> int:
     """Per-terminal consistency: Mc paths = loop-graph paths = Kleene words,
     and series coefficients count words by length.  Returns the terminal count.
 
-    One walk of Mc serves all the terminals (``_walk_words``), and one
+    A word is its labels joined into one str (``_walk_words``), which is
+    exact because a semigroup's labels, the adjoined zero's included, form
+    a prefix code.  One walk of Mc serves all the terminals, one walk of
+    their loop graphs merged by ``flatten`` all the loop graphs, and one
     enumeration all their expressions (``_kleene_words``), whose memo
-    enumerates each subtree the expressions share once; all three walkers
-    stop at ``DEFAULT_MAX_WORDS``, the cap of ``kleene_enumerate`` and
-    ``enumerate_path_words``.  The series count of degree k is the size of
-    the expression's length-k bucket, as every word in it is counted once.
+    enumerates each subtree the expressions share once.  All three stop at
+    ``DEFAULT_MAX_WORDS``, the cap of ``kleene_enumerate`` and
+    ``enumerate_path_words``; each walk counts its partial walks for all
+    its targets together.  The series count of degree k is the size of the
+    expression's length-k bucket, as every word in it is counted once.
     """
+    terminals = result.terminals
     mc_words_at = _walk_words(
-        result.mc, [t.vertex for t in result.terminals], maxlen, DEFAULT_MAX_WORDS
+        result.mc, [t.vertex for t in terminals], maxlen, DEFAULT_MAX_WORDS, "".join
     )
+    flat, ends = flatten([t.loop_graph for t in terminals])
+    lg_words_at = _walk_words(flat, ends, maxlen, DEFAULT_MAX_WORDS, "".join)
     expression_words = _kleene_words(
-        (t.expression for t in result.terminals), maxlen, DEFAULT_MAX_WORDS
+        (t.expression for t in terminals), maxlen, DEFAULT_MAX_WORDS, "".join
     )
-    for t in result.terminals:
+    for t, end in zip(terminals, ends):
         mc_words = mc_words_at.pop(t.vertex)
-        flat, end = flatten(t.loop_graph)
-        lg_words = enumerate_path_words(flat, end, maxlen, DEFAULT_MAX_WORDS)
+        lg_words = lg_words_at.pop(end)
         by_length = next(expression_words)
         expr_words = _merged(by_length)
         _same_words(t.name, ("Mc", mc_words), ("loop graph", lg_words))
@@ -387,7 +393,7 @@ def verify_language_and_series(result: StationaryResult, maxlen: int) -> int:
                     f"series degree {degree} of {t.name} counts "
                     f"{coeff_sum} but enumeration finds {len(by_length[degree])}"
                 )
-    return len(result.terminals)
+    return len(terminals)
 
 
 # -- full report --------------------------------------------------------------

@@ -21,7 +21,7 @@ import random
 import sys
 from collections import Counter
 from inspect import signature
-from itertools import count, product
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -48,7 +48,9 @@ from sgmc.loopkleene import (
     flatten,
     kleene_enumerate,
 )
+from sgmc.markov import ChainGenerator, MarkovChainSpec
 from sgmc.pipeline import build_semigroup, stationary, verify_language_and_series
+from sgmc.semigroup import FiniteSemigroup
 
 BUNDLED = ("d2", "d2c", "d2box", "example210")
 CHAINS = Path(__file__).with_name("chains")
@@ -401,6 +403,85 @@ def test_walk_cap_is_the_pruned_walk_count_on_d2c(d2c_result):
     assert visits > 10_000
 
 
+# -- one walk of all the loop graphs of a result -----------------------------------
+
+
+def loop_graphs_within_cap(result):
+    """(terminal, loop graph) for each terminal whose Pict unfolding is
+    within the loop cap; general4b has terminals far above it."""
+    out = []
+    for t in result.terminals:
+        try:
+            out.append((t, t.loop_graph))
+        except CapExceeded:
+            continue
+    return out
+
+
+def assert_merged_walk_is_each_terminals_walk(result, maxlen):
+    """One walk of the loop graphs merged by ``flatten`` gives each terminal
+    the words of its own flattened loop graph, which are those of its Mc
+    paths, as label tuples and as joined labels; the merged graph holds no
+    more vertices than the terminals' own graphs together."""
+    pairs = loop_graphs_within_cap(result)
+    assert pairs
+    flat, ends = flatten([lg for _, lg in pairs])
+    assert len(set(ends)) == len(ends)
+    together = _walk_words(flat, ends, maxlen, 10**7)
+    joined = _walk_words(flat, ends, maxlen, 10**7, "".join)
+    mc_words = _walk_words(result.mc, [t.vertex for t, _ in pairs], maxlen, 10**7)
+    vertices = 0
+    for (t, lg), end in zip(pairs, ends):
+        own, own_end = flatten(lg)
+        vertices += own.n_vertices()
+        words = enumerate_path_words(own, own_end, maxlen)
+        assert together[end] == words == mc_words[t.vertex], t.name
+        assert joined[end] == {"".join(w): c for w, c in words.items()}, t.name
+    assert flat.n_vertices() <= vertices
+    return result.case
+
+
+def test_merged_loop_graph_walk_on_bundled_chains(bundled):
+    assert_merged_walk_is_each_terminals_walk(bundled, 7)
+
+
+@pytest.mark.parametrize("path", sorted(CHAINS.glob("*.json")), ids=lambda p: p.stem)
+def test_merged_loop_graph_walk_on_test_chains(path):
+    chain = load_chain_file(str(path))
+    result = stationary(build_semigroup(chain.spec), box_label=chain.box_label or "□")
+    assert_merged_walk_is_each_terminals_walk(result, 4)
+
+
+def test_merged_loop_graph_walk_on_random_chains():
+    # seeded random transformation semigroups, four of each ideal case
+    rnd = random.Random(23)
+    cases = Counter()
+    while len(cases) < 2 or min(cases.values()) < 4:
+        n = rnd.randint(2, 4)
+        gens = [
+            ("abc"[i], tuple(rnd.randrange(n) for _ in range(n)))
+            for i in range(rnd.randint(2, 3))
+        ]
+        s = FiniteSemigroup.generate(gens)
+        case = "left_zero" if s.minimal_ideal().is_left_zero else "general"
+        if cases[case] < 4:
+            assert assert_merged_walk_is_each_terminals_walk(stationary(s), 5) == case
+            cases[case] += 1
+
+
+def test_flatten_of_one_loop_graph_in_a_list(d2_result):
+    lg = d2_result.terminals[5].loop_graph
+    flat, end = flatten(lg)
+    merged, ends = flatten([lg])
+    assert ends == [end]
+    assert (merged.names, merged.edges) == (flat.names, flat.edges)
+    with pytest.raises(ValueError, match="one vertex"):
+        flatten([])
+    other = copy.deepcopy(lg)
+    with pytest.raises(ValueError, match="one vertex"):
+        flatten([lg, other])
+
+
 # -- the Kleene enumeration -------------------------------------------------------
 
 
@@ -698,26 +779,29 @@ def test_kleene_maxlen_zero():
 
 
 def absent_word(words, alphabet, maxlen):
-    """The first word of length <= maxlen over alphabet, shortest first,
-    that words does not count."""
+    """The labels of the first word of length <= maxlen over alphabet,
+    shortest first, whose joined labels words does not count."""
     for length in range(maxlen + 1):
-        for word in product(sorted(alphabet), repeat=length):
-            if word not in words:
-                return word
+        for labels in product(sorted(alphabet), repeat=length):
+            if "".join(labels) not in words:
+                return labels
     raise AssertionError("every word is counted")
 
 
 def mutate(words, how, alphabet, maxlen):
-    """A copy of words with one word dropped, added, or counted twice;
-    returns (copy, the word, its count before, its count after)."""
+    """A copy of words, keyed by joined labels, with one word dropped,
+    added, or counted twice; returns (copy, the word, its count before, its
+    count after, its number of labels or None where words has it)."""
     words = Counter(words)
-    word = absent_word(words, alphabet, maxlen) if how == "add" else min(words)
+    labels = absent_word(words, alphabet, maxlen) if how == "add" else None
+    word = min(words) if labels is None else "".join(labels)
     before = words[word]
     if how == "drop":
         del words[word]
     else:
         words[word] = {"add": 1, "double": 2}[how]
-    return words, word, before, words[word]
+    length = None if labels is None else len(labels)
+    return words, word, before, words[word], length
 
 
 @pytest.mark.parametrize("how", ["drop", "add", "double"])
@@ -732,49 +816,46 @@ def test_verification_fails_on_a_wrong_word_multiset(
     seen = {}
 
     def wrong(words):
-        words, word, before, after = mutate(words, how, alphabet, maxlen)
-        seen.update(word=word, before=before, after=after)
+        words, word, before, after, length = mutate(words, how, alphabet, maxlen)
+        seen.update(word=word, before=before, after=after, length=length)
         return words
 
-    if oracle == "mc":
+    if oracle in ("mc", "loop graph"):
         walk = pipeline._walk_words
 
-        def patched(g, targets, maxlen, cap):
-            words = walk(g, targets, maxlen, cap)
-            words[victim.vertex] = wrong(words[victim.vertex])
+        def patched(g, targets, maxlen, cap, spell):
+            # called once on Mc with the terminals' vertices, and once on
+            # their merged loop graphs with the spine ends, in the order of
+            # the terminals
+            words = walk(g, targets, maxlen, cap, spell)
+            if (g is d2_result.mc) == (oracle == "mc"):
+                target = victim.vertex if oracle == "mc" else targets[victim_at]
+                words[target] = wrong(words[target])
             return words
 
         monkeypatch.setattr(pipeline, "_walk_words", patched)
-    elif oracle == "loop graph":
-        calls = count()
-        enumerate_words = pipeline.enumerate_path_words
-
-        def patched(g, target, maxlen, cap):
-            # called once per terminal, in the order of the terminals
-            words = enumerate_words(g, target, maxlen, cap)
-            return wrong(words) if next(calls) == victim_at else words
-
-        monkeypatch.setattr(pipeline, "enumerate_path_words", patched)
     else:
         kleene_words = pipeline._kleene_words
 
-        def patched(exprs, maxlen, cap):
+        def patched(exprs, maxlen, cap, spell):
             # one enumeration for all the terminals' expressions, in their
             # order, yielding each one's words as one dict per length
             exprs = list(exprs)
-            for expr, buckets in zip(exprs, kleene_words(exprs, maxlen, cap)):
+            for expr, buckets in zip(exprs, kleene_words(exprs, maxlen, cap, spell)):
                 if expr is victim.expression:
+                    lengths = {w: n for n, bucket in enumerate(buckets) for w in bucket}
                     words = wrong(loopkleene._merged(buckets))
+                    lengths.setdefault(seen["word"], seen["length"])
                     buckets = [{} for _ in range(maxlen + 1)]
                     for word, c in words.items():
-                        buckets[len(word)][word] = c
+                        buckets[lengths[word]][word] = c
                 yield buckets
 
         monkeypatch.setattr(pipeline, "_kleene_words", patched)
     pair = "loop graph vs expression" if oracle == "expression" else "Mc vs loop graph"
     with pytest.raises(VerificationFailed) as failed:
         verify_language_and_series(d2_result, maxlen)
-    word = "".join(seen["word"])
+    word = seen["word"]
     before, after = seen["before"], seen["after"]
     counts = f"{after} vs {before}" if oracle == "mc" else f"{before} vs {after}"
     assert str(failed.value) == (
@@ -792,21 +873,22 @@ def test_verification_hands_every_walker_the_default_cap(d2_result, monkeypatch)
     }
     assert len(defaults) == 1
     caps = []
-    for name in ("_walk_words", "enumerate_path_words", "_kleene_words"):
+    for name in ("_walk_words", "_kleene_words"):
 
         def recorded(*args, walker=getattr(pipeline, name)):
-            caps.append(args[-1])
+            caps.append(signature(walker).bind(*args).arguments["cap"])
             return walker(*args)
 
         monkeypatch.setattr(pipeline, name, recorded)
     assert verify_language_and_series(d2_result, 4) == len(d2_result.terminals)
-    assert len(caps) == 2 + len(d2_result.terminals)
+    # one walk of Mc, one of the merged loop graphs, one enumeration
+    assert len(caps) == 3
     assert set(caps) == defaults
 
 
 def test_verification_names_the_least_differing_word():
-    a = Counter({("a",): 1, ("b", "a"): 2, ("b", "b"): 1})
-    b = Counter({("a",): 1, ("b", "a"): 1})
+    a = Counter({"a": 1, "ba": 2, "bb": 1})
+    b = Counter({"a": 1, "ba": 1})
     with pytest.raises(
         VerificationFailed,
         match="^path/word multisets disagree for vertex v: A vs B at 'ba', "
@@ -814,6 +896,78 @@ def test_verification_names_the_least_differing_word():
     ):
         pipeline._same_words("v", ("A", a), ("B", b))
     pipeline._same_words("v", ("A", b), ("B", Counter(b)))
+
+
+def multi_character_result():
+    """The d2c chain with generator labels 10, 2 and ab: a group, so the
+    general case, and □ is adjoined."""
+    actions = {"10": (1, 0, 3, 2), "2": (2, 3, 0, 1), "ab": (0, 1, 2, 3)}
+    spec = MarkovChainSpec(
+        ("1", "a", "b", "ab"),
+        tuple(ChainGenerator(label, a, None) for label, a in actions.items()),
+    )
+    return stationary(build_semigroup(spec))
+
+
+def first_difference(u, v):
+    """How tuple order decides u < v: "prefix" where one is a proper prefix
+    of the other, else "lengths" where the first labels they differ in are
+    of different lengths, else "same length"."""
+    for a, b in zip(u, v):
+        if a != b:
+            return "lengths" if len(a) != len(b) else "same length"
+    return "prefix"
+
+
+def test_verification_names_the_tuple_least_word_with_multi_character_labels(
+    monkeypatch,
+):
+    """Words are joined labels; with labels of different lengths the word a
+    failure names is still the least in the order of label tuples.  Each
+    trial counts some words once more on Mc: pairs of the victim's words
+    whose order the first differing labels decide, a word with its proper
+    prefix or one-label extension (no walk of a terminal extends another
+    here), and random sets of its words."""
+    result = multi_character_result()
+    assert result.case == "general"
+    assert {"10", "2", "ab", "□"} <= set(result.mc.alphabet)
+    maxlen = 5
+    victim = max(
+        result.terminals,
+        key=lambda t: len(enumerate_path_words(result.mc, t.vertex, maxlen)),
+    )
+    words = enumerate_path_words(result.mc, victim.vertex, maxlen)
+    ordered = sorted(words)
+    rnd = random.Random(89)
+    by_kind = {}
+    for u, v in product(ordered, repeat=2):
+        if u < v:
+            by_kind.setdefault(first_difference(u, v), []).append([u, v])
+    assert {"lengths", "same length"} <= set(by_kind)
+    trials = [pair for pairs in by_kind.values() for pair in rnd.sample(pairs, 4)]
+    for u in rnd.sample([w for w in ordered if 1 < len(w) < maxlen], 4):
+        trials += [[u, u[:-1]], [u, u + (rnd.choice(result.mc.alphabet),)]]
+    trials += [rnd.sample(ordered, rnd.randint(2, 6)) for _ in range(6)]
+    kinds = Counter(first_difference(*sorted(trial[:2])) for trial in trials)
+    assert kinds["prefix"] == 8 and kinds["lengths"] >= 4
+    walk = pipeline._walk_words
+    for trial in trials:
+
+        def patched(g, targets, maxlen, cap, spell, trial=trial):
+            found = walk(g, targets, maxlen, cap, spell)
+            if g is result.mc:
+                found[victim.vertex].update("".join(labels) for labels in trial)
+            return found
+
+        monkeypatch.setattr(pipeline, "_walk_words", patched)
+        with pytest.raises(VerificationFailed) as failed:
+            verify_language_and_series(result, maxlen)
+        least = min(trial)  # in the order of label tuples
+        assert str(failed.value) == (
+            f"path/word multisets disagree for vertex {victim.name}: Mc vs loop "
+            f"graph at {''.join(least)!r}, counted {words[least] + 1} vs "
+            f"{words[least]}"
+        ), trial
 
 
 def test_verification_fails_on_a_wrong_series_term(d2_result, monkeypatch):
