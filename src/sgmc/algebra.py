@@ -42,7 +42,7 @@ import weakref
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
 from itertools import accumulate, repeat
-from math import lcm
+from math import lcm, prod
 from operator import mul
 
 from .errors import (
@@ -351,6 +351,17 @@ class Polynomial:
 def point_str(point) -> str:
     """A point as ``x_a=1/2, x_b=1/2``, in variable order."""
     return ", ".join(f"x_{k}={v}" for k, v in sorted(point.items()))
+
+
+def integer_point(point: dict):
+    """(L, a): L the lcm of the denominators of the int or Fraction
+    coordinates, and a = L * point in integers.  A point whose coordinates
+    are all ints, such as verify's all-ones point, is returned as it is,
+    with L = 1, and costs one type check per coordinate."""
+    if all(type(x) is int for x in point.values()):
+        return 1, point
+    common = lcm(*[x.denominator for x in point.values()])
+    return common, {v: x.numerator * (common // x.denominator) for v, x in point.items()}
 
 
 def stochastic_complement(elim_var: str, generator_vars, box_var=None) -> Polynomial:
@@ -703,12 +714,18 @@ class RationalFunction:
         parts of num and den at point, s_k = (N_k - sum_{i>=1} D_i s_{k-i}) / D_0.
         D_0 is den's constant term: 1, as every factor is scaled to a constant
         term of 1 when it has one, or 0.  So integer coordinates give integers.
+
+        s_k is homogeneous of degree k, so with the point written a / L over
+        the lcm L of its coordinates' denominators (:func:`integer_point`),
+        s_k(point) = s_k(a) / L^k: the recurrence runs on the integers a and
+        each degree is divided once.  An integer point is read as given.
         """
         num, den = self._num_den()
         if den.constant_term() == 0:
             raise NonUnitDenominator(
                 "series requires a denominator with nonzero constant term"
             )
+        common, point = integer_point(point)
         d = den.degree_values(point, bound)
         s = []
         for k, value in enumerate(num.degree_values(point, bound)):
@@ -716,7 +733,9 @@ class RationalFunction:
                 if d[i]:
                     value -= d[i] * s[k - i]
             s.append(value)
-        return s
+        if common == 1:
+            return s
+        return [Fraction(v, scale) for v, scale in zip(s, _powers(common, bound))]
 
     def __str__(self):
         return f"({self.num})/({self.den})"
@@ -726,19 +745,42 @@ class RationalFunction:
 
 
 def evaluator(point: dict):
-    """value(rf): rf's value at point, rf.poly times each factor's value.
-    Each distinct factor is evaluated once for as long as value lives."""
+    """value(rf): rf's value at point, rf.poly times each factor's value, and
+    value.euler(rf): the value of rf.euler() there, by the product rule.
+    Each distinct factor, and its Euler derivative, is evaluated once for as
+    long as value lives."""
     factor_value = cache(lambda f: f.poly.evaluate(point))
+    factor_euler = cache(lambda f: f.poly.euler().evaluate(point))
+
+    def vanishes():
+        return ZeroDenominator(f"denominator vanishes at {point_str(point)}")
 
     def value(rf: RationalFunction) -> Fraction:
         out = rf.poly.evaluate(point)
         for f, e in rf.factors.items():
             v = factor_value(f)
             if v == 0 and e < 0:
-                raise ZeroDenominator(f"denominator vanishes at {point_str(point)}")
+                raise vanishes()
             out *= v**e
         return out
 
+    def euler(rf: RationalFunction) -> Fraction:
+        """The sum over the pieces p^e of e * D(p) * p^(e-1) times the other
+        pieces, from the pieces' values: no symbolic sum is built."""
+        pieces = [(rf.poly.evaluate(point), rf.poly.euler().evaluate(point), 1)]
+        for f, e in rf.factors.items():
+            v = factor_value(f)
+            if v == 0 and e < 0:
+                raise vanishes()
+            pieces.append((v, factor_euler(f), e))
+        out = Fraction(0)
+        for j, (v, dv, e) in enumerate(pieces):
+            if dv:
+                others = prod(u**k for i, (u, _, k) in enumerate(pieces) if i != j)
+                out += e * dv * v ** (e - 1) * others
+        return out
+
+    value.euler = euler
     return value
 
 

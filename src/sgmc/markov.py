@@ -5,7 +5,8 @@ A chain is specified by named states and labelled generators; generator ``a``
 moves state ``s`` to ``action_a[s]`` (left action) with probability ``x_a``.
 All computations are exact: the eigenvector solve eliminates in Python
 integers on the transition matrix scaled by the lcm of the point's
-denominators, and makes a Fraction only for each state's mass; floating
+denominators (:meth:`TransitionMatrix.scaled`, which the mixing TV rows
+also use), and makes a Fraction only for each state's mass; floating
 point appears only inside the random number generator.
 """
 
@@ -57,6 +58,26 @@ class TransitionMatrix:
     def evaluate(self, point: dict) -> list:
         return [[p.evaluate(point) for p in row] for row in self.entries]
 
+    def scaled(self, point: dict):
+        """(L, L * T at point as rows of integers), L the lcm of the
+        denominators of the entries' monomials at point.
+
+        The entries are sums of variables with integer coefficients, as
+        transition_matrix makes them, so L * T is an integer matrix.
+        """
+        values = {}  # monomial key -> its value at point
+        for row in self.entries:
+            for p in row:
+                for m in p.terms:
+                    if m not in values:
+                        values[m] = Polynomial({m: 1}).evaluate(point)
+        common = lcm(*(v.denominator for v in values.values()))
+        scaled = {m: v.numerator * (common // v.denominator) for m, v in values.items()}
+        return common, [
+            [sum(c * scaled[m] for m, c in p.terms.items()) for p in row]
+            for row in self.entries
+        ]
+
 
 def transition_matrix(spec: MarkovChainSpec) -> TransitionMatrix:
     n = len(spec.states)
@@ -104,29 +125,16 @@ def ergodicity(spec: MarkovChainSpec) -> dict:
 def stationary_oracle(tm: TransitionMatrix, point: dict) -> dict:
     """Exact eigenvector of eigenvalue one, by elimination on T - I in integers.
 
-    The entries are sums of variables with integer coefficients, as
-    transition_matrix makes them, so with L the lcm of the denominators of
-    their variables' values, L * (T - I) is an integer matrix.  Gauss-Jordan
-    runs on it without fractions: each row is cross-multiplied by the pivot
-    and divided by the gcd of its entries, and Fractions are made only for
-    the n results.
+    With L * T the integer matrix of :meth:`TransitionMatrix.scaled`,
+    L * (T - I) is an integer matrix too.  Gauss-Jordan runs on it without
+    fractions: each row is cross-multiplied by the pivot and divided by the
+    gcd of its entries, and Fractions are made only for the n results.
 
     Raises NotStochastic if columns do not sum to one at the point and
     NotIrreducible if the nullspace dimension differs from one.
     """
-    values = {}  # monomial key -> its value at point
-    for row in tm.entries:
-        for p in row:
-            for m in p.terms:
-                if m not in values:
-                    values[m] = Polynomial({m: 1}).evaluate(point)
-    common = lcm(*(v.denominator for v in values.values()))
-    scaled = {m: v.numerator * (common // v.denominator) for m, v in values.items()}
-    n = len(tm.entries)
-    a = [
-        [sum(c * scaled[m] for m, c in p.terms.items()) for p in row]
-        for row in tm.entries
-    ]
+    common, a = tm.scaled(point)
+    n = len(a)
     for j in range(n):
         if sum(a[i][j] for i in range(n)) != common:
             raise NotStochastic(f"column {tm.states[j]!r} does not sum to 1")

@@ -6,22 +6,31 @@ length, so the series terms of degree below t, summed at the point and
 divided by the full value, give the hitting probability before time t.
 The expected hitting time comes from the Euler operator
 D = sum(x_i d/dx_i): E[tau] is the sum over the elements of (D Psi)(point),
-and E[tau | element] is the log-derivative D Psi / Psi, one factor of Psi
-at a time.  The reports read the masses through one evaluator.
+read by the product rule from the values of Psi's pieces, and
+E[tau | element] is the log-derivative D Psi / Psi, one factor of Psi at a
+time.  The reports read the masses through one evaluator, each mass once.
+
+The numbers are integers over one common denominator, with one Fraction
+per reported value: with the point written a / L in integers, the series
+term of degree k at the point is its value at a over L^k, so the tail
+table sums the masses of each path length as integers; the TV rows
+multiply the integer matrix L * T into an integer vector and compare it
+with the stationary vector written p / P.  Inputs are checked before any
+of this work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .algebra import RationalFunction, evaluator, point_str
+from .algebra import RationalFunction, evaluator, integer_point, point_str
 from .errors import NotLeftZero, ZeroDenominator
 from .markov import (
     MarkovChainSpec,
     stationary_oracle,
     transition_matrix,
-    tv_distance,
 )
 from .pipeline import StationaryResult, build_semigroup, stationary_left_zero
 from .semigroup import DEFAULT_MAX_ELEMENTS
@@ -40,28 +49,41 @@ def tail_table(psis, point, tmax: int) -> list:
 
     The mass of each path length is the sum over the functions of their
     series terms of that degree at the point, read one function at a time;
-    this avoids multiplying all the unreduced denominators together.
+    this avoids multiplying all the unreduced denominators together.  The
+    series are read at the integer point a = L * point (see
+    :func:`~sgmc.algebra.integer_point`), where the mass of length k is
+    L^k times its value, so the masses add up as integers and each row of
+    the table is one Fraction.
     """
-    return _tail(psis, point, tmax, evaluator(point))
+    _check_tmax(tmax)
+    psis = list(psis)
+    return _tail(psis, point, tmax, sum(map(evaluator(point), psis), Fraction(0)))
 
 
-def _tail(psis, point, tmax, value) -> list:
+def _check_tmax(tmax):
     if tmax < 0:
         raise ValueError(f"tmax must be nonnegative, got {tmax}")
-    psis = list(psis)
-    total = sum(map(value, psis), Fraction(0))
+
+
+def _tail(psis, point, tmax, total) -> list:
+    """The tail table of psis, whose values at point sum to total."""
     if not total:
         raise ZeroDenominator(f"the functions sum to 0 at {point_str(point)}")
+    common, scaled = integer_point(point)
     # tail[t] reads the masses of the lengths below t only
-    mass_by_degree = [Fraction(0)] * tmax
+    masses = [0] * tmax  # L^k times the mass of length k
     for psi in psis:
-        for degree, mass in enumerate(psi.series_at(point, tmax)):
-            mass_by_degree[degree] += mass
-    below = Fraction(0)
-    tail = [1 - below / total]
-    for mass in mass_by_degree:
-        below += mass
-        tail.append(1 - below / total)
+        for degree, mass in enumerate(psi.series_at(scaled, tmax)):
+            masses[degree] += mass
+    # with total = n / d and B_t = L^t times the mass below t,
+    # Pr(tau >= t) = 1 - B_t / (L^t * total) = (L^t n - B_t d) / (L^t n)
+    n, d = total.numerator, total.denominator
+    below, scale = 0, 1
+    tail = [Fraction(1)]
+    for mass in masses:
+        below = (below + mass) * common
+        scale *= common
+        tail.append(Fraction(scale * n - below * d, scale * n))
     return tail
 
 
@@ -80,13 +102,18 @@ def expected_tau(psi: RationalFunction) -> RationalFunction:
 def expected_total(psis, point) -> Fraction:
     """E[tau] = sum over psi of (sum_i x_i d psi/d x_i)(point).
 
-    There is no division, so an element of mass 0 at the point adds 0.
+    Each (D psi)(point) is read by the product rule from the values of psi's
+    pieces and of their Euler derivatives (the evaluator's ``euler``), with
+    no division, so an element of mass 0 at the point adds 0.
     """
-    return _expected_total(psis, evaluator(point))
+    return sum(map(evaluator(point).euler, psis), Fraction(0))
 
 
-def _expected_total(psis, value) -> Fraction:
-    return sum((value(psi.euler()) for psi in psis), Fraction(0))
+def _check_epsilon(epsilon) -> Fraction:
+    epsilon = Fraction(epsilon)
+    if not 0 < epsilon < 1:
+        raise ValueError("epsilon must lie strictly between 0 and 1")
+    return epsilon
 
 
 def markov_bound(expected, epsilon) -> int:
@@ -96,9 +123,7 @@ def markov_bound(expected, epsilon) -> int:
     spare; this matches the bound quoted for the worked two-state chain.
     """
     expected = Fraction(expected)
-    epsilon = Fraction(epsilon)
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must lie strictly between 0 and 1")
+    epsilon = _check_epsilon(epsilon)
     if expected < 0:
         raise ValueError("expected hitting time must be nonnegative")
     if expected == 0:
@@ -128,9 +153,16 @@ def tv_bound_check(
     Matrix powers and the stationary vector are exact rationals; nu is the
     point mass at start_state.  Requires a left-zero minimal ideal.
     """
+    _check_start(spec, start_state)
     result = _left_zero_result(spec, result, caps)
     tail = tail_table(result.per_element.values(), point, tmax + 1)
     return _tv_rows(spec, point, tmax, start_state, tail)
+
+
+def _check_start(spec, start_state):
+    n = len(spec.states)
+    if not 0 <= start_state < n:
+        raise ValueError(f"start_state must be in 0..{n - 1}, got {start_state}")
 
 
 def _left_zero_result(spec, result, caps) -> StationaryResult:
@@ -143,23 +175,28 @@ def _left_zero_result(spec, result, caps) -> StationaryResult:
 
 
 def _tv_rows(spec, point, tmax, start_state, tail) -> list:
-    """TV rows for t = 0..tmax against a tail table reaching t = tmax + 1."""
-    n = len(spec.states)
-    if not 0 <= start_state < n:
-        raise ValueError(f"start_state must be in 0..{n - 1}, got {start_state}")
+    """TV rows for t = 0..tmax against a tail table reaching t = tmax + 1.
+
+    In integers: with T = M / L for an integer matrix M (see
+    :meth:`~sgmc.markov.TransitionMatrix.scaled`) and Psi = p / P for an
+    integer vector p, T^t nu = v_t / L^t with v_{t+1} = M v_t, so
+    TV_t = sum_i |v_t[i] P - p_i L^t| / (2 P L^t), one Fraction per row.
+    """
     tm = transition_matrix(spec)
-    matrix = tm.evaluate(point)
+    common, matrix = tm.scaled(point)
     psi = stationary_oracle(tm, point)
-    nu = [Fraction(1) if i == start_state else Fraction(0) for i in range(n)]
+    big_p = lcm(*(x.denominator for x in psi.values()))
+    p = [psi[s].numerator * (big_p // psi[s].denominator) for s in spec.states]
+    v = [int(i == start_state) for i in range(len(p))]
+    scale = 1  # L^t
     rows = []
     for t in range(tmax + 1):
-        dist = {spec.states[i]: nu[i] for i in range(n)}
-        tv = tv_distance(dist, psi)
+        gap = sum(abs(x * big_p - y * scale) for x, y in zip(v, p))
+        tv = Fraction(gap, 2 * big_p * scale)
         bound = tail[t + 1]  # Pr(tau > t) = Pr(tau >= t+1)
         rows.append(TvRow(t, tv, bound, tv <= bound))
-        nu = [
-            sum(matrix[i][j] * nu[j] for j in range(n)) for i in range(n)
-        ]
+        v = [sum(a * x for a, x in zip(row, v)) for row in matrix]
+        scale *= common
     return rows
 
 
@@ -183,22 +220,30 @@ def mixing_report(
     **caps,
 ) -> MixingReport:
     """Tail table, conditional and total E[tau], Markov bound and ASST rows
-    at the point, which the report does not repeat."""
+    at the point, which the report does not repeat.
+
+    epsilon, tmax and start_state are checked before any other work, and
+    each mass is evaluated once: its value gives the tail's total and the
+    guard on E[tau | element].
+    """
+    epsilon = _check_epsilon(epsilon)
+    _check_tmax(tmax)
+    _check_start(spec, start_state)
     result = _left_zero_result(spec, result, caps)
     value = evaluator(point)
-    tail = _tail(result.per_element.values(), point, tmax + 1, value)
+    masses = result.per_element
+    values = {name: value(rf) for name, rf in masses.items()}
+    tail = _tail(masses.values(), point, tmax + 1, sum(values.values(), Fraction(0)))
     expected_by_element = {}
-    for name, rf in sorted(result.per_element.items()):
+    for name, rf in sorted(masses.items()):
         e_rf = expected_tau(rf)
-        expected_by_element[name] = (e_rf, value(e_rf) if value(rf) else None)
-    total = _expected_total(result.per_element.values(), value)
-    bound = markov_bound(total, epsilon)
-    rows = _tv_rows(spec, point, tmax, start_state, tail)
+        expected_by_element[name] = (e_rf, value(e_rf) if values[name] else None)
+    total = sum(map(value.euler, masses.values()), Fraction(0))
     return MixingReport(
         tail=tail[: tmax + 1],
         expected_by_element=expected_by_element,
         expected_total=total,
-        epsilon=Fraction(epsilon),
-        tmix_bound=bound,
-        tv_rows=rows,
+        epsilon=epsilon,
+        tmix_bound=markov_bound(total, epsilon),
+        tv_rows=_tv_rows(spec, point, tmax, start_state, tail),
     )

@@ -1,12 +1,21 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from sgmc import mixing
 from sgmc.algebra import RationalFunction
 from sgmc.cli import bundled_path, load_chain_file
 from sgmc.errors import NotLeftZero, ZeroDenominator
-from sgmc.markov import ChainGenerator, MarkovChainSpec
+from sgmc.markov import (
+    ChainGenerator,
+    MarkovChainSpec,
+    TransitionMatrix,
+    stationary_oracle,
+    transition_matrix,
+    tv_distance,
+)
 from sgmc.mixing import (
     expected_tau,
     hitting_tail,
@@ -15,6 +24,8 @@ from sgmc.mixing import (
     tail_table,
     tv_bound_check,
 )
+
+from sgmc.pipeline import build_semigroup, stationary
 
 from conftest import d2_chain_spec, two_state_chain_spec
 
@@ -239,3 +250,93 @@ def test_point_missing_a_label_names_it():
     point = {"1": Fraction(1, 2), "2": Fraction(1, 2)}
     with pytest.raises(ValueError, match="^point has no value for x_3$"):
         mixing_report(spec, point, Fraction(1, 4), 3)
+
+
+def reference_tv_rows(spec, point, tmax, start_state):
+    """TV(T^t nu, Psi) for t = 0..tmax, by Fraction matrix powers."""
+    matrix = transition_matrix(spec).evaluate(point)
+    psi = stationary_oracle(transition_matrix(spec), point)
+    n = len(spec.states)
+    nu = [Fraction(int(i == start_state)) for i in range(n)]
+    out = []
+    for _ in range(tmax + 1):
+        out.append(tv_distance(dict(zip(spec.states, nu)), psi))
+        nu = [sum(matrix[i][j] * nu[j] for j in range(n)) for i in range(n)]
+    return out
+
+
+@pytest.mark.parametrize(
+    "path, points",
+    [
+        (
+            bundled_path("example210.json"),
+            [UNIFORM, {"1": Fraction(1, 2), "2": Fraction(1, 3), "3": Fraction(1, 6)}],
+        ),
+        (
+            str(Path(__file__).parent / "chains" / "mixing3.json"),
+            [{"a": Fraction(1, 3), "b": Fraction(2, 3)}, {"a": Fraction(5, 7), "b": Fraction(2, 7)}],
+        ),
+    ],
+    ids=["example210", "mixing3"],
+)
+def test_tv_rows_match_fraction_matrix_powers(path, points):
+    spec = load_chain_file(path).spec
+    semigroup = build_semigroup(spec)
+    result = stationary(semigroup)
+    tmax = 10
+    for point in points:
+        tails = absorption_tail_by_walk(semigroup, point, tmax + 1)
+        for start in range(len(spec.states)):
+            rows = tv_bound_check(spec, point, tmax, start_state=start, result=result)
+            tvs = reference_tv_rows(spec, point, tmax, start)
+            assert [row.t for row in rows] == list(range(tmax + 1))
+            assert [row.tv for row in rows] == tvs
+            assert [row.tail_bound for row in rows] == tails[1:]
+            assert [row.holds for row in rows] == [
+                tv <= bound for tv, bound in zip(tvs, tails[1:])
+            ]
+            assert all(type(row.tv) is Fraction for row in rows)
+
+
+@pytest.mark.parametrize(
+    "epsilon, tmax, start_state, message",
+    [
+        (Fraction(0), 5, 0, "^epsilon must lie strictly between 0 and 1$"),
+        (Fraction(1), 5, 0, "^epsilon must lie strictly between 0 and 1$"),
+        (Fraction(-1, 2), 5, 0, "^epsilon must lie strictly between 0 and 1$"),
+        (Fraction(3, 2), 5, 0, "^epsilon must lie strictly between 0 and 1$"),
+        (Fraction(1, 2), -1, 0, "^tmax must be nonnegative, got -1$"),
+        (Fraction(1, 2), 5, 2, r"^start_state must be in 0\.\.1, got 2$"),
+        (Fraction(1, 2), 5, -1, r"^start_state must be in 0\.\.1, got -1$"),
+    ],
+)
+@pytest.mark.parametrize("given_result", [True, False], ids=["result", "no-result"])
+def test_inputs_are_refused_before_any_series_or_matrix_work(
+    two_state_result, monkeypatch, epsilon, tmax, start_state, message, given_result
+):
+    calls = []
+    for owner, name in [
+        (RationalFunction, "series_at"),
+        (TransitionMatrix, "scaled"),
+        (mixing, "build_semigroup"),
+    ]:
+        original = getattr(owner, name)
+
+        def recorded(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recorded)
+    result = two_state_result if given_result else None
+    spec = two_state_chain_spec()
+    with pytest.raises(ValueError, match=message):
+        mixing_report(
+            spec, UNIFORM, epsilon, tmax, start_state=start_state, result=result
+        )
+    if start_state != 0:
+        with pytest.raises(ValueError, match=message):
+            tv_bound_check(spec, UNIFORM, tmax, start_state=start_state, result=result)
+    assert calls == []
+    # the same calls go through with valid inputs
+    mixing_report(spec, UNIFORM, Fraction(1, 2), 5, result=result)
+    assert {"series_at", "scaled"} <= set(calls)

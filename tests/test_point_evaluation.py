@@ -24,6 +24,7 @@ from sgmc.errors import ZeroDenominator
 from sgmc.mixing import (
     _tv_rows,
     expected_tau,
+    expected_total,
     markov_bound,
     mixing_report,
     tail_table,
@@ -147,6 +148,84 @@ def test_reports_equal_the_terminal_references(path, left_zero_runs):
         assert tail_table(masses, point, TMAX + 1) == tail
         psis = [t.psi for t in result.terminals]
         assert tail_table(psis, point, TMAX + 1) == tail
+
+
+def outcome(read):
+    """read()'s value, or the type and message of the error it raises."""
+    try:
+        return read()
+    except (ZeroDenominator, ValueError) as error:
+        return type(error), str(error)
+
+
+@pytest.mark.parametrize("path", _left_zero_chains())
+def test_expected_total_by_the_product_rule_equals_the_euler_sum(
+    path, left_zero_runs
+):
+    spec, result = left_zero_runs(path)
+    labels = spec.labels()
+    points = sample_simplex_points(labels, 2, seed=77)
+    # a coordinate 0, and the all-ones point, off the simplex
+    points.append({v: Fraction(int(i == 0)) for i, v in enumerate(labels)})
+    points.append(dict.fromkeys(labels, 1))
+    masses = list(result.per_element.values())
+    for point in points:
+        value = evaluator(point)
+        for rf in masses:
+            assert outcome(lambda: value.euler(rf)) == outcome(
+                lambda: evaluator(point)(rf.euler())
+            )
+        old = outcome(
+            lambda: sum((evaluator(point)(rf.euler()) for rf in masses), Fraction(0))
+        )
+        assert outcome(lambda: expected_total(masses, point)) == old
+
+
+X, Y = RationalFunction.variable("x"), RationalFunction.variable("y")
+F = 1 - X - Y
+
+
+@pytest.mark.parametrize(
+    "rf",
+    [
+        X / F,
+        X * Y / (F * F * (1 - X * Y)),
+        # vanishing factors of positive exponent: the product rule keeps
+        # D(f) times the other pieces where f^1 vanishes, and drops f^2
+        F * X / (1 - X * Y),
+        F * F * X / (1 - X * Y),
+        F * (1 + X - Y) * Y,
+        RationalFunction.const(3),
+        RationalFunction.zero(),
+    ],
+)
+@pytest.mark.parametrize(
+    "point",
+    [
+        {"x": Fraction(1, 2), "y": Fraction(1, 2)},
+        {"x": Fraction(1, 3), "y": Fraction(2, 3)},
+        {"x": Fraction(1, 4), "y": Fraction(1, 3)},
+        {"x": 0, "y": 1},
+    ],
+)
+def test_euler_value_and_its_errors_match_the_euler_sum(rf, point):
+    value = evaluator(point)
+    old = outcome(lambda: evaluator(point)(rf.euler()))
+    assert outcome(lambda: value.euler(rf)) == old
+    # a second read finds the first one's factor values
+    assert outcome(lambda: value.euler(rf)) == old
+    assert outcome(lambda: expected_total([rf, rf], point)) == outcome(
+        lambda: 2 * evaluator(point)(rf.euler())
+    )
+
+
+def test_a_vanishing_denominator_names_the_point():
+    point = {"x": Fraction(1, 2), "y": Fraction(1, 2)}
+    message = "^denominator vanishes at x_x=1/2, x_y=1/2$"
+    with pytest.raises(ZeroDenominator, match=message):
+        expected_total([X / F], point)
+    with pytest.raises(ZeroDenominator, match=message):
+        evaluator(point)((X / F).euler())
 
 
 def test_mixing_reads_no_terminal(two_state_result):
