@@ -353,15 +353,15 @@ def point_str(point) -> str:
     return ", ".join(f"x_{k}={v}" for k, v in sorted(point.items()))
 
 
-def integer_point(point: dict):
-    """(L, a): L the lcm of the denominators of the int or Fraction
-    coordinates, and a = L * point in integers.  A point whose coordinates
-    are all ints, such as verify's all-ones point, is returned as it is,
-    with L = 1, and costs one type check per coordinate."""
-    if all(type(x) is int for x in point.values()):
-        return 1, point
-    common = lcm(*[x.denominator for x in point.values()])
-    return common, {v: x.numerator * (common // x.denominator) for v, x in point.items()}
+def integer_point(values: dict):
+    """(L, a): L the lcm of the denominators of the rational values, and
+    a = L * values in integers, under the same keys.  The values are read as
+    Fractions, as Polynomial.evaluate reads a point's coordinates."""
+    values = {k: _fraction(x) for k, x in values.items()}
+    common = lcm(*[x.denominator for x in values.values()])
+    return common, {
+        k: x.numerator * (common // x.denominator) for k, x in values.items()
+    }
 
 
 def stochastic_complement(elim_var: str, generator_vars, box_var=None) -> Polynomial:
@@ -714,18 +714,12 @@ class RationalFunction:
         parts of num and den at point, s_k = (N_k - sum_{i>=1} D_i s_{k-i}) / D_0.
         D_0 is den's constant term: 1, as every factor is scaled to a constant
         term of 1 when it has one, or 0.  So integer coordinates give integers.
-
-        s_k is homogeneous of degree k, so with the point written a / L over
-        the lcm L of its coordinates' denominators (:func:`integer_point`),
-        s_k(point) = s_k(a) / L^k: the recurrence runs on the integers a and
-        each degree is divided once.  An integer point is read as given.
         """
         num, den = self._num_den()
         if den.constant_term() == 0:
             raise NonUnitDenominator(
                 "series requires a denominator with nonzero constant term"
             )
-        common, point = integer_point(point)
         d = den.degree_values(point, bound)
         s = []
         for k, value in enumerate(num.degree_values(point, bound)):
@@ -733,9 +727,7 @@ class RationalFunction:
                 if d[i]:
                     value -= d[i] * s[k - i]
             s.append(value)
-        if common == 1:
-            return s
-        return [Fraction(v, scale) for v, scale in zip(s, _powers(common, bound))]
+        return s
 
     def __str__(self):
         return f"({self.num})/({self.den})"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .algebra import Polynomial
+from .algebra import Polynomial, integer_point
 from .errors import NotIrreducible, NotStochastic
 from .expansions import RootedGraph, scc
 
@@ -71,8 +71,7 @@ class TransitionMatrix:
                 for m in p.terms:
                     if m not in values:
                         values[m] = Polynomial({m: 1}).evaluate(point)
-        common = lcm(*(v.denominator for v in values.values()))
-        scaled = {m: v.numerator * (common // v.denominator) for m, v in values.items()}
+        common, scaled = integer_point(values)
         return common, [
             [sum(c * scaled[m] for m, c in p.terms.items()) for p in row]
             for row in self.entries

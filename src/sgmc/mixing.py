@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .algebra import RationalFunction, evaluator, integer_point, point_str
 from .errors import NotLeftZero, ZeroDenominator
@@ -185,13 +184,12 @@ def _tv_rows(spec, point, tmax, start_state, tail) -> list:
     tm = transition_matrix(spec)
     common, matrix = tm.scaled(point)
     psi = stationary_oracle(tm, point)
-    big_p = lcm(*(x.denominator for x in psi.values()))
-    p = [psi[s].numerator * (big_p // psi[s].denominator) for s in spec.states]
-    v = [int(i == start_state) for i in range(len(p))]
+    big_p, p = integer_point(psi)
+    v = [int(i == start_state) for i in range(len(spec.states))]
     scale = 1  # L^t
     rows = []
     for t in range(tmax + 1):
-        gap = sum(abs(x * big_p - y * scale) for x, y in zip(v, p))
+        gap = sum(abs(x * big_p - p[s] * scale) for x, s in zip(v, spec.states))
         tv = Fraction(gap, 2 * big_p * scale)
         bound = tail[t + 1]  # Pr(tau > t) = Pr(tau >= t+1)
         rows.append(TvRow(t, tv, bound, tv <= bound))

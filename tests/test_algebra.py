@@ -580,10 +580,18 @@ CORPUS += sorted(str(p) for p in (Path(__file__).parent / "chains").glob("*.json
 
 
 def series_points(rnd, variables):
-    """A seeded rational point, the same point with one coordinate 0, all ones."""
+    """A seeded rational point, the same point with one coordinate 0, a point
+    of prime-power denominators with an unused coordinate, a point of
+    integer-valued Fractions, all ones."""
     point = {v: Fraction(rnd.randint(-5, 5), rnd.randint(1, 7)) for v in variables}
     zeroed = {**point, rnd.choice(variables): 0}
-    return [point, zeroed, dict.fromkeys(variables, 1)]
+    mixed = {
+        v: Fraction(rnd.randint(-9, 9), rnd.choice([2, 3, 5, 7, 11]) ** rnd.randint(1, 2))
+        for v in variables
+    }
+    mixed["unused"] = Fraction(1, 13)
+    whole = {v: Fraction(rnd.randint(-4, 4)) for v in variables}
+    return [point, zeroed, mixed, whole, dict.fromkeys(variables, 1)]
 
 
 def check_series_at(rf, num, den, rnd, bound, inverses):
@@ -617,55 +625,16 @@ class TestSeriesAtAgainstReference:
         )
         check_series_at(product, ref_mul(n1, n2), ref_mul(d1, d2), rnd, bound, {})
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_graded_scaling_at_rational_points(self, seed):
-        """series_at reads the series at a / L and divides degree k by L^k;
-        it must equal the reference at points whose coordinates have
-        different denominators, or are 0, or are integers, with Fraction
-        coefficients in num and den."""
-        rnd = random.Random(1000 + seed)
-        variables = rnd.sample(LABELS, 3)
-        num = ref_random(rnd, variables, max_terms=4, max_exp=2)
-        den = ref_random(rnd, variables, max_terms=3, max_exp=2)
-        den[()] = Fraction(rnd.choice([-3, -1, 1, 2]), rnd.randint(1, 4))
-        den = ref_clean(den)
-        rf = RationalFunction(from_ref(num), from_ref(den))
-        bound = rnd.randint(1, 9)
-        series = ref_series(num, den, bound, {})
-        primes = [2, 3, 5, 7, 11]
-        mixed = {
-            v: Fraction(rnd.randint(-9, 9), rnd.choice(primes) ** rnd.randint(1, 2))
-            for v in variables
-        }
-        points = [
-            mixed,
-            {**mixed, rnd.choice(variables): 0},
-            {**mixed, rnd.choice(variables): Fraction(0)},
-            # an unused coordinate only raises L
-            {**mixed, "unused": Fraction(1, 13)},
-            {v: Fraction(rnd.randint(-4, 4)) for v in variables},
-            dict.fromkeys(variables, 1),
-        ]
-        for point in points:
-            got = rf.series_at(point, bound)
-            assert got == ref_degree_values(series, point, bound), point
-            assert len(got) == bound
-
-    def test_integer_point_is_read_as_given(self):
+    def test_integer_point(self):
         ones = dict.fromkeys(["a", "b"], 1)
         assert algebra.integer_point(ones) == (1, ones)
-        assert algebra.integer_point(ones)[1] is ones
-        half = {"a": Fraction(1, 2), "b": Fraction(1, 3), "c": 2}
-        assert algebra.integer_point(half) == (6, {"a": 3, "b": 2, "c": 12})
-        # s = (a + 2b) + (b + ab) s: s_k = b s_{k-1} + ab s_{k-2} for k >= 2;
-        # integer coefficients at an integer point give ints, as before
-        a, b = RationalFunction.variable("a"), RationalFunction.variable("b")
-        rf = (a + 2 * b) / (1 - a * b - b)
-        values = rf.series_at(ones, 6)
-        assert values == [0, 3, 3, 6, 9, 15]
-        assert all(type(v) is int for v in values)
-        thirds = rf.series_at({"a": Fraction(1, 3), "b": Fraction(2, 3)}, 4)
-        assert thirds == [0, Fraction(5, 3), Fraction(10, 9), Fraction(10, 9)]
+        mixed = {"a": Fraction(1, 2), "b": Fraction(1, 3), "c": 2}
+        assert algebra.integer_point(mixed) == (6, {"a": 3, "b": 2, "c": 12})
+        # floats are read as Fractions, as Polynomial.evaluate reads them
+        floats = {"a": 0.5, "b": 0.25, "c": 2.0}
+        assert algebra.integer_point(floats) == (4, {"a": 2, "b": 1, "c": 8})
+        ints = algebra.integer_point(mixed)[1].values()
+        assert all(type(x) is int for x in ints)
 
     @pytest.mark.parametrize("path", CORPUS, ids=lambda p: Path(p).stem)
     def test_corpus_path_sums_and_masses(self, path):

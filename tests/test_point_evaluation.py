@@ -11,6 +11,7 @@ the package or the tests.
 import copy
 import glob
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -148,6 +149,47 @@ def test_reports_equal_the_terminal_references(path, left_zero_runs):
         assert tail_table(masses, point, TMAX + 1) == tail
         psis = [t.psi for t in result.terminals]
         assert tail_table(psis, point, TMAX + 1) == tail
+
+
+@pytest.mark.parametrize("path", _left_zero_chains())
+def test_tail_table_at_points_of_mixed_denominators(path, left_zero_runs):
+    """The tail reads the series at the integer point a = L * point and
+    divides the mass of length k by L^k; it must equal the reference at
+    points of prime-power denominators, with a zero or an unused coordinate,
+    and read a point of floats as the Fractions they equal."""
+    spec, result = left_zero_runs(path)
+    labels = spec.labels()
+    masses = list(result.per_element.values())
+    rnd = random.Random(31)
+    for _ in range(2):
+        point = {
+            lab: Fraction(rnd.randint(1, 9), rnd.choice([2, 3, 5, 7]) ** rnd.randint(1, 2))
+            for lab in labels
+        }
+        for p in (point, {**point, labels[0]: 0}, {**point, "unused": Fraction(1, 11)}):
+            total = outcome(lambda: sum(reference_evaluate(rf, p) for rf in masses))
+            if type(total) is tuple:  # a vanishing denominator
+                want = total
+            elif total:
+                want = reference_tail_table(masses, p, TMAX + 1)
+            else:
+                want = (ZeroDenominator, f"the functions sum to 0 at {point_str(p)}")
+            assert outcome(lambda: tail_table(masses, p, TMAX + 1)) == want, p
+    halves = [Fraction(1, 2 ** min(i + 1, len(labels) - 1)) for i in range(len(labels))]
+    exact = dict(zip(labels, halves))
+    floats = {lab: float(x) for lab, x in exact.items()}
+    assert tail_table(masses, floats, TMAX + 1) == tail_table(masses, exact, TMAX + 1)
+    got = mixing_report(spec, floats, EPSILON, TMAX, result=result)
+    want = mixing_report(spec, exact, EPSILON, TMAX, result=result)
+    assert (got.tail, got.expected_total, got.tmix_bound, got.tv_rows) == (
+        want.tail,
+        want.expected_total,
+        want.tmix_bound,
+        want.tv_rows,
+    )
+    assert [v for _, v in got.expected_by_element.values()] == [
+        v for _, v in want.expected_by_element.values()
+    ]
 
 
 def outcome(read):
