@@ -295,16 +295,6 @@ class Polynomial:
         shift = k * ((1 << offset) + 1)
         return k, Polynomial({m - shift: c for m, c in self.terms.items()})
 
-    def partial(self, var: str) -> "Polynomial":
-        offset = _offset(var)
-        unit = (1 << offset) + 1
-        out = {}
-        for m, c in self.terms.items():
-            e = (m >> offset) & _MASK
-            if e:
-                out[m - unit] = c * e
-        return Polynomial(out)
-
     def euler(self) -> "Polynomial":
         """sum_i x_i d/dx_i: each term times its total degree."""
         return Polynomial({m: c * (m & _MASK) for m, c in self.terms.items() if m})
@@ -664,30 +654,6 @@ class RationalFunction:
             )
         return RationalFunction._product(pieces)
 
-    def _derive(self, d) -> "RationalFunction":
-        """A derivation d of polynomials, extended by the product rule: the
-        sum over the pieces p^e of self * e * d(p) / p."""
-        terms = [RationalFunction._form(d(self.poly), self.factors)]
-        for f, e in self.factors.items():
-            dp = d(f.poly)
-            if dp.is_zero():
-                continue
-            factors = dict(self.factors)
-            if e == 1:
-                del factors[f]
-            else:
-                factors[f] = e - 1
-            terms.append(RationalFunction._form(self.poly * (dp * e), factors))
-        return RationalFunction.sum(terms)
-
-    def partial(self, var: str) -> "RationalFunction":
-        """d self / d var, by the product rule over the pieces."""
-        return self._derive(lambda p: p.partial(var))
-
-    def euler(self) -> "RationalFunction":
-        """sum_i x_i d self / d x_i, by the product rule over the pieces."""
-        return self._derive(Polynomial.euler)
-
     def star(self) -> "RationalFunction":
         """The geometric series 1/(1 - f): for f = P/Q this is Q * (Q - P)^-1.
 
@@ -738,7 +704,8 @@ class RationalFunction:
 
 def evaluator(point: dict):
     """value(rf): rf's value at point, rf.poly times each factor's value, and
-    value.euler(rf): the value of rf.euler() there, by the product rule.
+    value.euler(rf): the value there of D rf, D = sum_i x_i d/dx_i, by the
+    product rule.
     Each distinct factor, and its Euler derivative, is evaluated once for as
     long as value lives."""
     factor_value = cache(lambda f: f.poly.evaluate(point))

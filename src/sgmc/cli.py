@@ -326,7 +326,7 @@ def cmd_mixing(args) -> int:
     for t, value in enumerate(report.tail):
         lines.append(f"{t:<4d} {str(value)} ({float(value):.6f})")
     lines.append("")
-    for name, (rf, value) in report.expected_by_element.items():
+    for name, value in report.expected_by_element.items():
         if value is None:
             lines.append(f"E[tau | {name}] = undefined (mass 0)")
         else:

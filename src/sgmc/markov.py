@@ -5,9 +5,10 @@ A chain is specified by named states and labelled generators; generator ``a``
 moves state ``s`` to ``action_a[s]`` (left action) with probability ``x_a``.
 All computations are exact: the eigenvector solve eliminates in Python
 integers on the transition matrix scaled by the lcm of the point's
-denominators (:meth:`TransitionMatrix.scaled`, which the mixing TV rows
-also use), and makes a Fraction only for each state's mass; floating
-point appears only inside the random number generator.
+denominators (:meth:`TransitionMatrix.scaled`; the mixing TV rows scale
+once and solve a copy with :func:`scaled_stationary`), and makes a
+Fraction only for each state's mass; floating point appears only inside
+the random number generator.
 """
 
 from __future__ import annotations
@@ -124,19 +125,24 @@ def ergodicity(spec: MarkovChainSpec) -> dict:
 def stationary_oracle(tm: TransitionMatrix, point: dict) -> dict:
     """Exact eigenvector of eigenvalue one, by elimination on T - I in integers.
 
-    With L * T the integer matrix of :meth:`TransitionMatrix.scaled`,
-    L * (T - I) is an integer matrix too.  Gauss-Jordan runs on it without
-    fractions: each row is cross-multiplied by the pivot and divided by the
-    gcd of its entries, and Fractions are made only for the n results.
-
     Raises NotStochastic if columns do not sum to one at the point and
     NotIrreducible if the nullspace dimension differs from one.
     """
-    common, a = tm.scaled(point)
+    return scaled_stationary(tm.states, *tm.scaled(point))
+
+
+def scaled_stationary(states, common: int, a: list) -> dict:
+    """The stationary vector of T = a / common, for a as
+    :meth:`TransitionMatrix.scaled` returns it; the rows of a are rewritten.
+
+    a - common * I = common * (T - I) is integral.  Gauss-Jordan runs on it
+    without fractions: each row is cross-multiplied by the pivot and divided
+    by the gcd of its entries, and Fractions are made only for the n results.
+    """
     n = len(a)
     for j in range(n):
         if sum(a[i][j] for i in range(n)) != common:
-            raise NotStochastic(f"column {tm.states[j]!r} does not sum to 1")
+            raise NotStochastic(f"column {states[j]!r} does not sum to 1")
         a[j][j] -= common
     pivots = []
     row = 0
@@ -172,7 +178,7 @@ def stationary_oracle(tm: TransitionMatrix, point: dict) -> dict:
     total = sum(x)
     if total == 0:
         raise NotIrreducible("eigenvector has zero total mass")
-    return {tm.states[i]: Fraction(x[i], total) for i in range(n)}
+    return {states[i]: Fraction(x[i], total) for i in range(n)}
 
 
 def simulate(

@@ -7,8 +7,9 @@ divided by the full value, give the hitting probability before time t.
 The expected hitting time comes from the Euler operator
 D = sum(x_i d/dx_i): E[tau] is the sum over the elements of (D Psi)(point),
 read by the product rule from the values of Psi's pieces, and
-E[tau | element] is the log-derivative D Psi / Psi, one factor of Psi at a
-time.  The reports read the masses through one evaluator, each mass once.
+E[tau | element] is the log-derivative (D Psi)(point) / Psi(point).  The
+reports read the masses through one evaluator, each mass and its D once,
+and compute values only: no symbolic function is built for a report.
 
 The numbers are integers over one common denominator, with one Fraction
 per reported value: with the point written a / L in integers, the series
@@ -26,11 +27,7 @@ from fractions import Fraction
 
 from .algebra import RationalFunction, evaluator, integer_point, point_str
 from .errors import NotLeftZero, ZeroDenominator
-from .markov import (
-    MarkovChainSpec,
-    stationary_oracle,
-    transition_matrix,
-)
+from .markov import MarkovChainSpec, scaled_stationary, transition_matrix
 from .pipeline import StationaryResult, build_semigroup, stationary_left_zero
 from .semigroup import DEFAULT_MAX_ELEMENTS
 
@@ -88,7 +85,8 @@ def _tail(psis, point, tmax, total) -> list:
 
 def expected_tau(psi: RationalFunction) -> RationalFunction:
     """E[tau | element] = sum_i x_i (d Psi/d x_i) / Psi for the element's
-    mass Psi, as one rational function.
+    mass Psi, as one rational function.  The reports read only its value,
+    (D Psi)(point) / Psi(point), and do not build it.
 
     This is the sum over the pieces p^e of Psi of e * D(p) / p, where D
     multiplies each term of p by its total degree.
@@ -180,10 +178,13 @@ def _tv_rows(spec, point, tmax, start_state, tail) -> list:
     :meth:`~sgmc.markov.TransitionMatrix.scaled`) and Psi = p / P for an
     integer vector p, T^t nu = v_t / L^t with v_{t+1} = M v_t, so
     TV_t = sum_i |v_t[i] P - p_i L^t| / (2 P L^t), one Fraction per row.
+    Psi is solved from a copy of the same M (see
+    :func:`~sgmc.markov.scaled_stationary`), so T is scaled once.
     """
     tm = transition_matrix(spec)
     common, matrix = tm.scaled(point)
-    psi = stationary_oracle(tm, point)
+    # the solve rewrites the rows it is given; matrix stays for the powers
+    psi = scaled_stationary(tm.states, common, [row[:] for row in matrix])
     big_p, p = integer_point(psi)
     v = [int(i == start_state) for i in range(len(spec.states))]
     scale = 1  # L^t
@@ -201,7 +202,7 @@ def _tv_rows(spec, point, tmax, start_state, tail) -> list:
 @dataclass
 class MixingReport:
     tail: list                    # Pr(tau >= t), t = 0..tmax
-    expected_by_element: dict     # element -> (RationalFunction, value or None at mass 0)
+    expected_by_element: dict     # element -> E[tau | element] (Fraction), None at mass 0
     expected_total: Fraction
     epsilon: Fraction
     tmix_bound: int
@@ -220,9 +221,10 @@ def mixing_report(
     """Tail table, conditional and total E[tau], Markov bound and ASST rows
     at the point, which the report does not repeat.
 
-    epsilon, tmax and start_state are checked before any other work, and
-    each mass is evaluated once: its value gives the tail's total and the
-    guard on E[tau | element].
+    epsilon, tmax and start_state are checked before any other work.  Each
+    mass and its Euler derivative are evaluated once: the values give the
+    tail's total, E[tau | element] = (D Psi) / Psi where Psi is not 0, and
+    E[tau] = sum (D Psi).
     """
     epsilon = _check_epsilon(epsilon)
     _check_tmax(tmax)
@@ -231,12 +233,13 @@ def mixing_report(
     value = evaluator(point)
     masses = result.per_element
     values = {name: value(rf) for name, rf in masses.items()}
+    eulers = {name: value.euler(rf) for name, rf in masses.items()}
     tail = _tail(masses.values(), point, tmax + 1, sum(values.values(), Fraction(0)))
-    expected_by_element = {}
-    for name, rf in sorted(masses.items()):
-        e_rf = expected_tau(rf)
-        expected_by_element[name] = (e_rf, value(e_rf) if values[name] else None)
-    total = sum(map(value.euler, masses.values()), Fraction(0))
+    expected_by_element = {
+        name: eulers[name] / values[name] if values[name] else None
+        for name in sorted(masses)
+    }
+    total = sum(eulers.values(), Fraction(0))
     return MixingReport(
         tail=tail[: tmax + 1],
         expected_by_element=expected_by_element,

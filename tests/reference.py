@@ -1,0 +1,47 @@
+"""Symbolic derivatives that only the tests read.
+
+The library reads derivatives only as values at a point
+(``algebra.evaluator``'s ``euler``, by the product rule); these build them
+as rational functions, for the tests to compare against.
+"""
+
+from sgmc.algebra import _MASK, Polynomial, RationalFunction, _offset
+
+
+def poly_partial(p: Polynomial, var: str) -> Polynomial:
+    """d p / d var."""
+    offset = _offset(var)
+    unit = (1 << offset) + 1
+    out = {}
+    for m, c in p.terms.items():
+        e = (m >> offset) & _MASK
+        if e:
+            out[m - unit] = c * e
+    return Polynomial(out)
+
+
+def _derive(rf: RationalFunction, d) -> RationalFunction:
+    """A derivation d of polynomials, extended by the product rule: the
+    sum over the pieces p^e of rf of rf * e * d(p) / p."""
+    terms = [RationalFunction._form(d(rf.poly), rf.factors)]
+    for f, e in rf.factors.items():
+        dp = d(f.poly)
+        if dp.is_zero():
+            continue
+        factors = dict(rf.factors)
+        if e == 1:
+            del factors[f]
+        else:
+            factors[f] = e - 1
+        terms.append(RationalFunction._form(rf.poly * (dp * e), factors))
+    return RationalFunction.sum(terms)
+
+
+def partial(rf: RationalFunction, var: str) -> RationalFunction:
+    """d rf / d var, by the product rule over the pieces."""
+    return _derive(rf, lambda p: poly_partial(p, var))
+
+
+def euler(rf: RationalFunction) -> RationalFunction:
+    """sum_i x_i d rf / d x_i, by the product rule over the pieces."""
+    return _derive(rf, Polynomial.euler)

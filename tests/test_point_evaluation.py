@@ -2,10 +2,11 @@
 
 Every value at a point goes through ``algebra.evaluator``: each distinct
 factor is evaluated once per evaluator, and the mixing reports read the
-per-element masses, not the terminals.  The per-piece evaluation and the
-tail summed over the terminals' path sums are kept here as references, and
-the reports must equal them exactly on every left-zero chain shipped with
-the package or the tests.
+per-element masses, not the terminals.  The per-piece evaluation, the tail
+summed over the terminals' path sums, the symbolic E[tau | element] and the
+TV rows from Fraction powers of the transition matrix are kept here as
+references, and the reports must equal them exactly on every left-zero
+chain shipped with the package or the tests.
 """
 
 import copy
@@ -19,11 +20,13 @@ from fractions import Fraction
 
 import pytest
 
+from sgmc import mixing
 from sgmc.algebra import Polynomial, RationalFunction, evaluator, point_str
 from sgmc.cli import _check_tail_expectation, load_chain_file
 from sgmc.errors import ZeroDenominator
+from sgmc.markov import TransitionMatrix, stationary_oracle, transition_matrix
 from sgmc.mixing import (
-    _tv_rows,
+    TvRow,
     expected_tau,
     expected_total,
     markov_bound,
@@ -33,6 +36,7 @@ from sgmc.mixing import (
 )
 from sgmc.pipeline import build_semigroup, sample_simplex_points, stationary
 
+import reference
 from conftest import two_state_chain_spec
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -71,19 +75,43 @@ def reference_tail_table(psis, point, tmax):
     return tail
 
 
+def reference_tv_rows(spec, point, tail):
+    """TV rows from start state 0: T at point in Fractions, applied to nu
+    once per row, and half the l1 distance to the oracle's eigenvector."""
+    tm = transition_matrix(spec)
+    matrix = tm.evaluate(point)
+    psi = stationary_oracle(tm, point)
+    nu = [Fraction(int(i == 0)) for i in range(len(spec.states))]
+    rows = []
+    for t in range(TMAX + 1):
+        tv = sum(abs(x - psi[s]) for x, s in zip(nu, spec.states)) / 2
+        rows.append(TvRow(t, tv, tail[t + 1], tv <= tail[t + 1]))
+        nu = [sum(a * x for a, x in zip(row, nu)) for row in matrix]
+    return rows
+
+
+def reference_expected(result, point):
+    """E[tau | element] from the symbolic expected_tau, None at mass 0."""
+    return {
+        name: reference_evaluate(expected_tau(rf), point)
+        if reference_evaluate(rf, point)
+        else None
+        for name, rf in sorted(result.per_element.items())
+    }
+
+
 def reference_report(spec, result, point):
     """mixing_report's fields, read from the terminals, one piece at a time."""
     tail = reference_tail_table([t.psi for t in result.terminals], point, TMAX + 1)
-    expected = {}
-    for name, rf in sorted(result.per_element.items()):
-        e_rf = expected_tau(rf)
-        mass = reference_evaluate(rf, point)
-        expected[name] = (str(e_rf), reference_evaluate(e_rf, point) if mass else None)
+    expected = reference_expected(result, point)
     total = sum(
-        (reference_evaluate(rf.euler(), point) for rf in result.per_element.values()),
+        (
+            reference_evaluate(reference.euler(rf), point)
+            for rf in result.per_element.values()
+        ),
         Fraction(0),
     )
-    rows = _tv_rows(spec, point, TMAX, 0, tail)
+    rows = reference_tv_rows(spec, point, tail)
     return tail, expected, total, markov_bound(total, EPSILON), rows
 
 
@@ -136,11 +164,7 @@ def test_reports_equal_the_terminal_references(path, left_zero_runs):
         tail, expected, total, bound, rows = reference_report(spec, result, point)
         report = mixing_report(spec, point, EPSILON, TMAX, result=result)
         assert report.tail == tail[: TMAX + 1]
-        assert {
-            name: (str(e_rf), value)
-            for name, (e_rf, value) in report.expected_by_element.items()
-        } == expected
-        assert list(report.expected_by_element) == list(expected)
+        assert list(report.expected_by_element.items()) == list(expected.items())
         assert report.expected_total == total
         assert report.tmix_bound == bound
         assert report.tv_rows == rows
@@ -187,9 +211,48 @@ def test_tail_table_at_points_of_mixed_denominators(path, left_zero_runs):
         want.tmix_bound,
         want.tv_rows,
     )
-    assert [v for _, v in got.expected_by_element.values()] == [
-        v for _, v in want.expected_by_element.values()
-    ]
+    assert list(got.expected_by_element.items()) == list(
+        want.expected_by_element.items()
+    )
+
+
+@pytest.mark.parametrize("path", _left_zero_chains())
+def test_mixing_report_reads_values_and_scales_the_matrix_once(
+    path, left_zero_runs, monkeypatch
+):
+    """E[tau | element] is (D Psi)(point) / Psi(point): the report builds no
+    symbolic sum and no expected_tau, and scales T once for the TV rows and
+    the stationary vector they compare with."""
+    spec, result = left_zero_runs(path)
+    points = sample_simplex_points(spec.labels(), 2, seed=4711)
+    want = [reference_expected(result, point) for point in points]
+    for point, expected in zip(points, want):
+        value = evaluator(point)
+        for name, rf in result.per_element.items():
+            if expected[name] is not None:
+                assert expected[name] == value(expected_tau(rf))
+            else:
+                assert value(rf) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a symbolic function was built")
+
+    monkeypatch.setattr(RationalFunction, "sum", refuse)
+    monkeypatch.setattr(mixing, "expected_tau", refuse)
+    calls = []
+    scaled = TransitionMatrix.scaled
+
+    def counted(self, point):
+        calls.append(point)
+        return scaled(self, point)
+
+    monkeypatch.setattr(TransitionMatrix, "scaled", counted)
+    for point, expected in zip(points, want):
+        report = mixing_report(spec, point, EPSILON, TMAX, result=result)
+        assert list(report.expected_by_element.items()) == list(expected.items())
+        got = report.expected_by_element.values()
+        assert all(type(v) is Fraction for v in got if v is not None)
+    assert calls == points
 
 
 def outcome(read):
@@ -215,10 +278,12 @@ def test_expected_total_by_the_product_rule_equals_the_euler_sum(
         value = evaluator(point)
         for rf in masses:
             assert outcome(lambda: value.euler(rf)) == outcome(
-                lambda: evaluator(point)(rf.euler())
+                lambda: evaluator(point)(reference.euler(rf))
             )
         old = outcome(
-            lambda: sum((evaluator(point)(rf.euler()) for rf in masses), Fraction(0))
+            lambda: sum(
+                (evaluator(point)(reference.euler(rf)) for rf in masses), Fraction(0)
+            )
         )
         assert outcome(lambda: expected_total(masses, point)) == old
 
@@ -252,12 +317,12 @@ F = 1 - X - Y
 )
 def test_euler_value_and_its_errors_match_the_euler_sum(rf, point):
     value = evaluator(point)
-    old = outcome(lambda: evaluator(point)(rf.euler()))
+    old = outcome(lambda: evaluator(point)(reference.euler(rf)))
     assert outcome(lambda: value.euler(rf)) == old
     # a second read finds the first one's factor values
     assert outcome(lambda: value.euler(rf)) == old
     assert outcome(lambda: expected_total([rf, rf], point)) == outcome(
-        lambda: 2 * evaluator(point)(rf.euler())
+        lambda: 2 * evaluator(point)(reference.euler(rf))
     )
 
 
@@ -267,7 +332,7 @@ def test_a_vanishing_denominator_names_the_point():
     with pytest.raises(ZeroDenominator, match=message):
         expected_total([X / F], point)
     with pytest.raises(ZeroDenominator, match=message):
-        evaluator(point)((X / F).euler())
+        evaluator(point)(reference.euler(X / F))
 
 
 def test_mixing_reads_no_terminal(two_state_result):
