@@ -109,7 +109,6 @@ def load_chain_file(path: str) -> ChainFile:
     box_label = None
     seen = set()
     numeric_total = Fraction(0)
-    any_symbolic = False
     for k, entry in enumerate(gens_raw):
         where = f"generator #{k}"
         if not isinstance(entry, dict) or "label" not in entry:
@@ -127,7 +126,6 @@ def load_chain_file(path: str) -> ChainFile:
         prob_raw = entry.get("prob", "sym")
         if prob_raw == "sym":
             prob = None
-            any_symbolic = True
         else:
             prob = parse_rational(prob_raw, where)
             if not 0 <= prob <= 1:
@@ -168,7 +166,8 @@ def load_chain_file(path: str) -> ChainFile:
         raise ChainFileError(
             f"{path}: numeric probabilities sum to {numeric_total} > 1"
         )
-    if not any_symbolic and numeric_total != 1:
+    # the box generator is always "sym" and stays out of the dynamics
+    if all(g.prob is not None for g in generators) and numeric_total != 1:
         raise ChainFileError(
             f"{path}: numeric probabilities sum to {numeric_total}, expected 1"
         )

@@ -130,9 +130,6 @@ class Loop:
     expansion: Kleene = field(default=None, repr=False, compare=False)
     star: Kleene = field(default=None, repr=False, compare=False)
 
-    def size(self):
-        return len(self.labels)
-
 
 @dataclass
 class LoopGraph:

@@ -56,9 +56,6 @@ class TransitionMatrix:
     states: tuple
     entries: list  # rows of Polynomial; entry[i][j] = sum of x_a with a.j = i
 
-    def evaluate(self, point: dict) -> list:
-        return [[p.evaluate(point) for p in row] for row in self.entries]
-
     def scaled(self, point: dict):
         """(L, L * T at point as rows of integers), L the lcm of the
         denominators of the entries' monomials at point.

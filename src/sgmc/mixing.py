@@ -32,13 +32,6 @@ from .pipeline import StationaryResult, build_semigroup, stationary_left_zero
 from .semigroup import DEFAULT_MAX_ELEMENTS
 
 
-def hitting_tail(psi: RationalFunction, t: int, point: dict) -> Fraction:
-    """Pr(tau >= t) = 1 - Psi^{<t}(point) / Psi(point)."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    return tail_table([psi], point, t)[t]
-
-
 def tail_table(psis, point, tmax: int) -> list:
     """Pr(tau >= t) for t = 0..tmax, from path sums or from the masses they
     add up to: by linearity, both give the same table.

@@ -170,13 +170,6 @@ class FiniteSemigroup:
             return z
         return self._index[compose(self.transform[i], self.transform[j])]
 
-    def eval_word(self, word) -> int:
-        """Multiply out a word of generator labels, starting from the identity."""
-        eid = self.identity_id
-        for label in word:
-            eid = self.mul(eid, self.gens[label])
-        return eid
-
     def minimal_ideal(self) -> IdealInfo:
         """The unique minimal two-sided ideal K(S), with its left-zero flag.
 

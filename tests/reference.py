@@ -1,8 +1,12 @@
-"""Symbolic derivatives that only the tests read.
+"""Helpers that only the tests read.
 
 The library reads derivatives only as values at a point
-(``algebra.evaluator``'s ``euler``, by the product rule); these build them
-as rational functions, for the tests to compare against.
+(``algebra.evaluator``'s ``euler``, by the product rule); ``partial`` and
+``euler`` build them as rational functions, for the tests to compare
+against.  ``eval_word`` multiplies out a word in a semigroup, and
+``evaluate_matrix`` reads a transition matrix at a point in Fractions; the
+pipeline names elements by their KR vertex and the oracle eliminates in
+integers, so neither is needed outside the tests.
 """
 
 from sgmc.algebra import _MASK, Polynomial, RationalFunction, _offset
@@ -45,3 +49,17 @@ def partial(rf: RationalFunction, var: str) -> RationalFunction:
 def euler(rf: RationalFunction) -> RationalFunction:
     """sum_i x_i d rf / d x_i, by the product rule over the pieces."""
     return _derive(rf, Polynomial.euler)
+
+
+def eval_word(s, word) -> int:
+    """The element of a FiniteSemigroup named by a word of generator labels,
+    multiplied out from the identity."""
+    eid = s.identity_id
+    for label in word:
+        eid = s.mul(eid, s.gens[label])
+    return eid
+
+
+def evaluate_matrix(tm, point: dict) -> list:
+    """A TransitionMatrix's entries at point, as rows of Fractions."""
+    return [[p.evaluate(point) for p in row] for row in tm.entries]

@@ -41,6 +41,7 @@ from sgmc.pipeline import (
     verify_oracle,
 )
 
+import reference
 from conftest import d2_chain_spec, tree_word, two_state_chain_spec
 
 one = RationalFunction.const(1)
@@ -283,7 +284,7 @@ def test_criterion_08_tv_bound(two_state_result, random_verified_chains):
 
 def test_criterion_09_monte_carlo_sanity(random_verified_chains):
     def exact_step_distribution(spec, point, steps, start=0):
-        matrix = transition_matrix(spec).evaluate(point)
+        matrix = reference.evaluate_matrix(transition_matrix(spec), point)
         n = len(spec.states)
         nu = [Fraction(1) if i == start else Fraction(0) for i in range(n)]
         for _ in range(steps):

@@ -72,6 +72,28 @@ class TestChainFile:
         with pytest.raises(ChainFileError, match="sum"):
             load_chain_file(path)
 
+    @pytest.mark.parametrize("command", ["analyze", "mixing"])
+    def test_box_generator_keeps_the_probability_sum_check(
+        self, command, tmp_path, capsys
+    ):
+        # the box generator's required "sym" once counted as a symbolic
+        # probability: analyze exited 0 and mixing 2 on this chain
+        path = write(
+            tmp_path,
+            "short.json",
+            {
+                "states": ["x", "y"],
+                "generators": [
+                    {"label": "a", "action": [0, 0], "prob": "1/2"},
+                    {"label": "b", "action": [1, 1], "prob": "2/5"},
+                    {"label": "z", "action": "box", "prob": "sym"},
+                ],
+            },
+        )
+        assert run(command, path) == 1
+        assert "numeric probabilities sum to 9/10, expected 1" in capsys.readouterr().err
+        assert load_chain_file(bundled_path("d2box.json")).box_label == "□"
+
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{\n  \"states\": [,]\n}", encoding="utf-8")

@@ -20,9 +20,11 @@ from sgmc.markov import (
     transition_matrix,
 )
 
+import reference
+
 
 def reference_oracle(tm, point):
-    t = tm.evaluate(point)
+    t = reference.evaluate_matrix(tm, point)
     n = len(t)
     for j in range(n):
         if sum(t[i][j] for i in range(n)) != 1:

@@ -107,11 +107,11 @@ class TestPict:
         path = simple_path_edges(mc)[target]
         lg = pict(mc, path, verify_usp=False)
         at_a = lg.spine[1]
-        assert sorted(loop.size() for loop in at_a.loops) == [2, 2, 4, 4]
+        assert sorted(len(loop.labels) for loop in at_a.loops) == [2, 2, 4, 4]
         at_ab = lg.spine[2]
-        assert [loop.size() for loop in at_ab.loops] == [2]
+        assert [len(loop.labels) for loop in at_ab.loops] == [2]
         nested = at_ab.loops[0].inner[0]
-        assert [loop.size() for loop in nested.loops] == [2]
+        assert [len(loop.labels) for loop in nested.loops] == [2]
         assert not lg.spine[3].loops
         flat, end = flatten(lg)
         assert flat.n_vertices() == 24

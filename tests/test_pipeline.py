@@ -26,6 +26,7 @@ from sgmc.pipeline import (
 )
 from sgmc.semigroup import FiniteSemigroup
 
+import reference
 from conftest import d2_chain_spec, tree_word, two_state_chain_spec
 
 one = RationalFunction.const(1)
@@ -365,7 +366,7 @@ def test_terminal_elements_are_their_words_evaluated(path):
             word = tree_word(result.mc, t.vertex)
             if result.case != "left_zero":
                 word = word[:-1]
-            group = s.eval_word(word)
+            group = reference.eval_word(s, word)
             assert t.element == (group if group in ideal.members else None), t.name
 
 

@@ -79,7 +79,7 @@ def reference_tv_rows(spec, point, tail):
     """TV rows from start state 0: T at point in Fractions, applied to nu
     once per row, and half the l1 distance to the oracle's eigenvector."""
     tm = transition_matrix(spec)
-    matrix = tm.evaluate(point)
+    matrix = reference.evaluate_matrix(tm, point)
     psi = stationary_oracle(tm, point)
     nu = [Fraction(int(i == 0)) for i in range(len(spec.states))]
     rows = []

