@@ -361,16 +361,18 @@ def _word_labels(word: str, labels) -> tuple:
 
 
 def cmd_export(args) -> int:
+    kind = args.graph
+    if kind not in ("rcay", "kr", "mc") and not kind.startswith("loop:"):
+        raise ChainFileError(f"unknown --graph kind {kind!r}")
     chain = load_chain_file(args.input)
     caps = _caps(args, chain)
     s = build_semigroup(chain.spec, caps["max_elements"])
     if chain.box_label is not None:
         s = s.adjoin_zero(chain.box_label)
-    kind = args.graph
     if kind in ("rcay", "kr"):
         g = right_cayley(s) if kind == "rcay" else kr_expand(s, caps["max_kr"])
         text = render_dot(g, kind, blue_edges=transition_edges(g, scc(g)))
-    elif kind == "mc" or kind.startswith("loop:"):
+    else:
         ideal = s.minimal_ideal()
         sinks = ideal.members if ideal.is_left_zero else frozenset()
         kr, mc, tree, _ = _expand(s, sinks, caps["max_kr"], caps["max_mc"])
@@ -396,8 +398,6 @@ def cmd_export(args) -> int:
             flat, _end = flatten(lg)
             spine = set(range(len(lg.spine_labels)))
             text = render_dot(flat, "loop", blue_edges=spine)
-    else:
-        raise ChainFileError(f"unknown --graph kind {args.graph!r}")
     _write(text, args.out)
     return EXIT_OK
 

@@ -16,7 +16,11 @@ per (vertex, label) as the DFS makes it: forward to the extended word when it
 is still simple, otherwise back to the unique initial segment ending at the
 revisited vertex.  A stable sort by source gives the edge ids; a forward
 (tree) edge is one whose target is numbered after its source, and the
-simple-path table is read off those.
+simple-path table is read off those.  Its size is decided first: the
+subtree below an Mc vertex is fixed by the key (k, Q), its kr endpoint k and
+the on-path kr vertices Q in k's strongly connected component, since no other
+on-path vertex is reachable from k.  Counting the simple paths once per key
+decides the vertex cap before any Mc vertex is built.
 
 The one unique-simple-path (USP) check builds the loop table Pict reads,
 each vertex's cycles closed by edges off a spanning tree: Mc's own, or a
@@ -92,46 +96,59 @@ class SccDecomposition:
 
 
 def scc(g: RootedGraph) -> SccDecomposition:
-    """Kosaraju-Sharir: one DFS records the order vertices finish in; then,
-    latest finished first, each unplaced vertex's component is the unplaced
-    vertices that reach it.  Components are renumbered by smallest vertex id."""
+    """Tarjan, in one iterative DFS: each vertex gets a preorder number and
+    a low mark, the smallest number it reaches among vertices still open;
+    a vertex whose low mark is its own number closes its component, the
+    open vertices above it on a stack.  Components are renumbered by
+    smallest vertex id."""
     n = g.n_vertices()
-    seen = [False] * n
-    finished = []
+    targets = [[] for _ in range(n)]
+    for src, _, dst in g.edges:
+        targets[src].append(dst)
+    number = [0] * n      # preorder number from 1; 0 until visited
+    low = [0] * n
+    comp_of = [None] * n  # closed vertices only, numbered as they close
+    open_vertices = []
+    closed = 0
+    count = 0
     for start in range(n):
-        if seen[start]:
+        if number[start]:
             continue
-        seen[start] = True
-        stack = [(start, iter(g.out_edges(start)))]
+        count += 1
+        number[start] = low[start] = count
+        open_vertices.append(start)
+        stack = [(start, iter(targets[start]))]
         while stack:
             v, out = stack[-1]
-            for eid in out:
-                w = g.edges[eid][2]
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append((w, iter(g.out_edges(w))))
+            for w in out:
+                if not number[w]:
+                    count += 1
+                    number[w] = low[w] = count
+                    open_vertices.append(w)
+                    stack.append((w, iter(targets[w])))
                     break
+                if comp_of[w] is None and number[w] < low[v]:
+                    low[v] = number[w]
             else:
                 stack.pop()
-                finished.append(v)
-    comp_of = [None] * n
+                if stack and low[v] < low[stack[-1][0]]:
+                    low[stack[-1][0]] = low[v]
+                if low[v] == number[v]:
+                    while True:
+                        w = open_vertices.pop()
+                        comp_of[w] = closed
+                        if w == v:
+                            break
+                    closed += 1
+    renumbered = [None] * closed
     components = []
-    for v in reversed(finished):
-        if comp_of[v] is not None:
-            continue
-        comp_of[v] = len(components)
-        comp = [v]
-        for u in comp:  # grows as it goes
-            for eid in g.in_edges(u):
-                w = g.edges[eid][0]
-                if comp_of[w] is None:
-                    comp_of[w] = len(components)
-                    comp.append(w)
-        components.append(sorted(comp))
-    components.sort(key=itemgetter(0))
-    for cid, comp in enumerate(components):
-        for v in comp:
-            comp_of[v] = cid
+    for v in range(n):
+        cid = renumbered[comp_of[v]]
+        if cid is None:
+            cid = renumbered[comp_of[v]] = len(components)
+            components.append([])
+        comp_of[v] = cid
+        components[cid].append(v)
     return SccDecomposition(comp_of, components)
 
 
@@ -199,7 +216,9 @@ def mc_expand(kr: RootedGraph, max_vertices: int = DEFAULT_MAX_MC):
     alphabet order; each is named by its word and holds only its kr endpoint.
     Edges are numbered by source, then label.  kr must be label-deterministic,
     as every Karnofsky-Rhodes expansion is.  The graph carries its tree paths,
-    which ``simple_path_edges`` checks.
+    which ``simple_path_edges`` checks.  Over max_vertices vertices it raises
+    CapExceeded before building any: ``_count_simple_paths`` counts them per
+    (endpoint, on-path set of its component) key.
     """
     targets = [{} for _ in range(kr.n_vertices())]
     for src, label, dst in kr.edges:
@@ -210,6 +229,8 @@ def mc_expand(kr: RootedGraph, max_vertices: int = DEFAULT_MAX_MC):
         [(label, out[label]) for label in kr.alphabet if label in out]
         for out in targets
     ]
+
+    _count_simple_paths(kr, succ, max_vertices)
 
     names = [""]          # mc vertex -> its simple path's word; root renamed last
     endpoint = [kr.root]  # mc vertex -> kr vertex
@@ -227,8 +248,6 @@ def mc_expand(kr: RootedGraph, max_vertices: int = DEFAULT_MAX_MC):
             if back is not None:
                 edges.append((vid, label, back))
                 continue
-            if len(names) >= max_vertices:
-                raise CapExceeded(f"Mc expansion exceeds {max_vertices} vertices")
             nid = len(names)
             names.append(names[vid] + label)
             endpoint.append(target)
@@ -253,6 +272,56 @@ def mc_expand(kr: RootedGraph, max_vertices: int = DEFAULT_MAX_MC):
     graph = RootedGraph(payloads, names, edges, 0, kr.alphabet)
     graph._simple_paths = paths
     return graph, tree
+
+
+def _count_simple_paths(kr, succ, max_vertices):
+    """CapExceeded as soon as the simple paths from kr's root, which are
+    Mc's vertices, pass max_vertices in number.
+
+    The subtree below an Mc vertex is fixed by its kr endpoint k and the set
+    of on-path kr vertices in k's strongly connected component: every
+    on-path vertex reaches k, so one that k reaches again lies in k's
+    component, and no other one matters.  So
+    count(k, mask) = 1 + the counts of k's children is memoized, mask holding
+    a bit per on-path vertex of k's component.  A child in k's component adds
+    its bit (a set bit is a back edge); a child in another one starts afresh.
+    The running total, the stack's partial counts, only grows: by 1 per new
+    key and by a known count per memo hit, so the cap is decided before any
+    Mc vertex is built, in at most max_vertices memo entries.
+    """
+    parts = scc(kr)
+    comp = parts.component_of
+    bit = [0] * len(comp)
+    for members in parts.components:
+        for position, v in enumerate(members):
+            bit[v] = 1 << position
+    counted = [{} for _ in comp]  # kr vertex -> {mask: subtree size}
+    total = 1
+    # frames are [kr vertex, mask, targets left, partial count]
+    stack = [[kr.root, bit[kr.root], iter(succ[kr.root]), 1]]
+    while stack:
+        frame = stack[-1]
+        k, mask, pairs, _ = frame
+        for _, t in pairs:
+            if comp[t] != comp[k]:
+                key = bit[t]
+            elif mask & bit[t]:
+                continue
+            else:
+                key = mask | bit[t]
+            size = counted[t].get(key)
+            total += 1 if size is None else size
+            if total > max_vertices:
+                raise CapExceeded(f"Mc expansion exceeds {max_vertices} vertices")
+            if size is None:
+                stack.append([t, key, iter(succ[t]), 1])
+                break
+            frame[3] += size
+        else:
+            stack.pop()
+            counted[k][mask] = frame[3]
+            if stack:
+                stack[-1][3] += frame[3]
 
 
 def check_usp(g: RootedGraph, max_paths: int = DEFAULT_MAX_MC) -> bool:

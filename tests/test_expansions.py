@@ -619,6 +619,38 @@ def pruned_krs(s):
     return out
 
 
+def simple_path_count(kr):
+    """Simple paths from the root, one (endpoint, vertices on it) pair each,
+    extended an edge at a time until none can grow."""
+    count = 0
+    paths = [(kr.root, frozenset([kr.root]))]
+    while paths:
+        count += len(paths)
+        paths = [
+            (dst, on_path | {dst})
+            for v, on_path in paths
+            for _, _, dst in (kr.edges[eid] for eid in kr.out_edges(v))
+            if dst not in on_path
+        ]
+    return count
+
+
+def assert_cap_at_the_same_size(kr, want):
+    """mc_expand builds the reference's Mc under a cap of exactly its size,
+    which is the number of simple paths, and refuses one vertex fewer with
+    the reference's message."""
+    size = len(want[0])
+    assert simple_path_count(kr) == size
+    assert mc_lists(kr, size) == want
+    if size == 1:
+        return  # a root alone is built under any cap, as before
+    with pytest.raises(CapExceeded) as refused:
+        mc_expand(kr, size - 1)
+    with pytest.raises(CapExceeded) as expected:
+        reference_mc_expand(kr, size - 1)
+    assert str(refused.value) == str(expected.value)
+
+
 class TestMcExpandMatchesEarlierForm:
     @pytest.mark.parametrize("name", ["d2", "d2c", "d2box", "example210"])
     def test_bundled_chains(self, name):
@@ -643,6 +675,7 @@ class TestMcExpandMatchesEarlierForm:
                     for kr in pruned_krs(s):
                         want = reference_mc_expand(kr)
                         assert mc_lists(kr) == want
+                        assert_cap_at_the_same_size(kr, want)
                         vertices += len(want[0])
         assert vertices > 1000
 
@@ -671,6 +704,7 @@ class TestMcExpandMatchesEarlierForm:
             kr = RootedGraph(range(n), map(str, range(n)), edges, root, alphabet)
             want = reference_mc_expand(kr)
             assert mc_lists(kr) == want
+            assert_cap_at_the_same_size(kr, want)
             reached = {endpoint for _, endpoint in want[0]}
             seen["unreachable"] += len(reached) < n
             seen["root loop"] += any(e[0] == e[2] == root for e in edges)
@@ -687,3 +721,50 @@ class TestMcExpandMatchesEarlierForm:
             mc_expand(kr, size - 1)
         with pytest.raises(CapExceeded):
             reference_mc_expand(kr, size - 1)
+
+
+class TestCapDecidedBeforeMc:
+    # a 5-state chain whose Mc passes the default cap of 10**6 vertices; kept
+    # out of tests/chains, whose every file other tests analyze
+    ACTIONS = [[2, 0, 0, 2, 3], [2, 1, 4, 2, 3], [2, 2, 0, 1, 0]]
+    MESSAGE = f"Mc expansion exceeds {DEFAULT_MAX_MC} vertices"
+
+    def test_full_report_builds_no_mc(self):
+        import tracemalloc
+
+        from sgmc.markov import ChainGenerator, MarkovChainSpec
+        from sgmc.pipeline import full_report
+
+        spec = MarkovChainSpec(
+            tuple(map(str, range(5))),
+            tuple(
+                ChainGenerator("abc"[i], tuple(action), None)
+                for i, action in enumerate(self.ACTIONS)
+            ),
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match=self.MESSAGE):
+                full_report(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # building the million vertices first peaked at about 255 MiB
+        assert peak < 32 * 2**20
+
+    def test_command_line_exits_3(self, tmp_path, capsys):
+        import json
+
+        from sgmc.cli import main
+
+        path = tmp_path / "over-the-cap.json"
+        generators = [
+            {"label": "abc"[i], "action": action, "prob": "sym"}
+            for i, action in enumerate(self.ACTIONS)
+        ]
+        chain = {"states": list(map(str, range(5))), "generators": generators}
+        path.write_text(json.dumps(chain), encoding="utf-8")
+        assert main(["analyze", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {self.MESSAGE}\n"

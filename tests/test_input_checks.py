@@ -90,6 +90,12 @@ def case(name, payload, argv, message):
         ),
         case("eval-missing", SYMBOLIC, ["mixing", "--eval", "a=1"], "--eval missing generators: b"),
         case("unknown-graph", SYMBOLIC, ["export", "--graph", "foo"], "unknown --graph kind 'foo'"),
+        case(
+            "unknown-graph-before-build",
+            SYMBOLIC,
+            ["export", "--graph", "foo", "--max-elements", "2"],
+            "unknown --graph kind 'foo'",
+        ),
     ],
 )
 def test_command_line_refuses_bad_input(payload, argv, message, tmp_path, capsys):
