@@ -529,14 +529,17 @@ class RationalFunction:
         """The product of parts in one pass, left to right.
 
         The constants and monomials of single-term polys are multiplied as
-        numbers and keys, the factor exponents are added in one dict, and
-        a poly of several terms is multiplied in as a polynomial; the result
-        is made once, at the end.
+        numbers and keys, and a poly of several terms is multiplied in as a
+        polynomial.  The first part's factors are copied as one dict and
+        the later parts' exponents added to it, so a first part of many
+        factors, such as a path-sum prefix, costs no Python step per factor;
+        factors whose exponents cancel are dropped once, at the end, where
+        the result is made.
         """
         key, coeff = 0, 1
         poly = None  # the product of the polys of several terms
-        factors = {}
-        get = factors.get
+        factors = None
+        cancelled = False
         for p in parts:
             terms = p.poly.terms
             if len(terms) == 1:
@@ -547,12 +550,20 @@ class RationalFunction:
                 return cls.zero()
             else:
                 poly = p.poly if poly is None else poly * p.poly
+            if factors is None:
+                factors = dict(p.factors)
+                get = factors.get
+                continue
             for f, e in p.factors.items():
-                factors[f] = get(f, 0) + e
+                e += get(f, 0)
+                factors[f] = e
+                cancelled = cancelled or not e
         out = Polynomial({key: coeff})
         if poly is not None:
             out = out * poly
-        return cls._form(out, {f: e for f, e in factors.items() if e})
+        if cancelled:
+            factors = {f: e for f, e in factors.items() if e}
+        return cls._form(out, factors or {})
 
     @staticmethod
     def _coerce(other):

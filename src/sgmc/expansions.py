@@ -172,40 +172,36 @@ def right_cayley(s: FiniteSemigroup) -> RootedGraph:
 
 
 def kr_expand(s: FiniteSemigroup, max_vertices: int = DEFAULT_MAX_KR) -> RootedGraph:
-    """Karnofsky-Rhodes expansion as a BFS over (element, crossed-set) pairs."""
+    """Karnofsky-Rhodes expansion as a BFS over (element, crossed-set) pairs.
+
+    The BFS keys its vertices by plain (element id, frozenset) tuples, whose
+    hash and equality run in C, and makes one KrVertex per vertex at the end.
+    """
     rcay = right_cayley(s)
     trans = transition_edges(rcay, scc(rcay))
     n_labels = len(s.labels)
-    root = KrVertex(s.identity_id, frozenset())
+    root = (s.identity_id, frozenset())
     vertex_of = {root: 0}
-    payloads = [root]
+    states = [root]       # vertex id -> (element, crossed); the BFS queue
     names = [""]          # the root is renamed once every child has its name
     edges = []
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        vid = queue[head]
-        head += 1
-        state = payloads[vid]
+    for vid, (element, crossed) in enumerate(states):  # grows as it goes
         # by right_cayley's construction order, (v, a, va) is edge v|A| + i(a)
-        for i, label in enumerate(s.labels):
-            eid = state.element * n_labels + i
-            target_elem = rcay.edges[eid][2]
-            crossed = state.crossed | {eid} if eid in trans else state.crossed
-            nxt = KrVertex(target_elem, crossed)
+        for eid, label in enumerate(s.labels, element * n_labels):
+            nxt = (rcay.edges[eid][2], crossed | {eid} if eid in trans else crossed)
             nid = vertex_of.get(nxt)
             if nid is None:
-                if len(payloads) >= max_vertices:
+                nid = len(states)
+                if nid >= max_vertices:
                     raise CapExceeded(
                         f"KR expansion exceeds {max_vertices} vertices"
                     )
-                nid = len(payloads)
                 vertex_of[nxt] = nid
-                payloads.append(nxt)
+                states.append(nxt)
                 names.append(names[vid] + label)
-                queue.append(nid)
             edges.append((vid, label, nid))
     names[0] = IDENTITY_NAME
+    payloads = [KrVertex(element, crossed) for element, crossed in states]
     return RootedGraph(payloads, names, edges, 0, s.labels)
 
 

@@ -24,10 +24,10 @@ vertex's loops and copy count, and two folds read it.
 ``loop_stars`` builds S(v), a rational function, once per distinct loop
 system: McCammond graphs repeat most of theirs (pinned2's 359 vertices
 with loops have 24), and vertices whose cycles carry the same labels
-around the same inner stars share one S.  ``path_sum`` reads a path sum
-off the spine as S(root) x_e1 S(v1) ..., in
-the order ``kleene_to_rf`` multiplies the expanded tree, so no tree is
-needed for the rational functions.
+around the same inner stars share one S.  ``path_sums`` reads every
+vertex's path sum S(root) x_e1 S(v1) ... off one fold down the tree, each
+the product of its parent's with x_e S(v), in the form ``kleene_to_rf``
+gives the expanded tree, so no tree is needed for the rational functions.
 
 For the same reason loop graphs and expressions are DAGs owned by their
 graph.  ``pict`` checks its cap on the table's copy counts before anything
@@ -281,10 +281,32 @@ def loop_stars(g: RootedGraph) -> list:
     return stars
 
 
-def path_sum(g: RootedGraph, stars, path_edges) -> RationalFunction:
-    """The path sum at the end of a unique simple path, from ``loop_stars``:
-    the same form as ``kleene_to_rf`` of the path's expanded Pict tree."""
-    return _product(g, stars, stars[g.root], path_edges, None)
+def path_sums(g: RootedGraph, stars):
+    """(v, path sum at v) for every vertex v of a USP graph, in id order,
+    from ``loop_stars``: each has the form ``kleene_to_rf`` gives the
+    expanded Pict tree of v's unique simple path, S(root) x_e1 S(v1) ....
+
+    The ids must be a preorder of the graph's tree, as ``mc_expand``
+    numbers Mc, so that the vertices above v on its path are the stack's
+    entries when v is reached.  The path sum at v is then one product,
+    prefix(parent) x_e S(v), and the stack holds the prefixes of the
+    current tree path only.  The product copies the prefix's factors in
+    one step, so each vertex costs a step of work however deep it lies.
+    """
+    paths = simple_path_edges(g)
+    stack = []  # (vertex, path sum) down the current tree path
+    for v in range(g.n_vertices()):
+        path, star = paths[v], stars[v]
+        del stack[len(path):]
+        parts = () if star is None else (star,)
+        if path:
+            src, label, _ = g.edges[path[-1]]
+            if len(stack) != len(path) or stack[-1][0] != src:
+                raise ValueError(f"vertex ids are not a tree preorder at {g.names[v]}")
+            parts = (stack[-1][1], _variable(label), *parts)
+        entry = (v, RationalFunction.product(parts))
+        stack.append(entry)
+        yield entry
 
 
 @nesting_cap("flatten")

@@ -58,20 +58,23 @@ class TransitionMatrix:
 
     def scaled(self, point: dict):
         """(L, L * T at point as rows of integers), L the lcm of the
-        denominators of the entries' monomials at point.
+        denominators at point of the variables the entries use.
 
         The entries are sums of variables with integer coefficients, as
-        transition_matrix makes them, so L * T is an integer matrix.
+        transition_matrix makes them, so L * T is an integer matrix.  The
+        point is read once: each variable's coordinate is scaled, and the
+        key of its monomial is mapped to that integer.
         """
-        values = {}  # monomial key -> its value at point
-        for row in self.entries:
-            for p in row:
-                for m in p.terms:
-                    if m not in values:
-                        values[m] = Polynomial({m: 1}).evaluate(point)
-        common, scaled = integer_point(values)
+        keys = {m for row in self.entries for p in row for m in p.terms}
+        variable = {m: Polynomial({m: 1}).variables()[0] for m in keys}
+        try:
+            coords = {v: point[v] for v in variable.values()}
+        except KeyError as missing:
+            raise ValueError(f"point has no value for x_{missing.args[0]}") from None
+        common, scaled = integer_point(coords)
+        value = {m: scaled[v] for m, v in variable.items()}
         return common, [
-            [sum(c * scaled[m] for m, c in p.terms.items()) for p in row]
+            [sum(c * value[m] for m, c in p.terms.items()) for p in row]
             for row in self.entries
         ]
 

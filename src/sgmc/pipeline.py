@@ -18,11 +18,16 @@ path, where S(v) is the starred union of the loops a Pict copy of v carries;
 each S(v) is built once per run and per distinct loop system, and shared
 by every terminal (:func:`~sgmc.loopkleene.loop_stars`), from the loop
 table that the USP check (:func:`~sgmc.expansions.simple_path_edges`)
-builds on Mc's tree paths and that the Pict unfoldings read too.  A
-terminal's loop graph and Kleene expression, and the result's ``kleene``
-texts, are built only when read (by ``report_dict`` and verification), and
-Pict's vertex cap bounds only those trees.  They are DAGs shared by all
-terminals of the run, and the texts print each shared node once.
+builds on Mc's tree paths and that the Pict unfoldings read too.
+Terminals share their path prefixes, so the path sums come from one fold
+down Mc's tree in vertex order, a DFS preorder
+(:func:`~sgmc.loopkleene.path_sums`): each vertex's sum is its parent's
+times x_e S(v), one product per vertex, with only the current tree path's
+prefixes kept.  A terminal's loop graph and Kleene expression, and the
+result's ``kleene`` texts, are built only when read (by ``report_dict``
+and verification), and Pict's vertex cap bounds only those trees.  They
+are DAGs shared by all terminals of the run, and the texts print each
+shared node once.
 
 Path sums, per-element sums, box limits and the normalization check work on
 rational functions in factored form (:class:`~sgmc.algebra.RationalFunction`),
@@ -77,7 +82,7 @@ from .loopkleene import (
     flatten,
     kleene_texts,
     loop_stars,
-    path_sum,
+    path_sums,
     pict,
 )
 from .markov import MarkovChainSpec, stationary_oracle, transition_matrix
@@ -209,14 +214,13 @@ def _stationary(s, box_label, max_kr, max_mc) -> StationaryResult:
     groups = {name: [] for name in element_ids}
     residual_parts = []
     terminals = []
-    for vid in range(mc.n_vertices()):
+    for vid, psi in path_sums(mc, stars):
         group = _element_of(kr, mc, vid)
         if group not in sinks:
             continue
         if box_label is not None:
             group = _element_of(kr, mc, mc.edges[unique[vid][-1]][0])
         element = group if group in ideal.members else None
-        psi = path_sum(mc, stars, unique[vid])
         terminals.append(Terminal(mc.names[vid], vid, element, psi, mc))
         mass = psi
         if box_label is not None:
@@ -424,6 +428,11 @@ def full_report(
     max_kr: int = DEFAULT_MAX_KR,
     max_mc: int = DEFAULT_MAX_MC,
 ) -> FullReport:
+    """The stationary masses, checked for normalization and against the
+    eigenvector oracle at ``points`` seeded simplex points (at least 1).
+    """
+    if points < 1:
+        raise ValueError(f"points must be at least 1, got {points}")
     timings = {}
     tic = time.perf_counter()
     s = build_semigroup(spec, max_elements)

@@ -6,10 +6,13 @@ The library reads derivatives only as values at a point
 against.  ``eval_word`` multiplies out a word in a semigroup, and
 ``evaluate_matrix`` reads a transition matrix at a point in Fractions; the
 pipeline names elements by their KR vertex and the oracle eliminates in
-integers, so neither is needed outside the tests.
+integers, so neither is needed outside the tests.  ``path_sum`` builds one
+vertex's path sum from the root, part by part; the pipeline reads every
+path sum off one fold down the tree (``loopkleene.path_sums``).
 """
 
 from sgmc.algebra import _MASK, Polynomial, RationalFunction, _offset
+from sgmc.loopkleene import _product
 
 
 def poly_partial(p: Polynomial, var: str) -> Polynomial:
@@ -63,3 +66,9 @@ def eval_word(s, word) -> int:
 def evaluate_matrix(tm, point: dict) -> list:
     """A TransitionMatrix's entries at point, as rows of Fractions."""
     return [[p.evaluate(point) for p in row] for row in tm.entries]
+
+
+def path_sum(g, stars, path_edges) -> RationalFunction:
+    """The path sum at the end of a unique simple path, from ``loop_stars``:
+    S(root) x_e1 S(v1) ... multiplied in one product from the root."""
+    return _product(g, stars, stars[g.root], path_edges, None)

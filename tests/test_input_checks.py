@@ -12,6 +12,8 @@ import pytest
 from sgmc.cli import main
 from sgmc.errors import NotUsp
 from sgmc.expansions import RootedGraph, mc_expand
+from sgmc.markov import ChainGenerator, MarkovChainSpec
+from sgmc.pipeline import full_report
 from sgmc.semigroup import FiniteSemigroup
 
 GOOD = {"label": "a", "action": [0, 0], "prob": "1"}
@@ -119,6 +121,13 @@ def _ambiguous_mc():
     mc_expand(kr)
 
 
+def _two_state_spec():
+    return MarkovChainSpec(
+        ("x", "y"),
+        (ChainGenerator("a", (0, 0), None), ChainGenerator("b", (1, 1), None)),
+    )
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -154,6 +163,18 @@ def _ambiguous_mc():
         ),
         pytest.param(_adjoin_twice, ValueError, "zero already adjoined", id="zero-twice"),
         pytest.param(_ambiguous_mc, NotUsp, "label-deterministic", id="mc-not-deterministic"),
+        pytest.param(
+            lambda: full_report(_two_state_spec(), points=0),
+            ValueError,
+            "^points must be at least 1, got 0$",
+            id="no-oracle-points",
+        ),
+        pytest.param(
+            lambda: full_report(_two_state_spec(), points=-1),
+            ValueError,
+            "^points must be at least 1, got -1$",
+            id="negative-oracle-points",
+        ),
     ],
 )
 def test_library_refuses_bad_input(call, error, message):

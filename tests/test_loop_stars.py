@@ -2,7 +2,9 @@
 
 ``kleene_to_rf(algorithm2(algorithm1(pict(...))))`` is kept as the
 independent reference: the path sum read off S(root) x_e1 S(v1) ... must
-print the same numerator and denominator.  The pipeline builds a terminal's
+print the same numerator and denominator.  The fold down the tree
+(``path_sums``) must also print, at every vertex, as that product built
+from the root (``reference.path_sum``).  The pipeline builds a terminal's
 loop graph and expression only when they are read.
 """
 
@@ -16,10 +18,16 @@ from pathlib import Path
 
 import pytest
 
+import reference
 from sgmc import loopkleene, pipeline
 from sgmc.cli import bundled_path, load_chain_file, main
 from sgmc.errors import CapExceeded
-from sgmc.expansions import RootedGraph, simple_path_edges
+from sgmc.expansions import (
+    DEFAULT_MAX_KR,
+    DEFAULT_MAX_MC,
+    RootedGraph,
+    simple_path_edges,
+)
 from sgmc.loopkleene import (
     algorithm1,
     algorithm2,
@@ -27,17 +35,18 @@ from sgmc.loopkleene import (
     kleene_texts,
     kleene_to_rf,
     loop_stars,
-    path_sum,
+    path_sums,
     pict,
 )
 from sgmc.pipeline import (
+    _expand,
     build_semigroup,
     full_report,
     report_dict,
     stationary,
     verify_language_and_series,
 )
-from sgmc.semigroup import FiniteSemigroup
+from sgmc.semigroup import BOX_LABEL, FiniteSemigroup
 
 CHAINS = Path(__file__).with_name("chains")
 
@@ -125,10 +134,13 @@ def ladder_psi(depth, point):
     return product * a**depth
 
 
+def path_sum_at(g, stars, target):
+    return next(psi for v, psi in path_sums(g, stars) if v == target)
+
+
 def test_loop_stars_need_no_recursion():
     g = ladder(2000)
-    unique = simple_path_edges(g)
-    psi = path_sum(g, loop_stars(g), unique[2000])
+    psi = path_sum_at(g, loop_stars(g), 2000)
     point = {"a": Fraction(1, 3), "b": Fraction(1, 2)}
     assert psi.evaluate(point) == ladder_psi(2000, point)
 
@@ -137,11 +149,60 @@ def test_loop_stars_print_as_the_tree_when_deep():
     # loops nest 300 deep at the root; the trees to v_0, v_1 and v_2 hold
     # about 300 copies per spine vertex
     g = ladder(300)
-    unique = simple_path_edges(g)
     stars = loop_stars(g)
     for target in (0, 1, 2):
-        psi = path_sum(g, stars, unique[target])
+        psi = path_sum_at(g, stars, target)
         assert prints(psi) == prints(reference_psi(g, target)), target
+
+
+# -- the fold down the tree against the product from the root ---------------
+
+
+def assert_fold_prints_as_the_product(g):
+    stars = loop_stars(g)
+    unique = simple_path_edges(g)
+    seen = []
+    for v, psi in path_sums(g, stars):
+        want = reference.path_sum(g, stars, unique[v])
+        assert prints(psi) == prints(want), g.names[v]
+        seen.append(v)
+    assert seen == list(range(g.n_vertices()))
+
+
+def case_mcs(path):
+    """Mc of the chain in the left-zero case, when K(S) is left zero, and
+    in the general case, with a zero adjoined, as ``stationary`` builds
+    them."""
+    chain = load_chain_file(path)
+    s = build_semigroup(chain.spec)
+    ideal = s.minimal_ideal()
+    if ideal.is_left_zero:
+        yield _expand(s, ideal.members, DEFAULT_MAX_KR, DEFAULT_MAX_MC)[1]
+    zero = s.adjoin_zero(chain.box_label or BOX_LABEL)
+    yield _expand(zero, {zero.zero_id}, DEFAULT_MAX_KR, DEFAULT_MAX_MC)[1]
+
+
+ALL_CHAINS = [bundled_path(f"{name}.json") for name in BUNDLED] + sorted(
+    str(p) for p in CHAINS.glob("*.json")
+)
+
+
+@pytest.mark.parametrize("path", ALL_CHAINS, ids=lambda p: Path(p).stem)
+def test_fold_prints_as_the_product_from_the_root(path):
+    for mc in case_mcs(path):
+        assert_fold_prints_as_the_product(mc)
+
+
+def test_fold_prints_as_the_product_on_a_deep_ladder():
+    assert_fold_prints_as_the_product(ladder(300))
+
+
+def test_fold_needs_ids_in_tree_preorder():
+    # breadth-first ids: v3 hangs below v1 but comes after v2
+    edges = [(0, "a", 1), (0, "b", 2), (1, "a", 3)]
+    g = RootedGraph(range(4), ["r", "a", "b", "aa"], edges, 0, ["a", "b"])
+    with pytest.raises(ValueError, match="^vertex ids are not a tree preorder at aa$"):
+        list(path_sums(g, loop_stars(g)))
 
 
 def test_deep_trees_raise_cap_exceeded_naming_the_stage():
