@@ -25,7 +25,6 @@ from .errors import (
     ChainFileError,
     NotLeftZero,
     NotStochastic,
-    PathNotInGraph,
     SgmcError,
     UnknownVertexWord,
     VerificationFailed,
@@ -34,7 +33,6 @@ from .expansions import (
     DEFAULT_MAX_KR,
     DEFAULT_MAX_MC,
     kr_expand,
-    path_from_word,
     render_dot,
     right_cayley,
     scc,
@@ -56,7 +54,7 @@ from .pipeline import (
     sample_simplex_points,
     normalization_holds,
 )
-from .semigroup import BOX_LABEL, DEFAULT_MAX_ELEMENTS
+from .semigroup import BOX_LABEL, DEFAULT_MAX_ELEMENTS, IDENTITY_NAME
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -119,6 +117,10 @@ def load_chain_file(path: str) -> ChainFile:
             raise ChainFileError(
                 f"{path}: {where}: a label must be nonempty, hold no ',' or '=' "
                 "and have no surrounding whitespace"
+            )
+        if label == IDENTITY_NAME:
+            raise ChainFileError(
+                f"{path}: {where}: the label is reserved for the adjoined identity"
             )
         if label in seen:
             raise ChainFileError(f"{path}: duplicate label in {where}")
@@ -373,28 +375,23 @@ def cmd_export(args) -> int:
         g = right_cayley(s) if kind == "rcay" else kr_expand(s, caps["max_kr"])
         text = render_dot(g, kind, blue_edges=transition_edges(g, scc(g)))
     else:
-        ideal = s.minimal_ideal()
-        sinks = ideal.members if ideal.is_left_zero else frozenset()
-        kr, mc, tree, _ = _expand(s, sinks, caps["max_kr"], caps["max_mc"])
+        kr, mc, tree, _ = _expand(s, caps["max_kr"], caps["max_mc"])
         if kind == "mc":
             back = set(range(len(mc.edges))) - tree
             blue = transition_edges(mc, scc(mc))
             text = render_dot(mc, "mc", blue_edges=blue, red_dashed_edges=back)
         else:
             word = _word_labels(kind[5:], set(s.labels))
-            # Mc is label-deterministic; a walk through a back edge ends shallower
-            try:
-                path = path_from_word(mc, word)
-            except PathNotInGraph:
-                path = None
-            target = mc.edges[path[-1]][2] if path else mc.root
-            if path is None or len(simple_path_edges(mc)[target]) != len(word):
+            # a vertex is named by its word, as labels form a prefix code
+            name = "".join(word) or IDENTITY_NAME
+            if name not in mc.names:
                 raise UnknownVertexWord(f"no vertex {kind[5:]!r} in the expansion")
-            if _element_of(kr, mc, target) not in ideal.members:
+            target = mc.names.index(name)
+            if _element_of(kr, mc, target) not in s.minimal_ideal().members:
                 raise UnknownVertexWord(
-                    f"vertex {mc.names[target]!r} does not end in the minimal ideal"
+                    f"vertex {name!r} does not end in the minimal ideal"
                 )
-            lg = pict(mc, path, verify_usp=False)
+            lg = pict(mc, simple_path_edges(mc)[target], verify_usp=False)
             flat, _end = flatten(lg)
             spine = set(range(len(lg.spine_labels)))
             text = render_dot(flat, "loop", blue_edges=spine)

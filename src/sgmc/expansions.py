@@ -25,6 +25,10 @@ decides the vertex cap before any Mc vertex is built.
 The one unique-simple-path (USP) check builds the loop table Pict reads,
 each vertex's cycles closed by edges off a spanning tree: Mc's own, or a
 breadth-first tree of any other graph.
+
+A vertex's name, its labels joined (the root's ``IDENTITY_NAME``), is the
+one copy of its word: labels form a prefix code without that name, so a
+vertex is found by its name.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import CapExceeded, NotUsp, PathNotInGraph
+from .errors import CapExceeded, NotUsp
 from .semigroup import FiniteSemigroup, IDENTITY_NAME
 
 DEFAULT_MAX_KR = 10**5
@@ -404,21 +408,6 @@ def _loop_table(g: RootedGraph):
     if g._loop_table is None:
         simple_path_edges(g)
     return g._loop_table
-
-
-def path_from_word(g: RootedGraph, word) -> list:
-    """Edge ids of the path spelled by a word from the root (deterministic graphs)."""
-    out = []
-    v = g.root
-    for label in word:
-        eid = next(
-            (i for i in g.out_edges(v) if g.edges[i][1] == label), None
-        )
-        if eid is None:
-            raise PathNotInGraph(f"no {label!r}-edge out of {g.names[v]}")
-        out.append(eid)
-        v = g.edges[eid][2]
-    return out
 
 
 def _dot_string(text):

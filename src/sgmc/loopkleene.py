@@ -230,12 +230,12 @@ def _build_loop_vertices(g: RootedGraph, unique, spine_ids):
         vertices[v] = LoopVertex(g.names[v], loops, star)
 
 
-def _product(g, stars, first, edges, last) -> RationalFunction:
-    """first, x_e and S(dst e) for each edge, then last, without the Nones,
+def _product(g, stars, edges, last) -> RationalFunction:
+    """x_e and S(dst e) for each edge, then last, without the Nones,
     multiplied in one pass (``RationalFunction.product``); the form is that
     of ``kleene_to_rf``'s product of the concatenation, and 1 when nothing
     is left."""
-    parts = [first]
+    parts = []
     for eid in edges:
         _, label, dst = g.edges[eid]
         parts += [_variable(label), stars[dst]]
@@ -273,7 +273,7 @@ def loop_stars(g: RootedGraph) -> list:
         star = built.get(key)
         if star is None:
             products = [
-                _product(g, stars, None, body, _variable(closing))
+                _product(g, stars, body, _variable(closing))
                 for body, closing in cycles[v]
             ]
             star = built[key] = RationalFunction.sum(products).star()

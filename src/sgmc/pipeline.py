@@ -10,6 +10,8 @@ box vertices u-box, each contributes its rational function, the limit
 box -> 0 is taken under the stochastic constraint, and vertices whose prefix
 projects outside K(S) feed a residual mass that must vanish in the limit.
 The limit is taken per vertex (limits pass through the finite group sums).
+Both cases expand through ``_expand``, which reads the sinks off
+``minimal_ideal``: K(S) when it is left zero, {zero} once one is adjoined.
 An element's mass whose numerator and denominator intern to one factor is
 replaced by the constant it is.
 
@@ -135,20 +137,20 @@ class StationaryResult:
         return {t.name: text for t, text in zip(self.terminals, texts)}
 
 
-def _prune_ideal_sinks(kr, ideal_members):
-    """Drop the out-edges of KR vertices over ideal_members: a left-zero K(S),
-    as ``minimal_ideal`` decides, or the adjoined zero.  Each such edge is a
-    loop: for k in a left-zero K(S), k*a lies in K(S), so k*a = k*(k*a) = k,
-    and the zero absorbs.  So the Cayley edge k -a-> k*a crosses no
-    transition edge, and KR follows it back to the vertex it left."""
-    sinks = [v for v, p in enumerate(kr.payloads) if p.element in ideal_members]
-    return kr.without_out_edges(sinks)
+def _expand(s, max_kr, max_mc):
+    """KR(S) with its sinks' out-edges dropped, and its McCammond expansion.
 
-
-def _expand(s, ideal_members, max_kr, max_mc):
+    The sinks are the KR vertices over K(S) when ``minimal_ideal`` finds it
+    left zero, the adjoined zero's {zero} included, and none otherwise.
+    Each dropped edge is a loop: for k in a left-zero K(S), k*a lies in
+    K(S), so k*a = k*(k*a) = k, and the zero absorbs; so the Cayley edge
+    k -a-> k*a crosses no transition edge, and KR follows it back.
+    """
+    ideal = s.minimal_ideal()
+    members = ideal.members if ideal.is_left_zero else frozenset()
     kr = kr_expand(s, max_kr)
-    pruned = _prune_ideal_sinks(kr, ideal_members)
-    mc, tree = mc_expand(pruned, max_mc)
+    sinks = (v for v, p in enumerate(kr.payloads) if p.element in members)
+    mc, tree = mc_expand(kr.without_out_edges(sinks), max_mc)
     sizes = {
         "semigroup": s.size(),
         "kr_vertices": kr.n_vertices(),
@@ -203,11 +205,11 @@ def _stationary(s, box_label, max_kr, max_mc) -> StationaryResult:
     ideal = s.minimal_ideal()
     variables = list(s.labels)
     if box_label is None:
-        expanded, sinks, elim = s, ideal.members, None
+        expanded, elim = s, None
     else:
-        expanded = s.adjoin_zero(box_label)
-        sinks, elim = {expanded.zero_id}, max(s.labels)
-    kr, mc, _, sizes = _expand(expanded, sinks, max_kr, max_mc)
+        expanded, elim = s.adjoin_zero(box_label), max(s.labels)
+    sinks = expanded.minimal_ideal().members
+    kr, mc, _, sizes = _expand(expanded, max_kr, max_mc)
     unique = simple_path_edges(mc)
     stars = loop_stars(mc)
     element_ids = {s.name(k): k for k in sorted(ideal.members)}

@@ -36,8 +36,13 @@ def _require_prefix_code(labels):
     Words are named by concatenating their labels, so the names of distinct
     words differ only if no label is a prefix of another (a prefix code).
     In sorted order a label that is a prefix of some label is a prefix of
-    the next one.
+    the next one.  The identity's name is refused too: it names only the
+    empty word.
     """
+    if IDENTITY_NAME in labels:
+        raise ValueError(
+            f"label {IDENTITY_NAME!r} is reserved for the adjoined identity"
+        )
     ordered = sorted(labels)
     for shorter, longer in zip(ordered, ordered[1:]):
         if longer.startswith(shorter):
@@ -180,6 +185,10 @@ class FiniteSemigroup:
         K(S) and is idempotent, and image(e) is contained in image(s) with the
         same size r, so the two images are equal.  An idempotent fixes its
         image pointwise, hence e*s = s, and s lies in K(S).
+
+        K(S) is left zero exactly when, for one fixed e in K(S), x*e = x and
+        e*x = e for every x in K(S): 2|K| products, as then x*y = (x*e)*y =
+        x*(e*y) = x*e = x for all x, y in K(S).
         """
         if self._ideal is not None:
             return self._ideal
@@ -191,8 +200,9 @@ class FiniteSemigroup:
         rank = [len(set(images)) for images in self.transform[1:]]
         low = min(rank)
         members = frozenset(eid for eid, r in enumerate(rank, 1) if r == low)
+        e = min(members)
         left_zero = all(
-            self.mul(x, y) == x for x in members for y in members
+            self.mul(x, e) == x and self.mul(e, x) == e for x in members
         )
         self._ideal = IdealInfo(members, left_zero)
         return self._ideal

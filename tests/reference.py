@@ -71,4 +71,5 @@ def evaluate_matrix(tm, point: dict) -> list:
 def path_sum(g, stars, path_edges) -> RationalFunction:
     """The path sum at the end of a unique simple path, from ``loop_stars``:
     S(root) x_e1 S(v1) ... multiplied in one product from the root."""
-    return _product(g, stars, stars[g.root], path_edges, None)
+    parts = [stars[g.root], _product(g, stars, path_edges, None)]
+    return RationalFunction.product(p for p in parts if p is not None)

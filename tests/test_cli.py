@@ -429,9 +429,8 @@ class TestExportEscapes:
         from sgmc.pipeline import _expand, build_semigroup
 
         s = build_semigroup(load_chain_file(chain).spec)
-        ideal = s.minimal_ideal()
-        assert ideal.is_left_zero
-        _, mc, _, _ = _expand(s, ideal.members, DEFAULT_MAX_KR, DEFAULT_MAX_MC)
+        assert s.minimal_ideal().is_left_zero
+        _, mc, _, _ = _expand(s, DEFAULT_MAX_KR, DEFAULT_MAX_MC)
         for kind, g in (("rcay", right_cayley(s)), ("kr", kr_expand(s)), ("mc", mc)):
             want = g.names + [label for _, label, _ in g.edges]
             assert self._export(chain, tmp_path, kind) == want, kind

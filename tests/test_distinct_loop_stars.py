@@ -29,7 +29,7 @@ def reference_loop_stars(g):
     stars = [None] * g.n_vertices()
     for v in order:
         products = [
-            _product(g, stars, None, body, _variable(closing))
+            _product(g, stars, body, _variable(closing))
             for body, closing in cycles[v]
         ]
         if products:

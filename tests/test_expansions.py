@@ -11,7 +11,6 @@ from sgmc.expansions import (
     check_usp,
     kr_expand,
     mc_expand,
-    path_from_word,
     render_dot,
     right_cayley,
     scc,
@@ -385,7 +384,7 @@ class TestCheckUsp:
         # d2c's boxed Mc, copied with mc_expand's tree table kept on the copy,
         # and one back edge sent to a vertex off its source's tree path
         boxed = d2c_semigroup.adjoin_zero("□")
-        _, mc, tree, _ = _expand(boxed, {boxed.zero_id}, DEFAULT_MAX_KR, DEFAULT_MAX_MC)
+        _, mc, tree, _ = _expand(boxed, DEFAULT_MAX_KR, DEFAULT_MAX_MC)
         paths = mc._simple_paths
         eid = min(set(range(len(mc.edges))) - tree)
         src, label, _ = mc.edges[eid]
@@ -512,11 +511,6 @@ class TestProjectAndPaths:
     def test_two_state_word(self, two_state_semigroup):
         s = two_state_semigroup
         assert reference.eval_word(s, ("3", "2")) == s.gens["1"]
-
-    def test_path_from_word(self, two_state_semigroup):
-        g = right_cayley(two_state_semigroup)
-        edges = path_from_word(g, "332")
-        assert [g.edges[e][1] for e in edges] == ["3", "3", "2"]
 
 
 class TestDotExport:

@@ -14,7 +14,7 @@ from sgmc.errors import NotUsp
 from sgmc.expansions import RootedGraph, mc_expand
 from sgmc.markov import ChainGenerator, MarkovChainSpec
 from sgmc.pipeline import full_report
-from sgmc.semigroup import FiniteSemigroup
+from sgmc.semigroup import IDENTITY_NAME, FiniteSemigroup
 
 GOOD = {"label": "a", "action": [0, 0], "prob": "1"}
 BOX = {"label": "z", "action": "box", "prob": "sym"}
@@ -82,6 +82,18 @@ def case(name, payload, argv, message):
             "generator 'z': the box generator must have prob \"sym\"",
         ),
         case("only-a-box", chain(BOX), ["analyze"], "no generator carries an action table"),
+        case(
+            "identity-label",
+            chain(dict(GOOD, label=IDENTITY_NAME)),
+            ["analyze"],
+            f"generator {IDENTITY_NAME!r}: the label is reserved for the adjoined identity",
+        ),
+        case(
+            "identity-box-label",
+            chain(GOOD, dict(BOX, label=IDENTITY_NAME)),
+            ["export", "--graph", "mc"],
+            f"generator {IDENTITY_NAME!r}: the label is reserved for the adjoined identity",
+        ),
         case("options-list", chain(GOOD, options=[]), ["analyze"], "'options' must be an object"),
         case("eval-no-equals", SYMBOLIC, ["mixing", "--eval", "a"], "--eval entry 'a' is not"),
         case(
@@ -162,6 +174,18 @@ def _two_state_spec():
             id="duplicate-label",
         ),
         pytest.param(_adjoin_twice, ValueError, "zero already adjoined", id="zero-twice"),
+        pytest.param(
+            lambda: FiniteSemigroup.generate([("a", (0, 0)), (IDENTITY_NAME, (1, 1))]),
+            ValueError,
+            f"label {IDENTITY_NAME!r} is reserved for the adjoined identity",
+            id="identity-label",
+        ),
+        pytest.param(
+            lambda: FiniteSemigroup.generate([("a", (0, 0))]).adjoin_zero(IDENTITY_NAME),
+            ValueError,
+            f"label {IDENTITY_NAME!r} is reserved for the adjoined identity",
+            id="identity-zero-label",
+        ),
         pytest.param(_ambiguous_mc, NotUsp, "label-deterministic", id="mc-not-deterministic"),
         pytest.param(
             lambda: full_report(_two_state_spec(), points=0),

@@ -175,11 +175,10 @@ def case_mcs(path):
     them."""
     chain = load_chain_file(path)
     s = build_semigroup(chain.spec)
-    ideal = s.minimal_ideal()
-    if ideal.is_left_zero:
-        yield _expand(s, ideal.members, DEFAULT_MAX_KR, DEFAULT_MAX_MC)[1]
+    if s.minimal_ideal().is_left_zero:
+        yield _expand(s, DEFAULT_MAX_KR, DEFAULT_MAX_MC)[1]
     zero = s.adjoin_zero(chain.box_label or BOX_LABEL)
-    yield _expand(zero, {zero.zero_id}, DEFAULT_MAX_KR, DEFAULT_MAX_MC)[1]
+    yield _expand(zero, DEFAULT_MAX_KR, DEFAULT_MAX_MC)[1]
 
 
 ALL_CHAINS = [bundled_path(f"{name}.json") for name in BUNDLED] + sorted(

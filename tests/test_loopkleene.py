@@ -10,7 +10,12 @@ from sgmc.errors import (
     PathNotInGraph,
     StarOfUnit,
 )
-from sgmc.expansions import RootedGraph, kr_expand, mc_expand, simple_path_edges
+from sgmc.expansions import (
+    DEFAULT_MAX_KR,
+    DEFAULT_MAX_MC,
+    RootedGraph,
+    simple_path_edges,
+)
 from sgmc.loopkleene import (
     Concat,
     Epsilon,
@@ -29,7 +34,7 @@ from sgmc.loopkleene import (
     kleene_to_rf,
     pict,
 )
-from sgmc.pipeline import _prune_ideal_sinks
+from sgmc.pipeline import _expand
 
 
 def L(label):
@@ -49,10 +54,7 @@ def un(*parts):
 
 
 def pruned_mc(s):
-    kr = kr_expand(s)
-    pruned = _prune_ideal_sinks(kr, s.minimal_ideal().members)
-    mc, _ = mc_expand(pruned)
-    return mc
+    return _expand(s, DEFAULT_MAX_KR, DEFAULT_MAX_MC)[1]
 
 
 def vertex_by_name(g, name):

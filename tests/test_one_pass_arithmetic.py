@@ -141,7 +141,8 @@ def test_path_and_loop_products_match_chained_multiplication(path):
     for t in result.terminals:
         path = unique[t.vertex]
         for first in (stars[mc.root], several):
-            got = loopkleene._product(mc, stars, first, path, None)
+            parts = (first, loopkleene._product(mc, stars, path, None))
+            got = RationalFunction.product(p for p in parts if p is not None)
             ref = chained(product_parts(mc, stars, first, path, None))
             assert_same_form(got, ref)
             if first is stars[mc.root]:
@@ -149,7 +150,7 @@ def test_path_and_loop_products_match_chained_multiplication(path):
     for v in range(mc.n_vertices()):
         for body, closing in expansions._loops(mc, unique, v):
             last = RationalFunction.variable(closing)
-            got = loopkleene._product(mc, stars, None, body, last)
+            got = loopkleene._product(mc, stars, body, last)
             assert_same_form(got, chained(product_parts(mc, stars, None, body, last)))
 
 

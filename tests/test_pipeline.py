@@ -371,7 +371,7 @@ def test_terminal_elements_are_their_words_evaluated(path):
 
 
 def test_ideal_sink_edges_are_loops():
-    # _prune_ideal_sinks drops a KR vertex's out-edges over a left-zero K(S)
+    # _expand drops a KR vertex's out-edges over a left-zero K(S)
     # or over the adjoined zero unchecked: k*a = k there, so each is a loop
     semigroups = [build_semigroup(load_chain_file(p).spec) for p in ELEMENT_CHAINS]
     rnd = random.Random(2719)

@@ -147,6 +147,23 @@ class TestAdjoinZero:
             s.adjoin_zero("a")
 
 
+def random_semigroups():
+    """(generators, semigroup) for 40 seeded random transformation semigroups."""
+    rnd = random.Random(11)
+    for _ in range(40):
+        n = rnd.randint(2, 5)
+        gens = [
+            (label, tuple(rnd.randrange(n) for _ in range(n)))
+            for label in "abc"[: rnd.randint(1, 3)]
+        ]
+        yield gens, FiniteSemigroup.generate(gens)
+
+
+def left_zero_by_definition(s, members):
+    """x*y = x for all x, y in members: |K|^2 products."""
+    return all(s.mul(x, y) == x for x in members for y in members)
+
+
 class TestMinimalIdeal:
     def test_group_ideal_is_everything(self):
         s = FiniteSemigroup.generate(D2_GENS)
@@ -183,15 +200,33 @@ class TestMinimalIdeal:
         assert products <= (minimal & principal)
 
     def test_equals_smallest_principal_ideal_on_random_semigroups(self):
-        rnd = random.Random(11)
-        for _ in range(40):
-            n = rnd.randint(2, 5)
-            gens = [
-                (label, tuple(rnd.randrange(n) for _ in range(n)))
-                for label in "abc"[: rnd.randint(1, 3)]
-            ]
-            s = FiniteSemigroup.generate(gens)
+        for gens, s in random_semigroups():
             assert s.minimal_ideal().members == smallest_principal_ideal(s), gens
+
+    def test_left_zero_flag_is_its_definition_on_random_semigroups(self):
+        flags = []
+        for gens, s in random_semigroups():
+            info = s.minimal_ideal()
+            flags.append(info.is_left_zero)
+            assert info.is_left_zero == left_zero_by_definition(s, info.members), gens
+        assert 0 < sum(flags) < len(flags)
+
+    @pytest.mark.parametrize(
+        "gens, left_zero",
+        [
+            # K is a group and min(K) its identity: x*e = x for all x in K
+            pytest.param([("a", (0, 1, 2, 3)), ("b", (0, 2, 1, 3))], False, id="group"),
+            pytest.param([("a", (0, 1, 0)), ("b", (0, 1, 1))], False, id="right-zero-band"),
+            pytest.param([("a", (0, 0, 2, 2)), ("b", (1, 1, 3, 3))], True, id="rank-2-left-zero"),
+            pytest.param([("a", (0, 0, 0, 3)), ("b", (1, 1, 3, 3))], False, id="rectangular-2x2"),
+        ],
+    )
+    def test_left_zero_flag_on_hand_built_ideals(self, gens, left_zero):
+        s = FiniteSemigroup.generate(gens)
+        info = s.minimal_ideal()
+        assert len(info.members) > 1
+        assert left_zero_by_definition(s, info.members) == left_zero
+        assert info.is_left_zero == left_zero
 
     def test_left_zero_band(self):
         s = FiniteSemigroup.generate(LEFT_ZERO_BAND)

@@ -142,7 +142,7 @@ def mc_and_terminals(s, box_label="□"):
     else:
         expanded = s.adjoin_zero(box_label)
         sinks = {expanded.zero_id}
-    kr, mc, _, _ = _expand(expanded, sinks, DEFAULT_MAX_KR, DEFAULT_MAX_MC)
+    kr, mc, _, _ = _expand(expanded, DEFAULT_MAX_KR, DEFAULT_MAX_MC)
     terminals = [
         v
         for v in range(mc.n_vertices())
@@ -427,11 +427,11 @@ def assert_mc_paths_are_found_by_the_search(s, box_label) -> int:
     cases checked."""
     ideal = s.minimal_ideal()
     boxed = s.adjoin_zero(box_label)
-    cases = [(boxed, {boxed.zero_id})]
+    cases = [boxed]
     if ideal.is_left_zero:
-        cases.append((s, ideal.members))
-    for expanded, sinks in cases:
-        _, mc, tree, _ = _expand(expanded, sinks, DEFAULT_MAX_KR, DEFAULT_MAX_MC)
+        cases.append(s)
+    for expanded in cases:
+        _, mc, tree, _ = _expand(expanded, DEFAULT_MAX_KR, DEFAULT_MAX_MC)
         table = mc._simple_paths
         fresh = RootedGraph(mc.payloads, mc.names, mc.edges, mc.root, mc.alphabet)
         assert fresh._simple_paths is None

@@ -53,10 +53,8 @@ def _expanded(path):
     s = build_semigroup(chain.spec)
     if chain.box_label is not None:
         s = s.adjoin_zero(chain.box_label)
-    ideal = s.minimal_ideal()
-    sinks = ideal.members if ideal.is_left_zero else frozenset()
-    kr, mc, tree, _ = _expand(s, sinks, DEFAULT_MAX_KR, DEFAULT_MAX_MC)
-    return s, ideal, kr, mc, tree
+    kr, mc, tree, _ = _expand(s, DEFAULT_MAX_KR, DEFAULT_MAX_MC)
+    return s, s.minimal_ideal(), kr, mc, tree
 
 
 def scanned_export(expanded, word):
