@@ -51,10 +51,18 @@ left; one such walk serves all the targets of a graph.  ``kleene_enumerate``
 keeps an expression's words as one dict per length, enumerates each part of
 a concatenation only up to the length that the shortest words of the other
 parts leave, and each distinct subtree once, at the longest length asked of
-it, serving a shorter request by a slice.  Verification enumerates all the
-expressions of a result with one such memo (``_kleene_words``), since they
-share their stars.  A nullable star body raises StarOfUnit exactly where a
-word of length <= maxlen passes through the star.
+it, serving a shorter request by a slice.  A concatenation builds each
+joined word once: a side that holds ε once passes the other side's words
+through as copies, a side of one word multiplies no counts, and a Letter is
+joined to the part before it before the pair meets the product of the
+earlier parts, which is so rebuilt once per star and Letter and not once
+per part.  The parts are still enumerated left to right, and the cap
+checked on each product of parts 0..i before part i + 1 is enumerated, so
+CapExceeded and StarOfUnit are raised where they were.  Verification
+enumerates all the expressions of a result with one such memo
+(``_kleene_words``), since they share their stars.  A nullable star body
+raises StarOfUnit exactly where a word of length <= maxlen passes through
+the star.
 
 The public oracles return words as label tuples.  The walkers underneath
 take the word type from their caller, as the ``spell`` of a tuple of labels
@@ -565,7 +573,17 @@ def kleene_to_rf(expr: Kleene) -> RationalFunction:
 
 def _joined(a: dict, b: dict) -> dict:
     """u + v with count cu * cv for every u in a and v in b.  The words of a
-    are all of one length, so no two pairs give the same word."""
+    are all of one length, so no two pairs give the same word.  A side of
+    one word with count 1 multiplies no counts: the other side's counts are
+    the counts of the joined words."""
+    if len(b) == 1:
+        ((v, cv),) = b.items()
+        if cv == 1:
+            return {u + v: cu for u, cu in a.items()}
+    if len(a) == 1:
+        ((u, cu),) = a.items()
+        if cu == 1:
+            return {u + v: cv for v, cv in b.items()}
     b_items = b.items()
     return {u + v: cu * cv for u, cu in a.items() for v, cv in b_items}
 
@@ -580,26 +598,45 @@ def _add(bucket: dict, words: dict):
             bucket[word] = bucket.get(word, 0) + c
 
 
-def _put(out: list, n: int, words: dict):
-    """Add words, a dict no list holds yet, to bucket n of out: as the
-    bucket itself when that is empty."""
+def _put(out: list, n: int, words: dict, stored=False):
+    """Add words to bucket n of out: as the bucket itself when that is empty,
+    or a copy of it when it is stored (held by another list)."""
     if out[n]:
         _add(out[n], words)
     else:
-        out[n] = words
+        out[n] = dict(words) if stored else words
+
+
+def _is_unit(bucket: dict) -> bool:
+    """Whether a length-0 bucket is the empty word with count 1."""
+    return len(bucket) == 1 and 1 in bucket.values()
 
 
 def _concat(a: list, b: list, maxlen: int) -> list:
     """Length buckets of the words u + v, u from the buckets a and v from b,
-    pairing only nonempty buckets whose lengths fit inside maxlen."""
+    pairing only nonempty buckets whose lengths fit inside maxlen.
+
+    Where one side's length-0 bucket is the empty word with count 1 (a
+    star, or any part holding ε once), its pairs with the other side's
+    buckets are those buckets unchanged, passed as copies, so no word is
+    rebuilt as u + ε and no stored dict is changed.  When both sides
+    qualify, the pair of their length-0 buckets is taken once, so ε keeps
+    count 1 (a*·a* holds a twice and ε once)."""
     out = [{} for _ in range(maxlen + 1)]
+    unit_a = _is_unit(a[0])
+    unit_b = _is_unit(b[0])
     b = [(lb, words_b) for lb, words_b in enumerate(b) if words_b]
     for la, words_a in enumerate(a):
         if words_a:
             for lb, words_b in b:
                 if la + lb > maxlen:
                     break
-                _put(out, la + lb, _joined(words_a, words_b))
+                if lb == 0 and unit_b:
+                    _put(out, la, words_a, stored=True)
+                elif la == 0 and unit_a:
+                    _put(out, lb, words_b, stored=True)
+                else:
+                    _put(out, la + lb, _joined(words_a, words_b))
     return out
 
 
@@ -640,6 +677,18 @@ def _buckets(
     built that no word of the whole extends, and no star is met that no word
     of the whole passes through.  The cap counts the words kept.
 
+    The parts are enumerated left to right, and the cap is checked on the
+    product of parts 0..i before part i + 1 is enumerated, as when the
+    parts are joined one by one.  That order decides whether CapExceeded or
+    StarOfUnit is raised first, and building the product from the last part
+    back would not keep it.  A part followed by Letters is joined to them
+    before the group meets the product, so the long product of the earlier
+    parts is rebuilt once per group and not once per part (pict's spine
+    ``a S1 b S2 ... □`` as ``(a S1 b)(S2 c)...``).  A product so skipped is
+    checked in its place by the product with the Letter after it: joining a
+    Letter keeps the number of words, and a Letter's enumeration raises
+    nothing.
+
     memo maps the id of a node to its buckets at the longest length asked of
     it so far.  Buckets up to a length hold every word up to it, so a
     shorter request is served by a slice, and a longer one enumerates the
@@ -667,12 +716,18 @@ def _buckets(
         if slack < 0:
             out = [{} for _ in range(length + 1)]
         else:
-            out = None
-            for p, m in zip(node.parts, mins):
+            out = held = None  # held: the parts after out, while a Letter follows
+            for i, (p, m) in enumerate(zip(node.parts, mins)):
                 words = _buckets(p, slack + m, cap, memo, minlens, spell)
                 later -= m
-                out = words if out is None else _concat(out, words, length - later)
-                _counted(out, cap)
+                if held is not None:
+                    words = _concat(held, words, len(held) - 1 + m)
+                if i + 1 < len(node.parts) and isinstance(node.parts[i + 1], Letter):
+                    held = words
+                else:
+                    out = words if out is None else _concat(out, words, length - later)
+                    _counted(out, cap)
+                    held = None
     elif isinstance(node, Union):
         out = [{} for _ in range(length + 1)]
         for p in node.parts:
@@ -693,7 +748,9 @@ def _buckets(
             for k, words in body:
                 if k > n:
                     break
-                if out[n - k]:
+                if k == n:
+                    _put(out, n, words, stored=True)
+                elif out[n - k]:
                     _put(out, n, _joined(words, out[n - k]))
             _counted(out, cap)
     else:

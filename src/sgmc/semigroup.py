@@ -36,9 +36,15 @@ def _require_prefix_code(labels):
     Words are named by concatenating their labels, so the names of distinct
     words differ only if no label is a prefix of another (a prefix code).
     In sorted order a label that is a prefix of some label is a prefix of
-    the next one.  The identity's name is refused too: it names only the
-    empty word.
+    the next one.  The empty label is refused: it is a prefix of every
+    word, so no code holds it, and as the only label it would give
+    distinct elements one name.  The identity's name is refused too: it
+    names only the empty word.
     """
+    if "" in labels:
+        raise ValueError(
+            "the empty label is a prefix of every word; labels must form a prefix code"
+        )
     if IDENTITY_NAME in labels:
         raise ValueError(
             f"label {IDENTITY_NAME!r} is reserved for the adjoined identity"

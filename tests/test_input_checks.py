@@ -186,6 +186,18 @@ def _two_state_spec():
             f"label {IDENTITY_NAME!r} is reserved for the adjoined identity",
             id="identity-zero-label",
         ),
+        pytest.param(
+            lambda: FiniteSemigroup.generate([("", (1, 0))]),
+            ValueError,
+            "the empty label is a prefix of every word",
+            id="empty-label",
+        ),
+        pytest.param(
+            lambda: FiniteSemigroup.generate([("a", (0, 0))]).adjoin_zero(""),
+            ValueError,
+            "the empty label is a prefix of every word",
+            id="empty-zero-label",
+        ),
         pytest.param(_ambiguous_mc, NotUsp, "label-deterministic", id="mc-not-deterministic"),
         pytest.param(
             lambda: full_report(_two_state_spec(), points=0),
