@@ -287,7 +287,7 @@ def _count_simple_paths(kr, succ, max_vertices):
     its bit (a set bit is a back edge); a child in another one starts afresh.
     The running total, the stack's partial counts, only grows: by 1 per new
     key and by a known count per memo hit, so the cap is decided before any
-    Mc vertex is built, in at most max_vertices memo entries.
+    Mc vertex is built, in at most max_vertices memo keys.
     """
     parts = scc(kr)
     comp = parts.component_of

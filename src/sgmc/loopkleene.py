@@ -142,7 +142,7 @@ class Loop:
 @dataclass
 class LoopGraph:
     spine_labels: list
-    spine: list  # LoopVertex, len(spine_labels) + 1 entries
+    spine: list  # LoopVertex, len(spine_labels) + 1 of them
 
 
 # -- Pict ------------------------------------------------------------------
@@ -296,7 +296,7 @@ def path_sums(g: RootedGraph, stars):
 
     The ids must be a preorder of the graph's tree, as ``mc_expand``
     numbers Mc, so that the vertices above v on its path are the stack's
-    entries when v is reached.  The path sum at v is then one product,
+    items when v is reached.  The path sum at v is then one product,
     prefix(parent) x_e S(v), and the stack holds the prefixes of the
     current tree path only.  The product copies the prefix's factors in
     one step, so each vertex costs a step of work however deep it lies.

@@ -1,8 +1,10 @@
-"""Classical Markov-chain side: symbolic transition matrix, ergodicity,
-exact eigenvector solve (the oracle), Monte Carlo simulation, TV distance.
+"""Classical Markov-chain side: transition matrix, ergodicity, exact
+eigenvector solve (the oracle), Monte Carlo simulation, TV distance.
 
 A chain is specified by named states and labelled generators; generator ``a``
-moves state ``s`` to ``action_a[s]`` (left action) with probability ``x_a``.
+moves state ``s`` to ``action_a[s]`` (left action) with probability ``x_a``,
+so the transition matrix is T = sum_a x_a P_a, P_a the 0/1 matrix of a's
+action; it is held as the actions and read only at a point.
 All computations are exact: the eigenvector solve eliminates in Python
 integers on the transition matrix scaled by the lcm of the point's
 denominators (:meth:`TransitionMatrix.scaled`; the mixing TV rows scale
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .algebra import Polynomial, integer_point
+from .algebra import integer_point
 from .errors import NotIrreducible, NotStochastic
 from .expansions import RootedGraph, scc
 
@@ -53,41 +55,38 @@ class MarkovChainSpec:
 
 @dataclass
 class TransitionMatrix:
+    """T = sum over generators x of x_x P_x, where P_x is the 0/1 matrix of
+    x's action: P_x[i][j] = 1 exactly when action[j] = i."""
+
     states: tuple
-    entries: list  # rows of Polynomial; entry[i][j] = sum of x_a with a.j = i
+    actions: dict  # label -> action tuple, as in ChainGenerator.action
 
     def scaled(self, point: dict):
         """(L, L * T at point as rows of integers), L the lcm of the
-        denominators at point of the variables the entries use.
+        denominators at point of the generators' coordinates.
 
-        The entries are sums of variables with integer coefficients, as
-        transition_matrix makes them, so L * T is an integer matrix.  The
-        point is read once: each variable's coordinate is scaled, and the
-        key of its monomial is mapped to that integer.
+        Each coordinate is written a_x / L (algebra.integer_point), and a_x
+        is added into cell (action[j], j) for each generator x and state j.
         """
-        keys = {m for row in self.entries for p in row for m in p.terms}
-        variable = {m: Polynomial({m: 1}).variables()[0] for m in keys}
         try:
-            coords = {v: point[v] for v in variable.values()}
+            coords = {x: point[x] for x in self.actions}
         except KeyError as missing:
             raise ValueError(f"point has no value for x_{missing.args[0]}") from None
         common, scaled = integer_point(coords)
-        value = {m: scaled[v] for m, v in variable.items()}
-        return common, [
-            [sum(c * value[m] for m, c in p.terms.items()) for p in row]
-            for row in self.entries
-        ]
+        n = len(self.states)
+        a = [[0] * n for _ in range(n)]
+        for x, action in self.actions.items():
+            for j, i in enumerate(action):
+                a[i][j] += scaled[x]
+        return common, a
 
 
 def transition_matrix(spec: MarkovChainSpec) -> TransitionMatrix:
-    n = len(spec.states)
-    entries = [[Polynomial.zero() for _ in range(n)] for _ in range(n)]
-    for gen in spec.generators:
-        x = Polynomial.variable(gen.label)
-        for j in range(n):
-            i = gen.action[j]
-            entries[i][j] = entries[i][j] + x
-    return TransitionMatrix(tuple(spec.states), entries)
+    """The chain's transition matrix, held as its generators' actions."""
+    actions = {g.label: g.action for g in spec.generators}
+    if len(actions) < len(spec.generators):
+        raise ValueError("generator labels must be distinct")
+    return TransitionMatrix(tuple(spec.states), actions)
 
 
 def ergodicity(spec: MarkovChainSpec) -> dict:
@@ -119,7 +118,7 @@ def ergodicity(spec: MarkovChainSpec) -> dict:
             for v in succ[u]:
                 if comp[v] == comp[start]:
                     period = gcd(period, depth[u] + 1 - depth[v])
-    return {"irreducible": len(components.components) == 1, "period": abs(period)}
+    return {"irreducible": len(components.components) == 1, "period": period}
 
 
 def stationary_oracle(tm: TransitionMatrix, point: dict) -> dict:
@@ -135,9 +134,10 @@ def scaled_stationary(states, common: int, a: list) -> dict:
     """The stationary vector of T = a / common, for a as
     :meth:`TransitionMatrix.scaled` returns it; the rows of a are rewritten.
 
-    a - common * I = common * (T - I) is integral.  Gauss-Jordan runs on it
-    without fractions: each row is cross-multiplied by the pivot and divided
-    by the gcd of its entries, and Fractions are made only for the n results.
+    a - common * I = common * (T - I) is integral, and its columns sum to 0,
+    so it has at most n - 1 pivots.  Gauss-Jordan runs on it without
+    fractions: each row is cross-multiplied by the pivot and divided by the
+    gcd of its coefficients, and Fractions are made only for the n results.
     """
     n = len(a)
     for j in range(n):
@@ -161,8 +161,6 @@ def scaled_stationary(states, common: int, a: list) -> dict:
                 a[r] = [x // g for x in new] if g > 1 else new
         pivots.append(col)
         row += 1
-        if row == n:
-            break
     if len(pivots) != n - 1:
         raise NotIrreducible(
             f"nullspace of T - I has dimension {n - len(pivots)}, expected 1"

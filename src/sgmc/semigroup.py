@@ -80,7 +80,6 @@ class FiniteSemigroup:
         self.words = [()]         # element id -> first witness word
         self.identity_id = 0
         self.zero_id = None
-        self.zero_label = None
         self._index = {}          # Transformation -> element id
         self._ideal = None
 
@@ -151,7 +150,6 @@ class FiniteSemigroup:
         s.words = list(self.words) + [(label,)]
         s._index = dict(self._index)
         s.zero_id = len(self.transform)
-        s.zero_label = label
         s.gens = dict(self.gens)
         s.gens[label] = s.zero_id
         return s

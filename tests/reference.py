@@ -11,6 +11,8 @@ vertex's path sum from the root, part by part; the pipeline reads every
 path sum off one fold down the tree (``loopkleene.path_sums``).
 """
 
+from fractions import Fraction
+
 from sgmc.algebra import _MASK, Polynomial, RationalFunction, _offset
 from sgmc.loopkleene import _product
 
@@ -64,8 +66,15 @@ def eval_word(s, word) -> int:
 
 
 def evaluate_matrix(tm, point: dict) -> list:
-    """A TransitionMatrix's entries at point, as rows of Fractions."""
-    return [[p.evaluate(point) for p in row] for row in tm.entries]
+    """T = sum over generators x of x_x P_x at point, as rows of Fractions,
+    rebuilt from a TransitionMatrix's actions: P_x[i][j] = 1 when
+    action[j] = i."""
+    n = len(tm.states)
+    t = [[Fraction(0)] * n for _ in range(n)]
+    for x, action in tm.actions.items():
+        for j, i in enumerate(action):
+            t[i][j] += Fraction(point[x])
+    return t
 
 
 def path_sum(g, stars, path_edges) -> RationalFunction:

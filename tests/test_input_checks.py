@@ -6,13 +6,21 @@ on stdout; the library cases raise before any work.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from sgmc.algebra import Polynomial, RationalFunction
 from sgmc.cli import main
-from sgmc.errors import NotUsp
+from sgmc.errors import DivisionByZero, NotIrreducible, NotUsp
 from sgmc.expansions import RootedGraph, mc_expand
-from sgmc.markov import ChainGenerator, MarkovChainSpec
+from sgmc.markov import (
+    ChainGenerator,
+    MarkovChainSpec,
+    stationary_oracle,
+    transition_matrix,
+)
+from sgmc.mixing import markov_bound
 from sgmc.pipeline import full_report
 from sgmc.semigroup import IDENTITY_NAME, FiniteSemigroup
 
@@ -133,6 +141,13 @@ def _ambiguous_mc():
     mc_expand(kr)
 
 
+def _jordan_spec():
+    return MarkovChainSpec(
+        ("x", "y"),
+        (ChainGenerator("b", (1, 0), None), ChainGenerator("c", (0, 0), None)),
+    )
+
+
 def _two_state_spec():
     return MarkovChainSpec(
         ("x", "y"),
@@ -210,6 +225,47 @@ def _two_state_spec():
             ValueError,
             "^points must be at least 1, got -1$",
             id="negative-oracle-points",
+        ),
+        pytest.param(
+            lambda: RationalFunction.power(Polynomial.zero(), -1),
+            DivisionByZero,
+            "^negative power of the zero polynomial$",
+            id="zero-to-negative-power",
+        ),
+        pytest.param(
+            lambda: markov_bound(-1, Fraction(1, 4)),
+            ValueError,
+            "^expected hitting time must be nonnegative$",
+            id="negative-expected-time",
+        ),
+        pytest.param(
+            lambda: _two_state_spec().numeric_point(),
+            ValueError,
+            "^chain has symbolic probabilities; pass a point$",
+            id="numeric-point-of-symbolic-chain",
+        ),
+        pytest.param(
+            lambda: FiniteSemigroup().minimal_ideal(),
+            ValueError,
+            "^semigroup has no elements besides the identity$",
+            id="ideal-of-identity-only",
+        ),
+        pytest.param(
+            lambda: transition_matrix(
+                MarkovChainSpec(("x", "y"), (ChainGenerator("a", (0, 0), None),) * 2)
+            ),
+            ValueError,
+            "^generator labels must be distinct$",
+            id="matrix-duplicate-label",
+        ),
+        pytest.param(
+            # T = [[2, 1], [-1, 0]] at b = -1, c = 2: a Jordan block at 1
+            lambda: stationary_oracle(
+                transition_matrix(_jordan_spec()), {"b": Fraction(-1), "c": Fraction(2)}
+            ),
+            NotIrreducible,
+            "^eigenvector has zero total mass$",
+            id="oracle-zero-mass",
         ),
     ],
 )

@@ -1,10 +1,14 @@
+import json
 import random
+import tempfile
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
 from sgmc.algebra import Polynomial
+from sgmc.cli import bundled_path, load_chain_file
 from sgmc.errors import NotIrreducible, NotStochastic
 from sgmc.markov import (
     ChainGenerator,
@@ -55,6 +59,66 @@ def ergodicity_by_matrix_powers(spec):
     return {"irreducible": all(all(row) for row in reach), "period": period}
 
 
+def seeded_points(rnd, labels, count=4):
+    """Stochastic points with mixed denominators, a zero coordinate when
+    there are two labels or more, and an extra key that no generator reads
+    (its prime denominator would show in L if it were read)."""
+    points = []
+    for _ in range(count):
+        coords = [
+            Fraction(rnd.randint(0, 2), rnd.choice((2, 3, 5, 8, 12)) * len(labels))
+            for _ in labels
+        ]
+        if len(labels) > 1:
+            coords[rnd.randrange(1, len(labels))] = Fraction(0)
+        coords[0] = 1 - sum(coords[1:])
+        point = dict(zip(labels, coords))
+        point["unused"] = Fraction(1, 7919)
+        points.append(point)
+    return points
+
+
+def denominators_lcm(point, labels) -> int:
+    return lcm(*(Fraction(point[x]).denominator for x in labels))
+
+
+def assert_scaled_is(tm, expected, labels, seed):
+    """scaled(point) is (L, L * expected at point) in integers, for the
+    symbolic matrix expected, at seeded points."""
+    for point in seeded_points(random.Random(seed), labels):
+        common, rows = tm.scaled(point)
+        assert common == denominators_lcm(point, labels)
+        assert all(type(v) is int for row in rows for v in row)
+        assert rows == [[common * p.evaluate(point) for p in row] for row in expected]
+
+
+def chain_specs():
+    """Every bundled and test chain file, and every corpus chain."""
+    files = sorted(Path(bundled_path("")).glob("*.json"))
+    files += sorted((Path(__file__).parent / "chains").glob("*.json"))
+    specs = [load_chain_file(str(f)).spec for f in files]
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "chain.json"
+        corpus = Path(__file__).with_name("analyze_corpus.json")
+        for entry in json.loads(corpus.read_text(encoding="utf-8")):
+            path.write_text(json.dumps(entry["chain"], ensure_ascii=False), encoding="utf-8")
+            specs.append(load_chain_file(str(path)).spec)
+    return specs
+
+
+def random_specs(count=200):
+    rnd = random.Random(38)
+    specs = []
+    for _ in range(count):
+        n = rnd.randint(1, 6)
+        gens = tuple(
+            ChainGenerator(label, random_action(rnd, n), None)
+            for label in ("a", "b", "c", "d")[: rnd.randint(1, 4)]
+        )
+        specs.append(MarkovChainSpec(tuple(str(i) for i in range(n)), gens))
+    return specs
+
+
 class TestTransitionMatrix:
     def test_group_chain_matrix(self):
         tm = transition_matrix(d2_chain_spec())
@@ -65,32 +129,51 @@ class TestTransitionMatrix:
             [x("b"), zero, zero, x("a")],
             [zero, x("b"), x("a"), zero],
         ]
-        assert tm.entries == expected
+        assert_scaled_is(tm, expected, ["a", "b"], 1)
 
     def test_two_state_matrix(self):
         tm = transition_matrix(two_state_chain_spec())
-        assert tm.entries == [
+        expected = [
             [x("1"), x("1") + x("3")],
             [x("2") + x("3"), x("2")],
         ]
+        assert_scaled_is(tm, expected, ["1", "2", "3"], 2)
 
     def test_one_state(self):
         spec = MarkovChainSpec(("s",), (ChainGenerator("a", (0,), Fraction(1)),))
         tm = transition_matrix(spec)
-        assert tm.entries == [[x("a")]]
+        assert_scaled_is(tm, [[x("a")]], ["a"], 3)
+        assert tm.scaled({"a": Fraction(2, 3)}) == (3, [[2]])
 
     def test_column_sums_are_total_probability(self):
-        for spec in (d2_chain_spec(True), two_state_chain_spec()):
+        for seed, spec in enumerate((d2_chain_spec(True), two_state_chain_spec())):
             tm = transition_matrix(spec)
-            total = Polynomial.zero()
-            for g in spec.generators:
-                total = total + x(g.label)
-            n = len(spec.states)
-            for j in range(n):
-                col = Polynomial.zero()
-                for i in range(n):
-                    col = col + tm.entries[i][j]
-                assert col == total
+            for point in seeded_points(random.Random(seed), spec.labels()):
+                common, rows = tm.scaled(point)
+                for j in range(len(spec.states)):
+                    assert sum(row[j] for row in rows) == common
+
+    def test_point_missing_a_label(self):
+        tm = transition_matrix(two_state_chain_spec())
+        point = {"1": Fraction(1, 2), "3": Fraction(1, 2)}
+        with pytest.raises(ValueError, match="^point has no value for x_2$"):
+            tm.scaled(point)
+
+    def test_scaled_is_the_actions_at_every_chain(self):
+        """On every chain file, the corpus and 200 seeded random chains,
+        scaled(point) is L times T built in Fractions from the actions."""
+        specs = chain_specs() + random_specs()
+        assert len(specs) > 240
+        for k, spec in enumerate(specs):
+            tm = transition_matrix(spec)
+            labels = spec.labels()
+            for point in seeded_points(random.Random(k), labels, count=2):
+                common = denominators_lcm(point, labels)
+                t = reference.evaluate_matrix(tm, point)
+                assert tm.scaled(point) == (
+                    common,
+                    [[common * v for v in row] for row in t],
+                ), spec
 
 
 class TestErgodicity:

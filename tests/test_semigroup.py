@@ -3,7 +3,7 @@ import random
 import pytest
 
 from sgmc.errors import CapExceeded
-from sgmc.semigroup import FiniteSemigroup, IDENTITY_NAME, compose
+from sgmc.semigroup import BOX_LABEL, FiniteSemigroup, IDENTITY_NAME, compose
 
 import reference
 
@@ -137,9 +137,10 @@ class TestAdjoinZero:
             assert info.is_left_zero
 
     def test_zero_is_a_generator(self):
-        s = FiniteSemigroup.generate(D2_GENS).adjoin_zero()
-        assert s.labels[-1] == s.zero_label
-        assert s.gens[s.zero_label] == s.zero_id
+        s = FiniteSemigroup.generate(D2_GENS)
+        for label, z in ((BOX_LABEL, s.adjoin_zero()), ("z", s.adjoin_zero("z"))):
+            assert z.labels[-1] == label
+            assert z.gens[label] == z.zero_id
 
     def test_label_collision_rejected(self):
         s = FiniteSemigroup.generate(D2_GENS)
